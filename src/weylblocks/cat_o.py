@@ -17,18 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .coxeter import DEFAULT_GROUP_BOUND, dot_stabilizer, generate_group
+from .integral import _wadd, _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
-    classify_weight, dot_action
+    classify_weight, dot_action, weyl_order
 
 WeightMultiset = dict  # Weight -> positive multiplicity
-
-
-def _wadd(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _wsub(a: Weight, b: Weight) -> Weight:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def linear_dominant_rep(datum: CartanDatum, v: Weight) -> Weight:
@@ -288,9 +281,7 @@ def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
                 m = num // denom
             mult[idx] = m
 
-    from .coxeter import generate_group
-
-    group_order = len(generate_group(datum))
+    group_order = weyl_order(datum)
     mass = 0
     out = {}
     orbit_size: dict[int, int] = {}

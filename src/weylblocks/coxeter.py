@@ -5,9 +5,11 @@ words through the root permutation (``length(w) = #{alpha > 0 : w(alpha) < 0}``)
 Bruhat order by the lifting property, reflection subgroups, dot-action
 stabilizers, and double-coset decompositions.
 
-Elements are canonically keyed by their root permutation; reduced words are
-computed on demand (greedy smallest left descent, which yields the
-lexicographically minimal word) and memoized on the datum.
+Elements are canonically keyed by their root permutation.  One
+``CoxeterSystem`` class serves both the full group and the integral Weyl
+group of a weight: reduced words are computed on demand (greedy smallest left
+descent, which yields the lexicographically minimal word) and memoized per
+system.  The full group's system is cached on the datum.
 """
 
 from __future__ import annotations
@@ -16,53 +18,121 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .rootsys import (
-    WEYL_ORDER,
     CartanDatum,
     GroupBoundExceeded,
     Weight,
     WeylElement,
     classify_weight,
+    weyl_order,
 )
 
 DEFAULT_GROUP_BOUND = 10**6
 
 
+class CoxeterSystem:
+    """Length, left descents, reduced words, sort key and Bruhat order of the
+    reflection subgroup generated by the given simple roots.
+
+    ``simple_root_indices`` must be a simple system of the subsystem's roots
+    lying in the datum's positive roots; the full Weyl group uses all the
+    simple roots.  Simple reflections are numbered 1..k in the given order,
+    and words and Bruhat relations are memoized by root permutation.
+    """
+
+    def __init__(self, datum: CartanDatum, simple_root_indices) -> None:
+        self.datum = datum
+        self.simple_indices = tuple(simple_root_indices)
+        self.simple_reflections = tuple(
+            datum.reflection(datum.roots[i]) for i in self.simple_indices)
+        self._words: dict = {datum.identity.root_perm: ()}
+        self._bruhat: dict = {}
+
+    def length(self, w: WeylElement) -> int:
+        """Length of a reduced word; raises ValueError outside the subgroup."""
+        return len(self.reduced_word(w))
+
+    def is_left_descent(self, w: WeylElement, j: int) -> bool:
+        """True iff s_j w is shorter than w; j is 1-based."""
+        # s_j w < w  iff  w^{-1}(alpha_j) < 0
+        return w.root_perm.index(self.simple_indices[j - 1]) >= \
+            self.datum.num_positive
+
+    def first_left_descent(self, perm: tuple[int, ...]) -> int | None:
+        """Smallest left descent of the element with this root permutation,
+        or None when there is none."""
+        n = self.datum.num_positive
+        return next((j for j, a in enumerate(self.simple_indices, 1)
+                     if perm.index(a) >= n), None)
+
+    def reduced_word(self, w: WeylElement) -> tuple[int, ...]:
+        """Lexicographically minimal reduced word, as 1-based simple indices.
+
+        Greedy smallest left descent; every suffix met on the way is
+        memoized too.  Raises ValueError outside the subgroup.
+        """
+        words = self._words
+        hit = words.get(w.root_perm)
+        if hit is not None:
+            return hit
+        perm, path = w.root_perm, []
+        while perm not in words:
+            j = self.first_left_descent(perm)
+            if j is None:
+                raise ValueError("element is not in this Coxeter system")
+            path.append((perm, j))
+            perm = tuple(map(self.simple_reflections[j - 1].root_perm
+                             .__getitem__, perm))
+        word = words[perm]
+        for perm, j in reversed(path):
+            word = (j,) + word
+            words[perm] = word
+        return words[w.root_perm]
+
+    def sort_key(self, w: WeylElement) -> tuple[int, tuple[int, ...]]:
+        """(length, reduced word) - the canonical total order on elements."""
+        return (self.length(w), self.reduced_word(w))
+
+    def bruhat_leq(self, x: WeylElement, w: WeylElement) -> bool:
+        """Bruhat order with subword-property semantics, via the lifting
+        property: for a left descent s of w, x <= w iff (sx <= sw when
+        sx < x, else x <= sw)."""
+        if self.length(x) == 0:
+            return True
+        if self.length(x) > self.length(w):
+            return False
+        key = (x.root_perm, w.root_perm)
+        hit = self._bruhat.get(key)
+        if hit is not None:
+            return hit
+        s = self.simple_reflections[self.first_left_descent(w.root_perm) - 1]
+        sx = s * x
+        out = self.bruhat_leq(sx if self.length(sx) < self.length(x) else x,
+                              s * w)
+        self._bruhat[key] = out
+        return out
+
+
+def coxeter_system(datum: CartanDatum) -> CoxeterSystem:
+    """The full Weyl group as a Coxeter system, cached on the datum."""
+    if "coxeter" not in datum._memo:
+        datum._memo["coxeter"] = CoxeterSystem(datum, range(datum.rank))
+    return datum._memo["coxeter"]
+
+
 def length(datum: CartanDatum, w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots."""
-    n = datum.num_positive
-    return sum(1 for i in range(n) if w.root_perm[i] >= n)
+    """Number of positive roots sent to negative roots: the length of any
+    reduced word."""
+    return coxeter_system(datum).length(w)
 
 
 def is_left_descent(datum: CartanDatum, w: WeylElement, i: int) -> bool:
     """True iff length(s_i w) < length(w); i is 1-based."""
-    # s_i w < w  iff  w^{-1}(alpha_i) < 0  iff  alpha_i in w(Phi_-)
-    alpha_index = datum.simple_root(i).index
-    return alpha_index in _negative_image(datum, w)
-
-
-def _negative_image(datum: CartanDatum, w: WeylElement) -> frozenset[int]:
-    n = datum.num_positive
-    return frozenset(w.root_perm[i] for i in range(n, 2 * n))
+    return coxeter_system(datum).is_left_descent(w, i)
 
 
 def reduced_word(datum: CartanDatum, w: WeylElement) -> tuple[int, ...]:
     """Lexicographically minimal reduced word, as 1-based simple indices."""
-    memo = datum._memo.setdefault("words", {})
-    cached = memo.get(w.root_perm)
-    if cached is not None:
-        return cached
-    word: list[int] = []
-    n = datum.num_positive
-    x = w
-    while not x.is_identity:
-        inv = x.inverse()
-        i = next(i for i in range(1, datum.rank + 1)
-                 if inv.root_perm[datum.simple_root(i).index] >= n)
-        word.append(i)
-        x = datum.simple_reflections[i - 1] * x
-    out = tuple(word)
-    memo[w.root_perm] = out
-    return out
+    return coxeter_system(datum).reduced_word(w)
 
 
 def from_word(datum: CartanDatum, word) -> WeylElement:
@@ -75,36 +145,24 @@ def from_word(datum: CartanDatum, word) -> WeylElement:
 
 def sort_key(datum: CartanDatum, w: WeylElement) -> tuple[int, tuple[int, ...]]:
     """(length, reduced word) - the canonical total order on elements."""
-    return (length(datum, w), reduced_word(datum, w))
+    return coxeter_system(datum).sort_key(w)
 
 
 def generate_group(datum: CartanDatum,
                    bound: int = DEFAULT_GROUP_BOUND) -> tuple[WeylElement, ...]:
     """All Weyl group elements, sorted by (length, reduced word).
 
-    Raises GroupBoundExceeded when the group is larger than ``bound``.
-    The result is cached on the datum and shared (read-only).
+    Raises GroupBoundExceeded, before enumerating, when the group is larger
+    than ``bound``.  The result is cached on the datum and shared (read-only).
     """
+    expected = weyl_order(datum)
+    if expected > bound:
+        raise GroupBoundExceeded(
+            f"group order {expected} exceeds bound {bound}")
     if "group" in datum._memo:
         return datum._memo["group"]
-    seen = {datum.identity.root_perm: datum.identity}
-    frontier = [datum.identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in datum.simple_reflections:
-                u = w * s
-                if u.root_perm not in seen:
-                    if len(seen) >= bound:
-                        raise GroupBoundExceeded(
-                            f"group order exceeds bound {bound}")
-                    seen[u.root_perm] = u
-                    nxt.append(u)
-        frontier = nxt
-    out = tuple(sorted(seen.values(), key=lambda w: sort_key(datum, w)))
-    expected = 1
-    for part in datum.type_label.split("x"):
-        expected *= WEYL_ORDER[part[0]](int(part[1:]))
+    out = tuple(sorted(closure(datum, datum.simple_reflections, bound),
+                       key=coxeter_system(datum).sort_key))
     if len(out) != expected:
         raise AssertionError(f"enumerated {len(out)} elements, expected "
                              f"{expected} for {datum.type_label}")
@@ -200,34 +258,8 @@ def brute_force_dot_stabilizer(datum: CartanDatum, lam: Weight,
 
 def bruhat_leq(datum: CartanDatum, x: WeylElement, w: WeylElement) -> bool:
     """Bruhat order with subword-property semantics, via the lifting property.
-
-    For a left descent s of w:  x <= w  iff  (sx <= sw when sx < x, else
-    x <= sw).  Memoized on the datum.
-    """
-    memo = datum._memo.setdefault("bruhat", {})
-
-    def rec(xp: WeylElement, wp: WeylElement) -> bool:
-        if xp.is_identity:
-            return True
-        if length(datum, xp) > length(datum, wp):
-            return False
-        key = (xp.root_perm, wp.root_perm)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        i = next(i for i in range(1, datum.rank + 1)
-                 if is_left_descent(datum, wp, i))
-        s = datum.simple_reflections[i - 1]
-        sw = s * wp
-        sx = s * xp
-        if length(datum, sx) < length(datum, xp):
-            out = rec(sx, sw)
-        else:
-            out = rec(xp, sw)
-        memo[key] = out
-        return out
-
-    return rec(x, w)
+    Memoized on the datum."""
+    return coxeter_system(datum).bruhat_leq(x, w)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from fractions import Fraction as Q
 
 from .coxeter import (
     DEFAULT_GROUP_BOUND,
+    CoxeterSystem,
     SubgroupHandle,
     dot_stabilizer,
     generate_group,
@@ -54,13 +55,6 @@ def _wadd(a: Weight, b: Weight) -> Weight:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _perm_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(perm)
-    for i, p in enumerate(perm):
-        out[p] = i
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class IntegralDatum:
     """The integral package attached to one rational weight.
@@ -75,7 +69,7 @@ class IntegralDatum:
     integral_roots: tuple[Root, ...]       # positives then their negatives
     integral_positive: tuple[Root, ...]
     integral_simples: tuple[Root, ...]     # indexed 1..k downstream
-    simple_reflections: tuple[WeylElement, ...]
+    system: CoxeterSystem                  # W_int over the integral simples
     w_int: SubgroupHandle
     w_ext: tuple[WeylElement, ...]         # sorted by (length, word)
     chamber: SubgroupHandle
@@ -95,42 +89,23 @@ class IntegralDatum:
 
     # -- the integral system as a Coxeter group of its own -----------------
 
+    @property
+    def simple_reflections(self) -> tuple[WeylElement, ...]:
+        return self.system.simple_reflections
+
     def int_length(self, w: WeylElement) -> int:
-        n = self.datum.num_positive
-        return sum(1 for r in self.integral_positive
-                   if w.root_perm[r.index] >= n)
+        return self.system.length(w)
 
     def int_left_descent(self, w: WeylElement, j: int) -> bool:
         """True iff s_j w is shorter in the integral system; j is 1-based."""
-        n = self.datum.num_positive
-        inv = _perm_inverse(w.root_perm)
-        return inv[self.integral_simples[j - 1].index] >= n
+        return self.system.is_left_descent(w, j)
 
     def int_reduced_word(self, w: WeylElement) -> tuple[int, ...]:
         """Lex-minimal reduced word over the integral simple indices."""
-        memo = self._memo.setdefault("int_words", {})
-        hit = memo.get(w.root_perm)
-        if hit is not None:
-            return hit
-        n = self.datum.num_positive
-        word: list[int] = []
-        x = w
-        while True:
-            inv = _perm_inverse(x.root_perm)
-            j = next((j for j in range(1, self.rank + 1)
-                      if inv[self.integral_simples[j - 1].index] >= n), None)
-            if j is None:
-                break
-            word.append(j)
-            x = self.simple_reflections[j - 1] * x
-        if not x.is_identity:
-            raise ValueError("element is not in the integral Weyl group")
-        out = tuple(word)
-        memo[w.root_perm] = out
-        return out
+        return self.system.reduced_word(w)
 
     def int_sort_key(self, w: WeylElement):
-        return (self.int_length(w), self.int_reduced_word(w))
+        return self.system.sort_key(w)
 
     def int_elements(self) -> tuple[WeylElement, ...]:
         if "int_elements" not in self._memo:
@@ -140,27 +115,7 @@ class IntegralDatum:
 
     def int_bruhat_leq(self, x: WeylElement, w: WeylElement) -> bool:
         """Bruhat order of the integral Coxeter system (lifting property)."""
-        memo = self._memo.setdefault("int_bruhat", {})
-
-        def rec(xp, wp):
-            if self.int_length(xp) == 0:
-                return True
-            if self.int_length(xp) > self.int_length(wp):
-                return False
-            key = (xp.root_perm, wp.root_perm)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            j = next(j for j in range(1, self.rank + 1)
-                     if self.int_left_descent(wp, j))
-            s = self.simple_reflections[j - 1]
-            sx, sw = s * xp, s * wp
-            out = rec(sx, sw) if self.int_length(sx) < self.int_length(xp) \
-                else rec(xp, sw)
-            memo[key] = out
-            return out
-
-        return rec(x, w)
+        return self.system.bruhat_leq(x, w)
 
     def conjugate_simple(self, c: WeylElement, j: int) -> int:
         """Index j' with c s_j c^{-1} = s_{j'}, for chamber elements c."""
@@ -191,9 +146,9 @@ def integral_datum(datum: CartanDatum, lam: Weight,
         r for r in int_pos
         if not any(_wsub(r.as_weight, b.as_weight) in pos_weights
                    for b in int_pos if b.height < r.height))
-    refl = tuple(datum.reflection(r) for r in simples)
+    system = CoxeterSystem(datum, (r.index for r in simples))
 
-    w_int = subgroup(datum, refl, "reflection", bound)
+    w_int = subgroup(datum, system.simple_reflections, "reflection", bound)
     w_ext = tuple(w for w in generate_group(datum, bound)
                   if _is_lattice(_wsub(w.act(lam), lam)))
     chamber_els = frozenset(
@@ -209,7 +164,7 @@ def integral_datum(datum: CartanDatum, lam: Weight,
     idat = IntegralDatum(
         datum=datum, lam=lam, integral_roots=int_roots,
         integral_positive=int_pos, integral_simples=simples,
-        simple_reflections=refl, w_int=w_int, w_ext=w_ext,
+        system=system, w_int=w_int, w_ext=w_ext,
         chamber=chamber, tau_table=tau_table)
     _validate(idat)
     datum._memo[key] = idat

@@ -7,23 +7,24 @@ coordinates kept as exact rationals:
   pairing with the i-th simple coroot is just coordinate i;
 * roots carry both their simple-root coordinates and the row functional
   ``nu -> <nu, alpha^vee>``;
-* Weyl group elements are stored as permutations of the root list together
-  with their exact action matrix on fundamental-weight coordinates.
+* Weyl group elements are stored as permutations of the root list alone;
+  their integer action matrix on fundamental-weight coordinates is read off
+  the permutation on first use.
 
 Simple roots follow the Bourbaki numbering; the columns of the Cartan matrix
 are the simple roots written in the fundamental-weight basis, i.e.
 ``cartan_matrix[j][i] == <alpha_i, alpha_j^vee>``.
 
 Everything here is immutable after construction and safe to share between
-threads; the only mutable state is a per-datum memo dict used for reduced
-words.
+threads; the only mutable state is a per-datum memo dict and each element's
+matrix, filled on first use with values that never change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 Weight = tuple[Q, ...]
 Matrix = tuple[tuple[Q, ...], ...]
@@ -75,14 +76,6 @@ class GroupBoundExceeded(RuntimeError):
 
 def mat_vec(m: Matrix, v: Weight) -> Weight:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
 
 
 def mat_identity(n: int) -> Matrix:
@@ -313,26 +306,34 @@ class Root:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element: root permutation plus exact weight matrix.
+    """A Weyl group element, stored as the permutation it induces on the
+    root list of its datum.
 
-    Equality and hashing use only the root permutation; the matrix is
-    determined by it.  The matrix is kept with plain integer entries (the
-    group preserves the weight lattice), which keeps products cheap.
+    The permutation determines the element, so equality and hashing use it
+    alone, products compose permutations and inverses invert one.  The
+    integer action matrix on fundamental-weight coordinates is derived on
+    first use: row i is the coroot row of w^{-1}(alpha_i), because
+    <w lam, alpha_i^vee> = <lam, (w^{-1} alpha_i)^vee>.
     """
 
     root_perm: tuple[int, ...]
-    weight_matrix: Matrix = field(compare=False, repr=False)
+    datum: CartanDatum = field(compare=False, repr=False)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        perm = tuple(self.root_perm[p] for p in other.root_perm)
-        return WeylElement(perm, mat_mul(self.weight_matrix,
-                                         other.weight_matrix))
+        return WeylElement(tuple(map(self.root_perm.__getitem__,
+                                     other.root_perm)), self.datum)
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.root_perm)
         for i, p in enumerate(self.root_perm):
             inv[p] = i
-        return WeylElement(tuple(inv), _as_int_matrix(mat_inv(self.weight_matrix)))
+        return WeylElement(tuple(inv), self.datum)
+
+    @cached_property
+    def weight_matrix(self) -> tuple[tuple[int, ...], ...]:
+        rows, perm = self.datum.coroot_rows, self.root_perm
+        # the simple roots lead the root list, so alpha_i has index i
+        return tuple(rows[perm.index(i)] for i in range(self.datum.rank))
 
     def act(self, weight: Weight) -> Weight:
         """The linear action on fundamental-weight coordinates."""
@@ -340,7 +341,7 @@ class WeylElement:
 
     @property
     def is_identity(self) -> bool:
-        return all(i == p for i, p in enumerate(self.root_perm))
+        return self.root_perm == self.datum.identity.root_perm
 
 
 def _as_int_matrix(m) -> tuple[tuple[int, ...], ...]:
@@ -361,8 +362,9 @@ class CartanDatum:
 
     ``roots`` lists the positive roots (sorted by height, then by simple
     coordinates) followed by their negatives; index(-alpha) = index(alpha) +
-    num_positive.  This ordering is frozen so every downstream enumeration is
-    deterministic.
+    num_positive.  So the simple roots come first, alpha_i at index i - 1.
+    This ordering is frozen so every downstream enumeration is deterministic.
+    ``coroot_rows[k]`` is the coroot row of root k in integers.
     """
 
     type_label: str
@@ -370,6 +372,7 @@ class CartanDatum:
     cartan_matrix: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[Q, ...]  # d_i = (alpha_i, alpha_i)/2, per component
     roots: tuple[Root, ...]
+    coroot_rows: tuple[tuple[int, ...], ...] = field(repr=False)
     rho: Weight
     inverse_cartan: Matrix
     simple_reflections: tuple[WeylElement, ...]
@@ -394,10 +397,10 @@ class CartanDatum:
 
     def simple_root(self, i: int) -> Root:
         """The i-th simple root, 1-based Bourbaki numbering."""
-        return self.roots[self._root_index[self._simple_weight(i)]]
-
-    def _simple_weight(self, i: int) -> Weight:
-        return tuple(Q(self.cartan_matrix[j][i - 1]) for j in range(self.rank))
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple root index {i} out of range "
+                             f"1..{self.rank}")
+        return self.roots[i - 1]
 
     def zero_weight(self) -> Weight:
         return (Q(0),) * self.rank
@@ -439,7 +442,11 @@ def _reflection_element(datum: CartanDatum, root: Root) -> WeylElement:
         img = tuple(beta.as_weight[i] - root.pair(beta.as_weight) * alpha[i]
                     for i in range(n))
         perm.append(datum._root_index[img])
-    return WeylElement(tuple(perm), matrix)
+    out = WeylElement(tuple(perm), datum)
+    if out.weight_matrix != matrix:
+        raise AssertionError(f"reflection in {root} disagrees with the "
+                             "matrix read off its root permutation")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +503,14 @@ def parse_type_label(label: str) -> list[tuple[str, int]]:
     if not factors:
         raise UnknownTypeError("empty type label")
     return factors
+
+
+def weyl_order(datum: CartanDatum) -> int:
+    """The order of the Weyl group, from the type label alone."""
+    out = 1
+    for letter, n in parse_type_label(datum.type_label):
+        out *= WEYL_ORDER[letter](n)
+    return out
 
 
 def _symmetrizer(cartan: list[list[int]]) -> list[Q]:
@@ -560,6 +575,9 @@ def build_root_system(type_label: str) -> CartanDatum:
 
     positives = sorted((c for c in seen if sum(c) > 0),
                        key=lambda c: (sum(c), tuple(-x for x in c)))
+    if positives[:rank] != [tuple(int(i == j) for j in range(rank))
+                            for i in range(rank)]:
+        raise AssertionError("simple roots do not lead the root list")
     expected = sum(POSITIVE_ROOT_COUNT[l](n) for l, n in factors)
     if len(positives) != expected:
         raise AssertionError(
@@ -595,14 +613,15 @@ def build_root_system(type_label: str) -> CartanDatum:
         cartan_matrix=cartan_t,
         symmetrizer=tuple(d),
         roots=tuple(roots),
+        coroot_rows=_as_int_matrix(r.coroot_row for r in roots),
         rho=rho,
         inverse_cartan=inverse_cartan,
         simple_reflections=(),  # filled below
-        identity=WeylElement(tuple(range(len(roots))),
-                             tuple(tuple(int(i == j) for j in range(rank))
-                                   for i in range(rank))),
+        identity=None,  # filled below
         _root_index=index_of,
     )
+    object.__setattr__(datum, "identity",
+                       WeylElement(tuple(range(len(roots))), datum))
     simples = tuple(_reflection_element(datum, datum.simple_root(i + 1))
                     for i in range(rank))
     object.__setattr__(datum, "simple_reflections", simples)

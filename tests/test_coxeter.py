@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -19,7 +20,7 @@ from weylblocks.coxeter import (
     sort_key,
     trivial_subgroup,
 )
-from weylblocks.rootsys import GroupBoundExceeded
+from weylblocks.rootsys import WEYL_ORDER, GroupBoundExceeded
 
 from conftest import w
 from oracles import bruhat_interval_by_subwords
@@ -140,3 +141,19 @@ def test_subgroup_closure_closed(a3):
         assert x.inverse() in els
         for y in els:
             assert x * y in els
+
+
+def test_group_bound_fails_before_enumerating():
+    started = time.perf_counter()
+    with pytest.raises(GroupBoundExceeded):
+        generate_group(build_root_system("E7"))  # 2903040 elements
+    assert time.perf_counter() - started < 2.0
+
+
+@pytest.mark.parametrize("label", ["B5", "A6"])
+def test_cold_enumeration_budget(label):
+    fresh = build_root_system.__wrapped__(label)  # a datum with empty caches
+    started = time.perf_counter()
+    group = generate_group(fresh)
+    assert time.perf_counter() - started < 10.0
+    assert len(group) == WEYL_ORDER[label[0]](int(label[1:]))

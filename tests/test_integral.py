@@ -18,7 +18,14 @@ from weylblocks import (
     lambda_sharp,
     tau,
 )
-from weylblocks.coxeter import double_cosets, generate_group
+from weylblocks.coxeter import (
+    bruhat_leq,
+    coxeter_system,
+    double_cosets,
+    generate_group,
+    length,
+    reduced_word,
+)
 from weylblocks.integral import _is_lattice, _wsub
 
 from conftest import w
@@ -248,3 +255,16 @@ def test_chamber_preserves_dominance(a3_block, a3):
             continue
         for c in a3_block.chamber.elements:
             assert classify_weight(a3, dot_action(a3, c, x)).dominant
+
+
+def test_integral_system_matches_full_when_w_int_is_w():
+    d4 = build_root_system("D4")
+    idat = integral_datum(d4, w(0, 0, 0, 0))
+    group = generate_group(d4)
+    assert idat.w_int.order == len(group) == 192
+    assert idat.system is not coxeter_system(d4)
+    for u in group:
+        assert idat.int_length(u) == length(d4, u)
+        assert idat.int_reduced_word(u) == reduced_word(d4, u)
+        for x in group:
+            assert idat.int_bruhat_leq(x, u) == bruhat_leq(d4, x, u)

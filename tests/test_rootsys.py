@@ -12,7 +12,7 @@ from weylblocks import (
     torsion_group,
     weight_lattice_tests,
 )
-from weylblocks.coxeter import generate_group, length
+from weylblocks.coxeter import generate_group, length, reduced_word
 from weylblocks.rootsys import POSITIVE_ROOT_COUNT, smith_normal_form
 
 from conftest import w
@@ -191,3 +191,37 @@ def test_positive_root_count_table_matches():
         for part in label.split("x"):
             expected += POSITIVE_ROOT_COUNT[part[0]](int(part[1:]))
         assert datum.num_positive == expected == n_pos
+
+
+@pytest.mark.parametrize("label", ["A1xA1", "A3", "B3", "C3", "G2", "D4",
+                                   "F4"])
+def test_permutation_action_against_reflection_formula(label):
+    datum = build_root_system(label)
+    n = datum.rank
+    # alpha_i in fundamental-weight coordinates: column i of the Cartan matrix
+    alpha = [tuple(datum.cartan_matrix[k][i] for k in range(n))
+             for i in range(n)]
+    alpha_index = [datum.root_index(tuple(Q(c) for c in a)) for a in alpha]
+
+    def by_word(word, x):
+        for i in reversed(word):  # s_{i_1} ... s_{i_k} x, rightmost first
+            x = tuple(xk - x[i - 1] * ak for xk, ak in zip(x, alpha[i - 1]))
+        return x
+
+    group = generate_group(datum)
+    for u in group:
+        word = reduced_word(datum, u)
+        for j in range(n):
+            omega = tuple(int(k == j) for k in range(n))
+            assert u.act(w(*omega)) == by_word(word, omega)
+        for i in range(n):
+            assert u.act(w(*alpha[i])) == \
+                datum.roots[u.root_perm[alpha_index[i]]].as_weight
+    rng = random.Random(29)
+    for _ in range(100):
+        u, v = rng.choice(group), rng.choice(group)
+        x = tuple(Q(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+                  for _ in range(n))
+        assert (u * v).act(x) == u.act(v.act(x))
+        assert (u.inverse() * u).is_identity
+        assert u.inverse() * u == datum.identity
