@@ -242,8 +242,7 @@ class KLCache:
         for w in elements:
             if w == e:
                 continue
-            j = next(j for j in range(1, idat.rank + 1)
-                     if idat.int_left_descent(w, j))
+            j = idat.system.first_left_descent(w.root_perm)
             s = idat.simple_reflections[j - 1]
             u = s * w
             exp_u = self._h[u]
