@@ -34,35 +34,48 @@ class CoxeterSystem:
     reflection subgroup generated by the given simple roots.
 
     ``simple_root_indices`` must be a simple system of the subsystem's roots
-    lying in the datum's positive roots; the full Weyl group uses all the
-    simple roots.  Simple reflections are numbered 1..k in the given order,
-    and words and Bruhat relations are memoized by root permutation.
+    and ``positive_root_indices`` its positive roots, all lying in the
+    datum's positive roots; the full Weyl group uses all the simple and
+    positive roots.  Simple reflections are numbered 1..k in the given order,
+    and lengths, words and Bruhat relations are memoized by root permutation.
     """
 
-    def __init__(self, datum: CartanDatum, simple_root_indices) -> None:
+    def __init__(self, datum: CartanDatum, simple_root_indices,
+                 positive_root_indices) -> None:
         self.datum = datum
         self.simple_indices = tuple(simple_root_indices)
+        self.positive_indices = tuple(positive_root_indices)
         self.simple_reflections = tuple(
             datum.reflection(datum.roots[i]) for i in self.simple_indices)
+        self._lengths: dict = {}
         self._words: dict = {datum.identity.root_perm: ()}
         self._bruhat: dict = {}
 
     def length(self, w: WeylElement) -> int:
-        """Length of a reduced word; raises ValueError outside the subgroup."""
-        return len(self.reduced_word(w))
+        """Number of the subsystem's positive roots that w sends to negative
+        roots: the length of any reduced word."""
+        perm = w.root_perm
+        hit = self._lengths.get(perm)
+        if hit is None:
+            n = self.datum.num_positive
+            hit = self._lengths[perm] = sum(
+                1 for i in self.positive_indices if perm[i] >= n)
+        return hit
+
+    def _descends(self, perm: tuple[int, ...], j: int) -> bool:
+        # s_j w < w  iff  w^{-1}(alpha_j) < 0
+        return perm.index(self.simple_indices[j - 1]) >= \
+            self.datum.num_positive
 
     def is_left_descent(self, w: WeylElement, j: int) -> bool:
         """True iff s_j w is shorter than w; j is 1-based."""
-        # s_j w < w  iff  w^{-1}(alpha_j) < 0
-        return w.root_perm.index(self.simple_indices[j - 1]) >= \
-            self.datum.num_positive
+        return self._descends(w.root_perm, j)
 
     def first_left_descent(self, perm: tuple[int, ...]) -> int | None:
         """Smallest left descent of the element with this root permutation,
         or None when there is none."""
-        n = self.datum.num_positive
-        return next((j for j, a in enumerate(self.simple_indices, 1)
-                     if perm.index(a) >= n), None)
+        return next((j for j in range(1, len(self.simple_indices) + 1)
+                     if self._descends(perm, j)), None)
 
     def reduced_word(self, w: WeylElement) -> tuple[int, ...]:
         """Lexicographically minimal reduced word, as 1-based simple indices.
@@ -115,7 +128,8 @@ class CoxeterSystem:
 def coxeter_system(datum: CartanDatum) -> CoxeterSystem:
     """The full Weyl group as a Coxeter system, cached on the datum."""
     if "coxeter" not in datum._memo:
-        datum._memo["coxeter"] = CoxeterSystem(datum, range(datum.rank))
+        datum._memo["coxeter"] = CoxeterSystem(
+            datum, range(datum.rank), range(datum.num_positive))
     return datum._memo["coxeter"]
 
 
@@ -168,10 +182,6 @@ def generate_group(datum: CartanDatum,
                              f"{expected} for {datum.type_label}")
     datum._memo["group"] = out
     return out
-
-
-def group_order(datum: CartanDatum, bound: int = DEFAULT_GROUP_BOUND) -> int:
-    return len(generate_group(datum, bound))
 
 
 # ---------------------------------------------------------------------------

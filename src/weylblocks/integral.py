@@ -146,7 +146,8 @@ def integral_datum(datum: CartanDatum, lam: Weight,
         r for r in int_pos
         if not any(_wsub(r.as_weight, b.as_weight) in pos_weights
                    for b in int_pos if b.height < r.height))
-    system = CoxeterSystem(datum, (r.index for r in simples))
+    system = CoxeterSystem(datum, (r.index for r in simples),
+                           (r.index for r in int_pos))
 
     w_int = subgroup(datum, system.simple_reflections, "reflection", bound)
     w_ext = tuple(w for w in generate_group(datum, bound)

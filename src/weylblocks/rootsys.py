@@ -78,26 +78,6 @@ def mat_vec(m: Matrix, v: Weight) -> Weight:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(Q(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def mat_inv(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination (matrix must be square)."""
-    n = len(m)
-    a = [list(row) + list(ident) for row, ident in zip(m, mat_identity(n))]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = Q(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
 def solve_rational(m: Matrix, rhs: Weight) -> Weight | None:
     """One exact solution of ``m x = rhs``, or None when inconsistent.
 
@@ -586,7 +566,10 @@ def build_root_system(type_label: str) -> CartanDatum:
 
     cartan_t = tuple(tuple(row) for row in cartan)
     cartan_q = tuple(tuple(Q(x) for x in row) for row in cartan)
-    inverse_cartan = mat_inv(cartan_q)
+    # column j of the inverse solves cartan x = e_j
+    inverse_cartan = tuple(zip(*(
+        solve_rational(cartan_q, tuple(Q(int(i == j)) for i in range(rank)))
+        for j in range(rank))))
 
     def as_weight(coords) -> Weight:
         return tuple(sum(Q(cartan[i][j] * coords[j]) for j in range(rank))

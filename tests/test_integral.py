@@ -268,3 +268,24 @@ def test_integral_system_matches_full_when_w_int_is_w():
         assert idat.int_reduced_word(u) == reduced_word(d4, u)
         for x in group:
             assert idat.int_bruhat_leq(x, u) == bruhat_leq(d4, x, u)
+
+
+@pytest.mark.parametrize("label, lam", [
+    ("A3", (Q(0), Q(1, 2), Q(0))),
+    ("B3", (Q(1, 2), Q(0), Q(0))),
+    ("C4", (Q(0), Q(1, 2), Q(0), Q(0))),
+])
+def test_integral_words_are_reduced(label, lam):
+    datum = build_root_system(label)
+    idat = integral_datum(datum, lam)
+    assert 1 < idat.w_int.order < len(generate_group(datum))
+    n = datum.num_positive
+    for u in idat.w_int.elements:
+        inversions = sum(1 for r in idat.integral_positive
+                         if u.root_perm[r.index] >= n)
+        word = idat.int_reduced_word(u)
+        assert len(word) == inversions == idat.int_length(u)
+        prod = datum.identity
+        for j in word:
+            prod = prod * idat.simple_reflections[j - 1]
+        assert prod == u
