@@ -27,13 +27,13 @@ from .coxeter import (
     sort_key,
 )
 from .integral import (
-    are_compatible,
     dominant_dot_rep,
     enumerate_Xi,
     find_regular_dominant,
     find_subgeneric,
     integral_datum,
     lambda_sharp,
+    lattice_movers,
     tau,
 )
 from .jsonio import SchemaError
@@ -348,17 +348,13 @@ def _check_subgeneric(datum, idat, entry, rng):
 def _check_xi_counts(datum, idat, entry, rng):
     if entry.mu is None:
         return "skip", "no mu in entry"
-    if not are_compatible(datum, entry.mu, entry.lam):
+    _, lam_dom = to_dominant_dot(datum, entry.lam)
+    w0 = next(lattice_movers(datum, entry.mu, lam_dom), None)
+    if w0 is None:
         return "skip", "orbits not compatible"
     pairs = enumerate_Xi(datum, entry.mu, entry.lam)
-    _, lam_dom = to_dominant_dot(datum, entry.lam)
     idat_dom = integral_datum(datum, lam_dom)
-    aligned = next(dot_action(datum, w, entry.mu)
-                   for w in generate_group(datum)
-                   if all((x - y).denominator == 1
-                          for x, y in zip(dot_action(datum, w, entry.mu),
-                                          lam_dom)))
-    _, mu_dom = dominant_dot_rep(idat_dom, aligned)
+    _, mu_dom = dominant_dot_rep(idat_dom, dot_action(datum, w0, entry.mu))
     dc = double_cosets(datum, frozenset(idat_dom.w_ext),
                        dot_stabilizer(datum, mu_dom),
                        dot_stabilizer(datum, lam_dom))
@@ -660,6 +656,9 @@ def main(argv=None) -> int:
     except (SchemaError, UnknownTypeError, GroupBoundExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # an internal invariant failed
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -253,15 +253,6 @@ def dot_stabilizer(datum: CartanDatum, lam: Weight) -> SubgroupHandle:
     return subgroup(datum, gens, "reflection")
 
 
-def brute_force_dot_stabilizer(datum: CartanDatum, lam: Weight,
-                               bound: int = DEFAULT_GROUP_BOUND) -> frozenset:
-    """O(|W|) stabilizer scan; test-suite oracle for dot_stabilizer."""
-    from .rootsys import dot_action
-
-    return frozenset(w for w in generate_group(datum, bound)
-                     if dot_action(datum, w, lam) == lam)
-
-
 # ---------------------------------------------------------------------------
 # Bruhat order
 # ---------------------------------------------------------------------------

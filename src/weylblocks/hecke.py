@@ -153,12 +153,6 @@ class HeckeElement:
                     out[key] = out.get(key, ZERO) + p1 * p2 * q
         return HeckeElement(idat, out)
 
-    def sorted_terms(self):
-        idat = self.idat
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0].root_perm,
-                                      idat.int_sort_key(kv[0][1])))
-
 
 def identity_element(idat: IntegralDatum) -> HeckeElement:
     e = idat.datum.identity

@@ -80,13 +80,6 @@ class IntegralDatum:
     def rank(self) -> int:
         return len(self.integral_simples)
 
-    @property
-    def w_ext_set(self) -> frozenset[WeylElement]:
-        return frozenset(self.tau_table)
-
-    def contains_ext(self, w: WeylElement) -> bool:
-        return w in self.tau_table
-
     # -- the integral system as a Coxeter group of its own -----------------
 
     @property
@@ -128,6 +121,27 @@ class IntegralDatum:
         return table[img_index]
 
 
+def lattice_movers(datum: CartanDatum, mu: Weight, lam: Weight,
+                   bound: int = DEFAULT_GROUP_BOUND):
+    """The w in W with w(mu) - lam a lattice weight, in generate_group order.
+
+    These are also the w with w.mu - lam a lattice weight, since
+    w.mu - w(mu) = w(rho) - rho is one.  Coordinate i of w(mu) is
+    <mu, (w^{-1} alpha_i)^vee> and w^{-1} alpha_i is root perm.index(i), so
+    mu's coroot pairings mod 1, taken once, decide every element without
+    arithmetic per element.
+    """
+    if len(mu) != datum.rank or len(lam) != datum.rank:
+        raise ValueError(f"weights need {datum.rank} coordinates")
+    residues = [sum(c * Q(x) for c, x in zip(row, mu)) % 1
+                for row in datum.coroot_rows]
+    target = [Q(x) % 1 for x in lam]
+    for w in generate_group(datum, bound):
+        perm = w.root_perm
+        if all(residues[perm.index(i)] == t for i, t in enumerate(target)):
+            yield w
+
+
 def integral_datum(datum: CartanDatum, lam: Weight,
                    bound: int = DEFAULT_GROUP_BOUND) -> IntegralDatum:
     """Build (and cache) the integral package of a rational weight."""
@@ -150,8 +164,7 @@ def integral_datum(datum: CartanDatum, lam: Weight,
                            (r.index for r in int_pos))
 
     w_int = subgroup(datum, system.simple_reflections, "reflection", bound)
-    w_ext = tuple(w for w in generate_group(datum, bound)
-                  if _is_lattice(_wsub(w.act(lam), lam)))
+    w_ext = tuple(lattice_movers(datum, lam, lam, bound))
     chamber_els = frozenset(
         w for w in w_ext
         if all(w.root_perm[r.index] < n for r in int_pos))
@@ -217,7 +230,7 @@ def tau(idat: IntegralDatum, w: WeylElement) -> FiniteAbelianElement:
 def chamber_decompose(idat: IntegralDatum,
                       w: WeylElement) -> tuple[WeylElement, WeylElement]:
     """The unique (c, u) with w = c u, c in the chamber, u in W_int."""
-    if not idat.contains_ext(w):
+    if w not in idat.tau_table:
         raise ValueError("element does not move lam by a lattice weight")
     for u in idat.int_elements():
         c = w * u.inverse()
@@ -385,10 +398,7 @@ def are_compatible(datum: CartanDatum, lam: Weight, lam2: Weight,
                    bound: int = DEFAULT_GROUP_BOUND) -> bool:
     """True iff some dot translate of lam differs from lam2 by a lattice
     weight, i.e. the two dot orbits carry compatible central data."""
-    lam = tuple(Q(x) for x in lam)
-    lam2 = tuple(Q(x) for x in lam2)
-    return any(_is_lattice(_wsub(dot_action(datum, w, lam), lam2))
-               for w in generate_group(datum, bound))
+    return next(lattice_movers(datum, lam, lam2, bound), None) is not None
 
 
 @dataclass(frozen=True)
@@ -417,11 +427,10 @@ def enumerate_Xi(datum: CartanDatum, mu: Weight, lam: Weight,
     mu = tuple(Q(x) for x in mu)
     lam = tuple(Q(x) for x in lam)
     _, lam_dom = to_dominant_dot(datum, lam)
-    mu0 = next((dot_action(datum, w, mu) for w in generate_group(datum, bound)
-                if _is_lattice(_wsub(dot_action(datum, w, mu), lam_dom))),
-               None)
-    if mu0 is None:
+    w0 = next(lattice_movers(datum, mu, lam_dom, bound), None)
+    if w0 is None:
         return ()
+    mu0 = dot_action(datum, w0, mu)
     idat = integral_datum(datum, lam_dom, bound)
     orbit = {dot_action(datum, w, mu0) for w in idat.w_ext}
     stab = dot_stabilizer(datum, lam_dom)

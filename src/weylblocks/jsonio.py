@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 from .coxeter import from_word, reduced_word
 from .hecke import LaurentPoly
 from .integral import IntegralDatum
-from .rootsys import CartanDatum, FiniteAbelianElement, Weight, WeylElement
+from .rootsys import CartanDatum, Weight, WeylElement
 from .soergel import BimoduleWord, BsLetter, Letter, RwLetter
 
 
@@ -109,10 +109,6 @@ def parse_element(datum: CartanDatum, data) -> WeylElement:
     if any(not 1 <= i <= datum.rank for i in word):
         raise SchemaError(f"simple index out of range in {data!r}")
     return from_word(datum, word)
-
-
-def class_to_str(el: FiniteAbelianElement) -> str:
-    return str(el)
 
 
 def letters_to_json(word: BimoduleWord) -> list[str]:

@@ -271,10 +271,6 @@ class Root:
     def height(self) -> int:
         return sum(self.simple_coords)
 
-    @property
-    def is_positive(self) -> bool:
-        return self.height > 0
-
     def pair(self, weight: Weight) -> Q:
         """<weight, alpha^vee> as an exact rational."""
         return sum(c * x for c, x in zip(self.coroot_row, weight))
@@ -371,10 +367,6 @@ class CartanDatum:
     def root_index(self, weight: Weight) -> int:
         return self._root_index[weight]
 
-    def negative_of(self, index: int) -> int:
-        n = self.num_positive
-        return index + n if index < n else index - n
-
     def simple_root(self, i: int) -> Root:
         """The i-th simple root, 1-based Bourbaki numbering."""
         if not 1 <= i <= self.rank:
@@ -393,11 +385,6 @@ class CartanDatum:
     def root_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight in the simple-root basis."""
         return mat_vec(self.inverse_cartan, weight)
-
-    def bilinear(self, x: Weight, y: Weight) -> Q:
-        """The W-invariant form, normalized per component by (a_i, a_i)=2d_i."""
-        yc = self.root_coords(y)
-        return sum(x[j] * self.symmetrizer[j] * yc[j] for j in range(self.rank))
 
     def reflection(self, root: Root) -> WeylElement:
         """The reflection s_alpha as a WeylElement."""

@@ -24,7 +24,7 @@ from fractions import Fraction as Q
 
 from .coxeter import closure, dot_stabilizer, double_cosets, sort_key
 from .integral import IntegralDatum, integral_datum, tau, _is_lattice, \
-    _wsub, dominant_dot_rep
+    _wsub, dominant_dot_rep, lattice_movers
 from .rootsys import CartanDatum, FiniteAbelianElement, Weight, WeylElement, \
     classify_weight, dot_action, lattice_class
 
@@ -316,18 +316,11 @@ def indecomposable_index(datum: CartanDatum, mu: Weight, lam: Weight,
         if not classify_weight(datum, x).dominant:
             raise ValueError(f"{name} = {x} is not dominant")
     idat = integral_datum(datum, lam, bound)
-    if _is_lattice(_wsub(mu, lam)):
-        mu_d = mu
-    else:
-        from .coxeter import generate_group
-
-        aligned = next((dot_action(datum, w, mu)
-                        for w in generate_group(datum, bound)
-                        if _is_lattice(_wsub(dot_action(datum, w, mu), lam))),
-                       None)
-        if aligned is None:
-            raise ValueError("mu and lam are not compatible")
-        _, mu_d = dominant_dot_rep(idat, aligned)
+    # the identity comes first, so a dominant mu in lam + P stays put
+    w0 = next(lattice_movers(datum, mu, lam, bound), None)
+    if w0 is None:
+        raise ValueError("mu and lam are not compatible")
+    _, mu_d = dominant_dot_rep(idat, dot_action(datum, w0, mu))
 
     stab_lam = dot_stabilizer(datum, lam)
     labels = []

@@ -1,5 +1,6 @@
 """Independent test oracles, kept apart from the library's main paths.
 
+* Dot stabilizers by scanning the whole Weyl group.
 * Bruhat order by exhaustive subword products of one reduced word.
 * Kazhdan-Lusztig polynomials by inverting the R-polynomial functional
   equation (a different recursion from the production b_s-product one).
@@ -9,11 +10,18 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from weylblocks.coxeter import reduced_word
+from weylblocks.coxeter import generate_group, reduced_word
 from weylblocks.hecke import ONE, ZERO, LaurentPoly
+from weylblocks.rootsys import dot_action
 
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})
 Q_VAR = LaurentPoly({1: 1})
+
+
+def brute_force_dot_stabilizer(datum, lam) -> frozenset:
+    """{w : w . lam = lam} by an O(|W|) scan of the whole group."""
+    return frozenset(w for w in generate_group(datum)
+                     if dot_action(datum, w, lam) == lam)
 
 
 def bruhat_interval_by_subwords(datum, w) -> set:

@@ -1,10 +1,13 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction as Q
 
 import pytest
 
+import weylblocks
 from weylblocks.cli import default_corpus_path, main, run_corpus
 from weylblocks.jsonio import (
     SchemaError,
@@ -154,6 +157,19 @@ def test_cli_error_paths(capsys):
     assert code == 2 and "malformed rational" in err
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import weylblocks.cli as cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("kernel of tau differs from W_int")
+
+    monkeypatch.setattr(cli, "integral_datum", broken)
+    code, _, err = run_cli(capsys, "integral", "--type", "A1",
+                           "--lambda", "1/2")
+    assert code == 3
+    assert "internal error: kernel of tau differs from W_int" in err
+
+
 def test_empty_corpus(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"entries": []}')
@@ -194,8 +210,6 @@ def test_default_corpus_is_packaged_and_synced():
     with open(packaged, encoding="utf-8") as fh:
         packaged_doc = json.load(fh)
     assert len(packaged_doc["entries"]) >= 40
-    import pathlib
-
     repo_copy = pathlib.Path(__file__).resolve().parent.parent / "corpus" / \
         "default.json"
     if repo_copy.exists():
@@ -245,9 +259,13 @@ def test_emitted_documents_reparse(capsys, a3, a3_block):
 
 
 def test_cli_entry_point_subprocess():
+    # the child imports the same weylblocks as this process, installed or not
+    src = str(pathlib.Path(weylblocks.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-m", "weylblocks.cli", "integral", "--type", "A1",
          "--lambda", "1/2"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path))
     doc = json.loads(out.stdout)
     assert doc["chamber"] == [[], [1]]

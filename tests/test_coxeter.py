@@ -15,7 +15,6 @@ from weylblocks import (
     subgroup,
 )
 from weylblocks.coxeter import (
-    brute_force_dot_stabilizer,
     length,
     sort_key,
     trivial_subgroup,
@@ -23,7 +22,7 @@ from weylblocks.coxeter import (
 from weylblocks.rootsys import WEYL_ORDER, GroupBoundExceeded
 
 from conftest import w
-from oracles import bruhat_interval_by_subwords
+from oracles import brute_force_dot_stabilizer, bruhat_interval_by_subwords
 
 
 def test_group_bound(a3):

@@ -26,7 +26,7 @@ from weylblocks.coxeter import (
     length,
     reduced_word,
 )
-from weylblocks.integral import _is_lattice, _wsub
+from weylblocks.integral import _is_lattice, _wsub, lattice_movers
 
 from conftest import w
 
@@ -174,6 +174,36 @@ def test_are_compatible(a1):
     assert not are_compatible(a1, w(0), w(Q(1, 2)))
     assert are_compatible(a1, w(Q(1, 2)), w(Q(1, 2)) )
     assert are_compatible(a1, w(Q(1, 2)), w(Q(-3, 2)))
+    with pytest.raises(ValueError):
+        are_compatible(a1, w(0, 0), w(0))
+
+
+H, T = Q(1, 2), Q(1, 3)
+
+
+@pytest.mark.parametrize("label, mu, lam", [
+    ("A3", (0, H, 0), (0, H, 0)),
+    ("A3", (H, 0, H), (0, H, 0)),
+    ("A3", (0, H, 0), (T, 0, 0)),           # incompatible: nothing moves
+    ("B3", (0, 0, H), (0, 0, H)),
+    ("B3", (H, -H, H), (0, 0, H)),
+    ("C4", (0, 0, 0, H), (0, 0, 0, H)),
+    ("C4", (H, 0, 0, 0), (0, 0, 0, H)),     # incompatible
+    ("D4", (H, 0, 0, 0), (H, 0, 0, 0)),
+    ("D4", (0, -H, H, H), (H, 0, 0, 0)),
+    ("A5", (T, 0, 0, 0, 0), (T, 0, 0, 0, 0)),
+    ("A5", (0, 0, -T, T, 0), (T, 0, 0, 0, 0)),
+])
+def test_lattice_movers_match_brute_force(label, mu, lam):
+    datum = build_root_system(label)
+    mu = tuple(Q(c) for c in mu)
+    lam = tuple(Q(c) for c in lam)
+    brute = [u for u in generate_group(datum)
+             if _is_lattice(_wsub(dot_action(datum, u, mu), lam))]
+    assert list(lattice_movers(datum, mu, lam)) == brute
+    assert are_compatible(datum, mu, lam) == bool(brute)
+    if mu == lam:
+        assert integral_datum(datum, lam).w_ext == tuple(brute)
 
 
 def test_enumerate_Xi_rank_one(a1):
