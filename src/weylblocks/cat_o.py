@@ -13,15 +13,38 @@ both readings.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from math import lcm
 
-from .coxeter import DEFAULT_GROUP_BOUND, dot_stabilizer, generate_group
+from .coxeter import DEFAULT_GROUP_BOUND, closure, dot_stabilizer, \
+    generate_group
 from .integral import _wadd, _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
     classify_weight, dot_action, weyl_order
 
 WeightMultiset = dict  # Weight -> positive multiplicity
+
+# characters kept per datum and kind; past this the least recently used one
+# is dropped, so a long sweep over highest weights keeps a flat footprint
+CHARACTER_CACHE_SIZE = 256
+
+
+def _cache_get(datum: CartanDatum, kind: str, key):
+    cache = datum._memo.setdefault(kind, OrderedDict())
+    try:
+        cache.move_to_end(key)
+        return cache[key]
+    except KeyError:  # absent, or just dropped by another thread
+        return None
+
+
+def _cache_put(datum: CartanDatum, kind: str, key, value) -> None:
+    cache = datum._memo[kind]
+    cache[key] = value
+    if len(cache) > CHARACTER_CACHE_SIZE:
+        cache.popitem(last=False)
 
 
 def linear_dominant_rep(datum: CartanDatum, v: Weight) -> Weight:
@@ -71,58 +94,39 @@ def weyl_dimension(datum: CartanDatum, highest: Weight) -> int:
 
 
 def _character_scales(datum: CartanDatum):
-    """Integer scaling data for the character recursion, cached.
+    """Integer data for the character recursion, cached.
 
     All weights of a highest-weight module live in top + (root lattice), so
     a weight is an integer vector c with nu = top - sum c_i alpha_i.  The
-    invariant form and the inverse Cartan matrix are cleared to integers by
-    the factors D (symmetrizer denominators) and M (the common denominator
-    of the inverse Cartan matrix).
+    invariant form is cleared to integers by D, the common denominator of
+    the symmetrizer: (nu, alpha_i) = d_i <nu, alpha_i-check> with
+    D d_i = dd[i].
     """
     key = "char_scales"
     if key in datum._memo:
         return datum._memo[key]
     n = datum.rank
-    d_den = 1
-    for d in datum.symmetrizer:
-        d_den = d_den * d.denominator // _gcd(d_den, d.denominator)
+    d_den = lcm(*(d.denominator for d in datum.symmetrizer))
     dd = tuple(int(d * d_den) for d in datum.symmetrizer)
-    diag_m = 1
-    for row in datum.inverse_cartan:
-        for x in row:
-            diag_m = diag_m * x.denominator // _gcd(diag_m, x.denominator)
-    b = tuple(tuple(int(x * diag_m) for x in row)
-              for row in datum.inverse_cartan)
     # per positive root: displacement in c-space and the D-scaled pairing row
     roots = tuple(
         (alpha.simple_coords,
          tuple(dd[i] * alpha.simple_coords[i] for i in range(n)))
         for alpha in datum.positive_roots)
-    # the functional <., rho-check>: u with u^T (Cartan matrix) = (1, ..., 1)
-    from .rootsys import solve_rational
-
-    a_t = tuple(tuple(Q(datum.cartan_matrix[j][i]) for j in range(n))
-                for i in range(n))
-    u = solve_rational(a_t, tuple(Q(1) for _ in range(n)))
-    out = (d_den, dd, diag_m, b, roots, u)
+    out = (dd, roots)
     datum._memo[key] = out
     return out
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _parabolic_order_of_zeros(datum: CartanDatum, zeros: frozenset) -> int:
-    from .coxeter import closure
-
-    key = ("linear_parabolic", zeros)
-    if key not in datum._memo:
+    """Order of the parabolic subgroup on the simple reflections in zeros,
+    the stabilizer of a dominant weight vanishing exactly there."""
+    orders = datum._memo.setdefault("linear_parabolic", {})
+    out = orders.get(zeros)
+    if out is None:
         gens = [datum.simple_reflections[i] for i in sorted(zeros)]
-        datum._memo[key] = len(closure(datum, gens))
-    return datum._memo[key]
+        out = orders[zeros] = len(closure(datum, gens))
+    return out
 
 
 def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
@@ -130,52 +134,31 @@ def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
     Freudenthal recursion over integer root-coordinates.
 
     The weight system is laid out in a flat mixed-radix array (padded so a
-    string step is one index subtraction), and the string sums telescope
-    along each positive root, so the cost is linear in the system's size.
-    The total mass, recovered through orbit-stabilizer counting, is checked
+    step up a positive root is one index subtraction) and visited once in
+    depth order, down to half its depth, which both discovers it and runs
+    the recursion.  The string sums telescope along each positive root, so
+    the cost is linear in the system's size.  The recursion runs in
+    integers, and the result is keyed by integer tuples of fundamental
+    coordinates, ordered by depth; they compare and hash equal to the
+    Fraction weights used elsewhere, so either kind looks a weight up.  The
+    total mass, recovered through orbit-stabilizer counting, is checked
     against the Weyl dimension formula before returning.
     """
     top = _check_dominant_integral(datum, highest)
-    cache_key = ("dominant_char", top)
-    if cache_key in datum._memo:
-        return datum._memo[cache_key]
+    cached = _cache_get(datum, "dominant_char", top)
+    if cached is not None:
+        return cached
 
     n = datum.rank
-    _, dd, diag_m, b, roots, u = _character_scales(datum)
+    dd, roots = _character_scales(datum)
     cartan = datum.cartan_matrix
     t = tuple(int(x) for x in top)
     rng_n = range(n)
-
-    # dominant candidates: c >= 0 inside the simplex cut out by rho-check,
-    # with the fundamental coordinates maintained incrementally
-    height_cap = int(sum(ti * ui for ti, ui in zip(t, u)))
     cols = tuple(tuple(cartan[j][i] for j in rng_n) for i in rng_n)
-    dominants = []
-    c_work = [0] * n
-    f_work = list(t)
-
-    def scan(i, remaining):
-        if i == n:
-            if min(f_work) >= 0:
-                dominants.append((tuple(c_work), tuple(f_work)))
-            return
-        col = cols[i]
-        for c in range(remaining + 1):
-            c_work[i] = c
-            scan(i + 1, remaining - c)
-            for j in rng_n:
-                f_work[j] -= col[j]
-        for j in rng_n:  # undo all subtractions of this level
-            f_work[j] += (remaining + 1) * col[j]
-        c_work[i] = 0
-
-    scan(0, height_cap)
-    dominants.sort(key=lambda cf: (sum(cf[0]), cf[0]))
-    depths = [sum(c) for c, _ in dominants]
 
     # flat mixed-radix layout over the padded coordinate box; padding by the
-    # largest root displacement makes "subtract a positive root" a single
-    # index subtraction with no digit borrowing
+    # largest root displacement makes "add a positive root" a single index
+    # subtraction with no digit borrowing
     lowest = tuple(-x for x in linear_dominant_rep(
         datum, tuple(-Q(x) for x in t)))
     caps = [int(x) for x in datum.root_coords(
@@ -193,115 +176,94 @@ def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
             f"weight system box of size {box} is out of supported range")
     base = sum(offs[i] * strides[i] for i in rng_n)
 
-    def index_of(c) -> int:
-        return base + sum(c[i] * strides[i] for i in rng_n)
+    # per positive root: its index shift and a table whose entry at a weight
+    # nu is sum_{k >= 0} m(nu + k alpha) (nu + k alpha, alpha), D-scaled;
+    # it stays 0 off the weight system
+    tables = [(sum(disp[i] * strides[i] for i in rng_n), w_row, [0] * box)
+              for disp, w_row in roots]
+    # gap(nu) = |top + rho|^2 - |nu + rho|^2, D-scaled, grows by
+    # 2 (nu + rho, alpha_i) - (alpha_i, alpha_i) = 2 D d_i f_i down a step
+    two_dd = tuple(2 * x for x in dd)
 
-    # the full weight system as orbits of the dominant weights; each node
-    # stores (fundamental coords, index of its dominant source), bucketed
-    # by depth as it appears (reflections only deepen).  A reflection moves
-    # the flat index by f_i * stride_i, so no coordinate tuples are built.
+    # node_f holds each weight's fundamental coordinates; buckets group the
+    # flat indices by depth (height of top - nu).  A dominant weight lies at
+    # most half-way down, since top - w0(top) = (top - mu) + (mu - w0 mu) +
+    # (w0 mu - w0 top) and the first and last terms have equal height; the
+    # strings above it stay there too, so deeper weights are never visited.
+    half = sum(caps) // 2
     node_f: list = [None] * box
-    node_src = [0] * box
-    buckets: list[list] = [[] for _ in range(sum(caps) + 1)]
-    indices = [index_of(c) for c, _ in dominants]
-    for (c0, f0), i0, d0 in zip(dominants, indices, depths):
-        if node_f[i0] is not None:
-            continue
-        node_f[i0] = f0
-        node_src[i0] = i0
-        buckets[d0].append((i0, f0))
-        frontier = [(i0, f0, d0)]
-        while frontier:
-            nxt = []
-            for idx, f, depth in frontier:
-                for i in rng_n:
-                    fi = f[i]
-                    if fi == 0:
-                        continue
-                    i2 = idx + fi * strides[i]
-                    if node_f[i2] is not None:
-                        continue
-                    col = cols[i]
-                    f2 = tuple(f[j] - fi * col[j] for j in rng_n)
-                    node_f[i2] = f2
-                    node_src[i2] = i0
-                    d2 = depth + fi
-                    buckets[d2].append((i2, f2))
-                    nxt.append((i2, f2, d2))
-            frontier = nxt
-
-    # (nu + rho, nu + rho) scaled by D * M as a quadratic form in the
-    # shifted fundamental coordinates
-    kk = tuple(tuple(dd[i] * b[i][j] for j in rng_n) for i in rng_n)
-
-    def norm_dm(f):
-        total = 0
-        for i in rng_n:
-            row = kk[i]
-            gi = f[i] + 1
-            acc = 0
-            for j in rng_n:
-                acc += row[j] * (f[j] + 1)
-            total += gi * acc
-        return total
-
-    top_norm = norm_dm(t)
+    gap = [0] * box
     mult = [0] * box
-    root_data = []
-    for disp, w_row in roots:
-        shift = sum(disp[i] * strides[i] for i in rng_n)
-        root_data.append((shift, w_row, [0] * box))
-    two_m = 2 * diag_m
-    # one pass in depth order; the string entry at a node never involves its
-    # own multiplicity, so it doubles as the Freudenthal accumulator
-    for bucket in buckets:
-        for idx, f in bucket:
-            src = node_src[idx]
-            acc = 0
-            for shift, w_row, table in root_data:
-                prev = idx - shift
-                pf = node_f[prev]
-                if pf is None:
-                    continue
-                s = mult[prev] * sum(map(int.__mul__, pf, w_row)) + \
-                    table[prev]
-                if s:
-                    table[idx] = s
-                    acc += s
-            if src != idx:
-                m = mult[src]
-            elif idx == base:  # c = 0: the highest weight itself
-                m = 1
+    buckets: list[list[int]] = [[] for _ in range(half + 1)]
+    node_f[base] = t
+    buckets[0].append(base)
+    dominant_by_depth = []
+    for depth, bucket in enumerate(buckets):
+        dominant = []
+        room = half - depth
+        for idx in bucket:
+            f = node_f[idx]
+            mirror = 0
+            for fi, stride, col, q in zip(f, strides, cols, two_dd):
+                if fi > 0:
+                    # each simple-root string is entered at its top, where
+                    # nu + alpha_i is not a weight; it runs down to s_i(nu)
+                    if node_f[idx - stride] is None:
+                        g, h, j, d = f, gap[idx], idx, depth
+                        for x in range(fi, fi - 2 * min(fi, room), -2):
+                            g = tuple(map(int.__sub__, g, col))
+                            h += q * x
+                            j += stride
+                            d += 1
+                            if node_f[j] is None:
+                                node_f[j] = g
+                                gap[j] = h
+                                buckets[d].append(j)
+                elif fi < 0 and not mirror:
+                    # s_i(nu) = nu - f_i alpha_i lies higher
+                    mirror = idx + fi * stride
+            if mirror:  # off the dominant chamber: m(nu) = m(s_i nu)
+                m = mult[mirror]
             else:
-                denom = top_norm - norm_dm(f)
-                num = two_m * acc
-                if denom <= 0 or num % denom:
-                    raise AssertionError(
-                        "Freudenthal recursion is inconsistent")
-                m = num // denom
+                if idx == base:  # the highest weight itself
+                    m = 1
+                else:
+                    acc = 0
+                    for shift, _, table in tables:
+                        acc += table[idx - shift]
+                    denom = gap[idx]
+                    if denom <= 0 or 2 * acc % denom:
+                        raise AssertionError(
+                            "Freudenthal recursion is inconsistent")
+                    m = 2 * acc // denom
+                dominant.append(idx)
             mult[idx] = m
+            for shift, w_row, table in tables:
+                table[idx] = table[idx - shift] + \
+                    m * sum(map(int.__mul__, f, w_row))
+        dominant.sort()
+        dominant_by_depth.append(dominant)
 
     group_order = weyl_order(datum)
     mass = 0
     out = {}
-    orbit_size: dict[int, int] = {}
-    for (c, f), idx in zip(dominants, indices):
-        m = mult[idx]
-        mask = 0
-        for i in rng_n:
-            if f[i] == 0:
-                mask |= 1 << i
-        size = orbit_size.get(mask)
-        if size is None:
-            zeros = frozenset(i for i in rng_n if f[i] == 0)
-            size = group_order // _parabolic_order_of_zeros(datum, zeros)
-            orbit_size[mask] = size
-        mass += m * size
-        out[tuple(Q(x) for x in f)] = m
+    orbit_size: dict[tuple, int] = {}
+    for dominant in dominant_by_depth:
+        for idx in dominant:
+            f = node_f[idx]
+            m = mult[idx]
+            zeros = tuple(map((0).__eq__, f))
+            size = orbit_size.get(zeros)
+            if size is None:
+                size = group_order // _parabolic_order_of_zeros(
+                    datum, frozenset(i for i in rng_n if zeros[i]))
+                orbit_size[zeros] = size
+            mass += m * size
+            out[f] = m
     if mass != weyl_dimension(datum, top):
         raise AssertionError("Freudenthal mass disagrees with the Weyl "
                              "dimension formula")
-    datum._memo[cache_key] = out
+    _cache_put(datum, "dominant_char", top, out)
     return out
 
 
@@ -309,16 +271,16 @@ def irrep_weight_multiset(datum: CartanDatum, highest: Weight) -> WeightMultiset
     """All weights of the irreducible (with multiplicity): the dominant
     character expanded over the linear orbits.  Cached on the datum."""
     top = _check_dominant_integral(datum, highest)
-    cache_key = ("irrep", top)
-    if cache_key in datum._memo:
-        return datum._memo[cache_key]
+    cached = _cache_get(datum, "irrep", top)
+    if cached is not None:
+        return cached
     out: WeightMultiset = {}
     for v, m in dominant_character(datum, top).items():
         for x in linear_orbit(datum, v):
             out[x] = m
     if sum(out.values()) != weyl_dimension(datum, top):
         raise AssertionError("orbit expansion lost mass")
-    datum._memo[cache_key] = out
+    _cache_put(datum, "irrep", top, out)
     return out
 
 

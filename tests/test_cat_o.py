@@ -5,6 +5,7 @@ import pytest
 
 from weylblocks import (
     build_root_system,
+    dominant_character,
     dot_action,
     irrep_weight_multiset,
     linked,
@@ -12,7 +13,8 @@ from weylblocks import (
     weyl_dimension,
     zero_weight_multiplicity,
 )
-from weylblocks.cat_o import linear_dominant_rep, linear_orbit
+from weylblocks.cat_o import CHARACTER_CACHE_SIZE, linear_dominant_rep, \
+    linear_orbit
 
 from conftest import w
 
@@ -24,6 +26,31 @@ def test_small_multisets(a1, a2):
     adjoint = irrep_weight_multiset(a2, w(1, 1))
     assert adjoint[w(0, 0)] == 2
     assert sum(adjoint.values()) == 8
+
+
+def test_dominant_characters(a1, a2, a3):
+    assert dominant_character(a1, w(5)) == {(5,): 1, (3,): 1, (1,): 1}
+    # the 27-dimensional irreducible of sl3: its zero weight has mult. 3
+    assert dominant_character(a2, w(2, 2)) == \
+        {(2, 2): 1, (3, 0): 1, (0, 3): 1, (1, 1): 2, (0, 0): 3}
+    adjoint = dominant_character(a3, w(1, 0, 1))
+    assert adjoint == {(1, 0, 1): 1, (0, 0, 0): 3}
+    # integer keys, found by Fraction weights too, in depth order
+    assert all(type(x) is int for v in adjoint for x in v)
+    assert adjoint[w(0, 0, 0)] == 3
+    assert list(dominant_character(a2, w(2, 2))) == \
+        [(2, 2), (3, 0), (0, 3), (1, 1), (0, 0)]
+
+
+def test_character_cache_is_bounded(a1):
+    first = dominant_character(a1, w(0))
+    for n in range(1, CHARACTER_CACHE_SIZE + 10):
+        dominant_character(a1, w(n))
+        irrep_weight_multiset(a1, w(n % 20 + 1))
+    assert len(a1._memo["dominant_char"]) == CHARACTER_CACHE_SIZE
+    assert len(a1._memo["irrep"]) <= CHARACTER_CACHE_SIZE
+    again = dominant_character(a1, w(0))
+    assert again == first and again is not first
 
 
 def test_input_validation(a1):
