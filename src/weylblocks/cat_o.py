@@ -13,7 +13,6 @@ both readings.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import lcm
@@ -25,26 +24,6 @@ from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
     classify_weight, dot_action, weyl_order
 
 WeightMultiset = dict  # Weight -> positive multiplicity
-
-# characters kept per datum and kind; past this the least recently used one
-# is dropped, so a long sweep over highest weights keeps a flat footprint
-CHARACTER_CACHE_SIZE = 256
-
-
-def _cache_get(datum: CartanDatum, kind: str, key):
-    cache = datum._memo.setdefault(kind, OrderedDict())
-    try:
-        cache.move_to_end(key)
-        return cache[key]
-    except KeyError:  # absent, or just dropped by another thread
-        return None
-
-
-def _cache_put(datum: CartanDatum, kind: str, key, value) -> None:
-    cache = datum._memo[kind]
-    cache[key] = value
-    if len(cache) > CHARACTER_CACHE_SIZE:
-        cache.popitem(last=False)
 
 
 def linear_dominant_rep(datum: CartanDatum, v: Weight) -> Weight:
@@ -145,9 +124,9 @@ def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
     against the Weyl dimension formula before returning.
     """
     top = _check_dominant_integral(datum, highest)
-    cached = _cache_get(datum, "dominant_char", top)
-    if cached is not None:
-        return cached
+    cache_key = ("dominant_char", top)
+    if cache_key in datum._memo:
+        return datum._memo[cache_key]
 
     n = datum.rank
     dd, roots = _character_scales(datum)
@@ -263,7 +242,7 @@ def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
     if mass != weyl_dimension(datum, top):
         raise AssertionError("Freudenthal mass disagrees with the Weyl "
                              "dimension formula")
-    _cache_put(datum, "dominant_char", top, out)
+    datum._memo[cache_key] = out
     return out
 
 
@@ -271,16 +250,16 @@ def irrep_weight_multiset(datum: CartanDatum, highest: Weight) -> WeightMultiset
     """All weights of the irreducible (with multiplicity): the dominant
     character expanded over the linear orbits.  Cached on the datum."""
     top = _check_dominant_integral(datum, highest)
-    cached = _cache_get(datum, "irrep", top)
-    if cached is not None:
-        return cached
+    cache_key = ("irrep", top)
+    if cache_key in datum._memo:
+        return datum._memo[cache_key]
     out: WeightMultiset = {}
     for v, m in dominant_character(datum, top).items():
         for x in linear_orbit(datum, v):
             out[x] = m
     if sum(out.values()) != weyl_dimension(datum, top):
         raise AssertionError("orbit expansion lost mass")
-    _cache_put(datum, "irrep", top, out)
+    datum._memo[cache_key] = out
     return out
 
 

@@ -13,8 +13,7 @@ from weylblocks import (
     weyl_dimension,
     zero_weight_multiplicity,
 )
-from weylblocks.cat_o import CHARACTER_CACHE_SIZE, linear_dominant_rep, \
-    linear_orbit
+from weylblocks.cat_o import linear_dominant_rep, linear_orbit
 
 from conftest import w
 
@@ -40,17 +39,6 @@ def test_dominant_characters(a1, a2, a3):
     assert adjoint[w(0, 0, 0)] == 3
     assert list(dominant_character(a2, w(2, 2))) == \
         [(2, 2), (3, 0), (0, 3), (1, 1), (0, 0)]
-
-
-def test_character_cache_is_bounded(a1):
-    first = dominant_character(a1, w(0))
-    for n in range(1, CHARACTER_CACHE_SIZE + 10):
-        dominant_character(a1, w(n))
-        irrep_weight_multiset(a1, w(n % 20 + 1))
-    assert len(a1._memo["dominant_char"]) == CHARACTER_CACHE_SIZE
-    assert len(a1._memo["irrep"]) <= CHARACTER_CACHE_SIZE
-    again = dominant_character(a1, w(0))
-    assert again == first and again is not first
 
 
 def test_input_validation(a1):
