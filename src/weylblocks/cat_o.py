@@ -21,7 +21,7 @@ from .coxeter import DEFAULT_GROUP_BOUND, closure, dot_stabilizer, \
     generate_group
 from .integral import _wadd, _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
-    classify_weight, dot_action, weyl_order
+    classify_weight, dot_action, to_dominant_dot, weyl_order
 
 WeightMultiset = dict  # Weight -> positive multiplicity
 
@@ -280,10 +280,19 @@ def dot_orbit(datum: CartanDatum, x: Weight,
     return datum._memo[key]
 
 
-def linked(datum: CartanDatum, x: Weight, y: Weight,
-           bound: int = DEFAULT_GROUP_BOUND) -> bool:
-    """True iff x and y lie in one dot orbit of the full Weyl group."""
-    return tuple(Q(c) for c in y) in dot_orbit(datum, x, bound)
+def linked(datum: CartanDatum, x: Weight, y: Weight) -> bool:
+    """True iff x and y lie in one dot orbit of the full Weyl group.
+
+    Every dot orbit meets the closed dominant chamber of the dot action in
+    exactly one point, so the two dominant representatives decide it.
+    """
+    reps = []
+    for v in (x, y):
+        if len(v) != datum.rank:
+            raise ValueError(f"weight has {len(v)} coordinates, "
+                             f"expected {datum.rank}")
+        reps.append(to_dominant_dot(datum, tuple(Q(c) for c in v))[1])
+    return reps[0] == reps[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,6 @@ import random
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -468,7 +467,8 @@ CHECKS = (
 )
 
 
-def run_entry(entry: CorpusEntry, seed: int, bound: int) -> tuple[dict, float]:
+def run_entry(entry: CorpusEntry, seed: int, bound: int,
+              with_timings: bool = False) -> tuple[dict, float]:
     start = time.perf_counter()
     datum = build_root_system(entry.type_label)
     idat = integral_datum(datum, entry.lam, bound)
@@ -476,6 +476,7 @@ def run_entry(entry: CorpusEntry, seed: int, bound: int) -> tuple[dict, float]:
     for name, fn in CHECKS:
         # string seeds hash stably across processes (byte-identical reports)
         rng = random.Random(f"{seed}:{entry.index}:{name}")
+        check_start = time.perf_counter()
         try:
             status, witness = fn(datum, idat, entry, rng)
         except Exception as exc:  # a crash is a failing check, with witness
@@ -483,28 +484,27 @@ def run_entry(entry: CorpusEntry, seed: int, bound: int) -> tuple[dict, float]:
         checks[name] = {"status": status}
         if witness is not None and status != "pass":
             checks[name]["witness"] = witness
+        if with_timings:
+            checks[name]["elapsed_ms"] = round(
+                (time.perf_counter() - check_start) * 1000, 3)
     return checks, time.perf_counter() - start
 
 
 def run_corpus(path: str, workers: int = 1, seed: int = DEFAULT_SEED,
                bound: int = DEFAULT_GROUP_BOUND,
                with_timings: bool = False) -> tuple[dict, list[float]]:
+    """Run every check on every corpus entry, one entry after another.
+
+    ``workers`` is accepted for compatibility and ignored: the checks are
+    pure Python, so threads cannot overlap them under the interpreter lock.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"corpus is not valid JSON: {exc}") from None
     entries = load_corpus(doc)
-    results: list[tuple[dict, float]] = [None] * len(entries)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_entry, e, seed, bound): e.index
-                       for e in entries}
-            for fut, idx in futures.items():
-                results[idx] = fut.result()
-    else:
-        for e in entries:
-            results[e.index] = run_entry(e, seed, bound)
+    results = [run_entry(e, seed, bound, with_timings) for e in entries]
 
     out_entries = []
     passed = failed = skipped = 0
@@ -638,11 +638,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _weight_friendly(sub.add_parser("run", help="run the invariant checks over a corpus"))
     p.add_argument("--corpus", help="corpus JSON path (default: bundled)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; entries run serially")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="also write the report here")
     p.add_argument("--timings", action="store_true",
-                   help="include per-entry timings in the JSON report")
+                   help="include per-entry and per-check timings in the "
+                        "JSON report")
     p.add_argument("--bound", type=int, default=DEFAULT_GROUP_BOUND)
     p.set_defaults(fn=cmd_run)
     return parser

@@ -7,6 +7,7 @@ from weylblocks import (
     build_root_system,
     dominant_character,
     dot_action,
+    generate_group,
     irrep_weight_multiset,
     linked,
     translate_verma,
@@ -80,6 +81,25 @@ def test_linked(a1):
     assert linked(a1, w(0), w(-2))
     assert not linked(a1, w(0), w(1))
     assert linked(a1, w(Q(1, 3)), w(Q(1, 3)))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_linked_matches_orbit_membership(label):
+    datum = build_root_system(label)
+    group = generate_group(datum)
+    seen = set()
+    for x in (w(0, 0), w(-1, 0), w(-1, -1), w(2, -3), w(Q(1, 2), 0),
+              w(Q(1, 3), Q(-2, 3)), w(Q(-1, 2), Q(-1, 2))):
+        orbit = {dot_action(datum, u, x) for u in group}
+        # the orbit itself, and its points moved by a few lattice steps
+        for y in sorted(orbit):
+            for step in (w(0, 0), w(1, 0), w(0, -1), w(-2, 1)):
+                z = tuple(a + b for a, b in zip(y, step))
+                assert linked(datum, x, z) == (z in orbit), (x, z)
+                seen.add(z in orbit)
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        linked(datum, w(0, 0), w(0))
 
 
 def test_translate_verma_rank_one(a1):

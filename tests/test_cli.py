@@ -205,6 +205,27 @@ def test_report_round_trip_and_determinism(tmp_path):
     assert set(statuses.values()) == {"pass"}
 
 
+def test_run_timings_per_check(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"entries": [
+        {"type": "A1", "lambda": ["0"], "mu": ["-1"], "tags": ["pair"]},
+        {"type": "A2", "lambda": ["1/2", "1/2"]},
+    ]}))
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "run", "--corpus", str(path), "--seed", "7",
+                         "--timings", "--out", str(out))
+    assert code == 0
+    timed = json.loads(out.read_text())
+    for row in timed["entries"]:
+        assert row.pop("elapsed_ms") >= 0
+        for res in row["checks"].values():
+            assert isinstance(res["elapsed_ms"], float)
+            assert res.pop("elapsed_ms") >= 0
+    # stripped of its timings, the report is the default one
+    plain, _ = run_corpus(str(path), seed=7)
+    assert timed == plain
+
+
 def test_default_corpus_is_packaged_and_synced():
     packaged = default_corpus_path()
     with open(packaged, encoding="utf-8") as fh:

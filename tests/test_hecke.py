@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -25,6 +26,9 @@ from weylblocks.hecke import (
     V_INV,
     ZERO,
     HeckeElement,
+    KLCache,
+    _lower_ideals,
+    _tables,
     group_like,
     identity_element,
     standard_basis,
@@ -129,7 +133,8 @@ def test_kl_singular_element_of_s4(a3):
 
 @pytest.mark.parametrize("label,lam", [
     ("A2", (0, 0)), ("B2", (0, 0)), ("A3", (0, 0, 0)),
-    ("G2", (0, 0)), ("A3", (Q(1, 2), 0, 0)),
+    ("G2", (0, 0)), ("A3", (Q(1, 2), 0, 0)), ("B3", (0, 0, 0)),
+    ("C4", (Q(1, 2), 0, 0, 0)),
 ])
 def test_kl_table_matches_r_inversion_oracle(label, lam):
     datum = build_root_system(label)
@@ -140,6 +145,68 @@ def test_kl_table_matches_r_inversion_oracle(label, lam):
         for x in idat.int_elements():
             assert kl_polynomial(cache, x, u) == \
                 oracle.get(x.root_perm, ZERO), (label, x, u)
+
+
+@pytest.mark.parametrize("label,lam", [
+    ("A3", (0, 0, 0)), ("B3", (0, 0, 0)), ("D4", (0, 0, 0, 0)),
+    ("D4", (Q(1, 2), 0, 0, 0)),
+])
+def test_lower_ideals_match_bruhat_order(label, lam):
+    idat = integral_datum(build_root_system(label), lam)
+    t = _tables(idat)
+    ideals = _lower_ideals(t)
+    assert len(ideals) == len(t.elements)
+    for u, ideal in zip(t.elements, ideals):
+        assert len(ideal) == len(t.elements)
+        for x, bit in zip(t.elements, ideal):
+            assert bit == idat.system.bruhat_leq(x, u), (label, x, u)
+
+
+def test_validation_catches_each_fault(a3):
+    idat = integral_datum(a3, w(0, 0, 0))
+    t = _tables(idat)
+    word = idat.int_reduced_word
+    w3412 = t.of(from_word(a3, (2, 1, 3, 2)))
+    s1s2 = t.of(from_word(a3, (1, 2)))
+    s3 = t.of(from_word(a3, (3,)))
+    assert t.length[w3412] == 4
+    assert KLCache(idat)._cols[w3412][0] == (0, 0, 1, 0, 1)  # v^2 + v^4
+
+    def drop_diagonal(cols):
+        del cols[w3412][w3412]
+
+    def outside_interval(cols):
+        cols[s1s2][s3] = (0, 1)
+
+    def above_degree_bound(cols):
+        cols[w3412][0] = (0, 0, 1, 0, 1, 1)
+
+    def negative_coefficient(cols):
+        cols[w3412][0] = (0, -1, 1, 0, 1)
+
+    for corrupt, what, x, u in [
+            (drop_diagonal, "not unitriangular", None, w3412),
+            (outside_interval, "Bruhat bound", s3, s1s2),
+            (above_degree_bound, "degree bound", 0, w3412),
+            (negative_coefficient, "negative KL coefficient", 0, w3412)]:
+        cache = KLCache(idat)
+        corrupt(cache._cols)
+        with pytest.raises(AssertionError) as err:
+            cache._validate()
+        msg = str(err.value)
+        assert what in msg and str(word(t.elements[u])) in msg, msg
+        if x is not None:
+            assert str(word(t.elements[x])) in msg, msg
+
+
+def test_e6_half_block_builds_validated_table():
+    e6 = build_root_system("E6")
+    idat = integral_datum(e6, (Q(1, 2),) + (Q(0),) * 5)
+    assert len(idat.int_elements()) == 1920
+    started = time.perf_counter()
+    cache = KLCache(idat)  # validates every column
+    assert time.perf_counter() - started < 20
+    assert sum(map(len, cache._cols)) == 745377
 
 
 def test_kl_unitriangular_and_positive(b2):
