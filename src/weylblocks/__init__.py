@@ -19,6 +19,7 @@ from .rootsys import (
     WeylElement,
     build_root_system,
     classify_weight,
+    dominant_dot_weight,
     dot_action,
     lattice_class,
     to_dominant_dot,

@@ -17,38 +17,39 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import lcm
 
-from .coxeter import DEFAULT_GROUP_BOUND, closure, dot_stabilizer, \
-    generate_group
+from .coxeter import closure
 from .integral import _wadd, _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
-    classify_weight, dot_action, to_dominant_dot, weyl_order
+    _dominant_dot_key, _mat_nums, _numerators, _reflect, _rho_shifted, \
+    _to_dominant, _weight, classify_weight, dot_action, weyl_order
 
 WeightMultiset = dict  # Weight -> positive multiplicity
 
 
 def linear_dominant_rep(datum: CartanDatum, v: Weight) -> Weight:
     """The dominant point of the linear W-orbit of v."""
-    x = tuple(Q(c) for c in v)
-    while True:
-        i = next((j for j in range(datum.rank) if x[j] < 0), None)
-        if i is None:
-            return x
-        x = datum.simple_reflections[i].act(x)
+    nums, den = _numerators(v)
+    return _weight(_to_dominant(datum.cartan_matrix, nums), den)
 
 
 def linear_orbit(datum: CartanDatum, v: Weight) -> set[Weight]:
-    seen = {tuple(Q(c) for c in v)}
+    """The linear W-orbit of v, closed under the simple reflections in
+    integer numerators."""
+    nums, den = _numerators(v)
+    cartan = datum.cartan_matrix
+    seen = {tuple(nums)}
     frontier = list(seen)
     while frontier:
         nxt = []
         for x in frontier:
-            for s in datum.simple_reflections:
-                y = s.act(x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
+            for i in range(len(x)):
+                if x[i]:  # s_i fixes x when x_i = 0
+                    y = tuple(_reflect(cartan, x, i))
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
         frontier = nxt
-    return seen
+    return {_weight(x, den) for x in seen}
 
 
 def _check_dominant_integral(datum: CartanDatum, highest: Weight) -> Weight:
@@ -269,30 +270,19 @@ def zero_weight_multiplicity(datum: CartanDatum, highest: Weight) -> int:
     return irrep_weight_multiset(datum, highest).get(datum.zero_weight(), 0)
 
 
-def dot_orbit(datum: CartanDatum, x: Weight,
-              bound: int = DEFAULT_GROUP_BOUND) -> frozenset:
-    """The full dot orbit of x, cached on the datum."""
-    x = tuple(Q(c) for c in x)
-    key = ("dot_orbit", x)
-    if key not in datum._memo:
-        datum._memo[key] = frozenset(
-            dot_action(datum, w, x) for w in generate_group(datum, bound))
-    return datum._memo[key]
-
-
 def linked(datum: CartanDatum, x: Weight, y: Weight) -> bool:
     """True iff x and y lie in one dot orbit of the full Weyl group.
 
     Every dot orbit meets the closed dominant chamber of the dot action in
     exactly one point, so the two dominant representatives decide it.
     """
-    reps = []
+    keys = []
     for v in (x, y):
         if len(v) != datum.rank:
             raise ValueError(f"weight has {len(v)} coordinates, "
                              f"expected {datum.rank}")
-        reps.append(to_dominant_dot(datum, tuple(Q(c) for c in v))[1])
-    return reps[0] == reps[1]
+        keys.append(_dominant_dot_key(datum, tuple(Q(c) for c in v)))
+    return keys[0] == keys[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,46 +308,55 @@ class VermaCombination:
 
 
 def translate_verma(datum: CartanDatum, lam: Weight, mu: Weight,
-                    w: WeylElement,
-                    bound: int = DEFAULT_GROUP_BOUND) -> VermaCombination:
+                    w: WeylElement) -> VermaCombination:
     """Image of the Verma symbol D(w . lam) under translation to the orbit
     of mu, at the level of Verma classes.
 
     Tensors by the character of L(mu - lam) and keeps the shifts landing in
-    the dot orbit of mu.  When the dot stabilizer of lam is contained in the
-    one of mu, the outcome is asserted to be exactly 1 * D(w . mu), the
-    selected shift is asserted to be w(mu - lam), and that extremal weight is
-    asserted to have multiplicity one.
+    the dot orbit of mu: those whose dominant representative is mu's.  When
+    the dot stabilizer of lam is contained in the one of mu, the outcome is
+    asserted to be exactly 1 * D(w . mu), the selected shift is asserted to
+    be w(mu - lam), and that extremal weight is asserted to have
+    multiplicity one.  The stabilizers are compared by their walls: a point
+    stabilizer of a reflection group is generated by the reflections it
+    contains (Steinberg), so Stab(lam) <= Stab(mu) iff every positive root
+    singular for lam is singular for mu.
     """
     lam = tuple(Q(c) for c in lam)
     mu = tuple(Q(c) for c in mu)
+    walls = []
     for name, x in (("lam", lam), ("mu", mu)):
-        if not classify_weight(datum, x).dominant:
+        cls = classify_weight(datum, x)
+        if not cls.dominant:
             raise ValueError(f"{name} = {x} is not dominant")
+        walls.append({root.index for root in cls.singular_roots})
     diff = _wsub(mu, lam)
     if any(c.denominator != 1 for c in diff):
         raise ValueError("mu - lam is not a lattice weight; the orbits are "
                          "not compatible")
-    dot_diff = _wsub(dot_action(datum, w, lam), lam)
-    if any(c.denominator != 1 for c in datum.root_coords(dot_diff)):
+    w_lam = dot_action(datum, w, lam)
+    if any(c.denominator != 1
+           for c in datum.root_coords(_wsub(w_lam, lam))):
         raise ValueError("w is not in the integral Weyl group of lam")
 
     highest = linear_dominant_rep(datum, diff)
     charset = irrep_weight_multiset(datum, highest)
-    w_lam = dot_action(datum, w, lam)
-    target_orbit = dot_orbit(datum, mu, bound)
+    # candidates compare as numerators of cand + rho over lam's denominator,
+    # which mu shares since mu - lam is a lattice weight
+    shifted, den = _rho_shifted(lam)
+    start = _mat_nums(w.weight_matrix, shifted)  # w . lam + rho
+    target, _ = _dominant_dot_key(datum, mu)
+    cartan = datum.cartan_matrix
     terms: dict[Weight, int] = {}
     selected: list[Weight] = []
-    for nu, m in sorted(charset.items()):
-        cand = _wadd(w_lam, nu)
-        if cand in target_orbit:
-            terms[cand] = terms.get(cand, 0) + m
+    for nu, m in charset.items():
+        cand = [x + den * c.numerator for x, c in zip(start, nu)]
+        if tuple(_to_dominant(cartan, cand)) == target:
+            terms[_wadd(w_lam, nu)] = m
             selected.append(nu)
 
     out = VermaCombination(datum, terms)
-    stab_lam = dot_stabilizer(datum, lam).elements
-    stab_mu = dot_stabilizer(datum, mu).elements
-    if stab_lam <= stab_mu:
+    if walls[0] <= walls[1]:
         expected = {dot_action(datum, w, mu): 1}
         extremal = w.act(diff)
         if terms != expected or selected != [extremal] \

@@ -41,8 +41,8 @@ from .rootsys import (
     UnknownTypeError,
     build_root_system,
     classify_weight,
+    dominant_dot_weight,
     dot_action,
-    to_dominant_dot,
 )
 
 DEFAULT_SEED = 20250801
@@ -199,7 +199,7 @@ def cmd_cato(args) -> int:
     lam = jsonio.parse_weight(datum, getattr(args, "lambda"))
     mu = jsonio.parse_weight(datum, args.mu)
     w = jsonio.parse_element(datum, args.w)
-    combo = cat_o.translate_verma(datum, lam, mu, w, args.bound)
+    combo = cat_o.translate_verma(datum, lam, mu, w)
     _emit({"terms": [{"weight": jsonio.weight_to_json(wt), "mult": m}
                      for wt, m in combo.items()]})
     return 0
@@ -256,13 +256,20 @@ def default_corpus_path() -> str:
 # -- the registered per-entry checks ----------------------------------------
 
 def _check_tau_homomorphism(datum, idat, entry, rng):
-    # compose bare root permutations: tau only needs the element's key
-    by_perm = {w.root_perm: tau(idat, w) for w in idat.w_ext}
-    for a in idat.w_ext:
-        pa, ta = a.root_perm, by_perm[a.root_perm]
-        for b in idat.w_ext:
-            composed = tuple(pa[p] for p in b.root_perm)
-            if by_perm[composed] != ta + by_perm[b.root_perm]:
+    # number the tau classes once and tabulate their sums (-1 off the
+    # image); an element is keyed by its images of the simple roots, which
+    # determine it, so a product's key is rank lookups
+    classes = sorted({tau(idat, w) for w in idat.w_ext},
+                     key=lambda t: t.residues)
+    number = {t: k for k, t in enumerate(classes)}
+    add = [[number.get(s + t, -1) for t in classes] for s in classes]
+    keyed = [(w, w.root_perm[:datum.rank], number[tau(idat, w)])
+             for w in idat.w_ext]
+    by_key = {key: k for _, key, k in keyed}
+    for a, _, ka in keyed:
+        pa, sums = a.root_perm, add[ka]
+        for b, key_b, kb in keyed:
+            if by_key[tuple(map(pa.__getitem__, key_b))] != sums[kb]:
                 return "fail", (f"tau not additive at "
                                 f"{jsonio.element_to_str(datum, a)}, "
                                 f"{jsonio.element_to_str(datum, b)}")
@@ -347,7 +354,7 @@ def _check_subgeneric(datum, idat, entry, rng):
 def _check_xi_counts(datum, idat, entry, rng):
     if entry.mu is None:
         return "skip", "no mu in entry"
-    _, lam_dom = to_dominant_dot(datum, entry.lam)
+    lam_dom = dominant_dot_weight(datum, entry.lam)
     w0 = next(lattice_movers(datum, entry.mu, lam_dom), None)
     if w0 is None:
         return "skip", "orbits not compatible"
@@ -633,7 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda")
     p.add_argument("--mu")
     p.add_argument("--w", help="reduced word")
-    p.add_argument("--bound", type=int, default=DEFAULT_GROUP_BOUND)
+    p.add_argument("--bound", type=int, default=DEFAULT_GROUP_BOUND,
+                   help="accepted for compatibility; no group is enumerated")
     p.set_defaults(fn=cmd_cato)
 
     p = _weight_friendly(sub.add_parser("run", help="run the invariant checks over a corpus"))

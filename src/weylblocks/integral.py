@@ -34,9 +34,9 @@ from .rootsys import (
     Weight,
     WeylElement,
     classify_weight,
+    dominant_dot_weight,
     dot_action,
     smith_normal_form,
-    to_dominant_dot,
     torsion_group,
 )
 
@@ -426,7 +426,7 @@ def enumerate_Xi(datum: CartanDatum, mu: Weight, lam: Weight,
     """
     mu = tuple(Q(x) for x in mu)
     lam = tuple(Q(x) for x in lam)
-    _, lam_dom = to_dominant_dot(datum, lam)
+    lam_dom = dominant_dot_weight(datum, lam)
     w0 = next(lattice_movers(datum, mu, lam_dom, bound), None)
     if w0 is None:
         return ()

@@ -9,7 +9,10 @@ coordinates kept as exact rationals:
   ``nu -> <nu, alpha^vee>``;
 * Weyl group elements are stored as permutations of the root list alone;
   their integer action matrix on fundamental-weight coordinates is read off
-  the permutation on first use.
+  the permutation on first use;
+* the action, the dot action, pairings with coroots and the walk to the
+  dominant chamber run on a weight's integer numerators over one common
+  denominator, and Fractions are built only for the weights handed back.
 
 Simple roots follow the Bourbaki numbering; the columns of the Cartan matrix
 are the simple roots written in the fundamental-weight basis, i.e.
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
+from math import lcm
 
 Weight = tuple[Q, ...]
 Matrix = tuple[tuple[Q, ...], ...]
@@ -109,6 +113,61 @@ def solve_rational(m: Matrix, rhs: Weight) -> Weight | None:
     for i, c in pivots:
         x[c] = a[i][cols]
     return tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# the integer weight kernel
+# ---------------------------------------------------------------------------
+
+def _numerators(weight) -> tuple[list[int], int]:
+    """(nums, den) with weight == nums / den and den the least common
+    denominator; the Weyl group and integral shifts keep den fixed."""
+    den = lcm(*(x.denominator for x in weight))
+    return [x.numerator * (den // x.denominator) for x in weight], den
+
+
+def _rho_shifted(weight) -> tuple[list[int], int]:
+    """(nums, den) of weight + rho; rho is (1, ..., 1)."""
+    nums, den = _numerators(weight)
+    return [x + den for x in nums], den
+
+
+def _weight(nums, den: int) -> Weight:
+    return tuple(Q(x, den) for x in nums)
+
+
+def _mat_nums(m, nums) -> list[int]:
+    return [sum(map(int.__mul__, row, nums)) for row in m]
+
+
+def _reflect(cartan, x, i: int) -> list[int]:
+    """s_i x on fundamental-weight numerators:
+    x_j - x_i * <alpha_i, alpha_j^vee>."""
+    xi = x[i]
+    return [xj - xi * row[i] for xj, row in zip(x, cartan)]
+
+
+def _to_dominant(cartan, x, word: list | None = None) -> list[int]:
+    """x reflected into the closed fundamental chamber, always by the
+    simple reflection of the smallest negative coordinate, whose index is
+    appended to ``word``."""
+    while True:
+        for i, xi in enumerate(x):
+            if xi < 0:
+                break
+        else:
+            return x
+        x = _reflect(cartan, x, i)
+        if word is not None:
+            word.append(i)
+
+
+def _dominant_dot_key(datum: "CartanDatum", nu: Weight,
+                      word: list | None = None) -> tuple:
+    """The dominant point of nu's dot orbit as (numerators of it + rho,
+    denominator): two weights are linked iff their keys are equal."""
+    x, den = _rho_shifted(nu)
+    return tuple(_to_dominant(datum.cartan_matrix, x, word)), den
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +372,8 @@ class WeylElement:
 
     def act(self, weight: Weight) -> Weight:
         """The linear action on fundamental-weight coordinates."""
-        return mat_vec(self.weight_matrix, weight)
+        nums, den = _numerators(weight)
+        return _weight(_mat_nums(self.weight_matrix, nums), den)
 
     @property
     def is_identity(self) -> bool:
@@ -396,18 +456,21 @@ class CartanDatum:
 
 def _reflection_element(datum: CartanDatum, root: Root) -> WeylElement:
     n = datum.rank
-    alpha = root.as_weight
-    cols = []
-    for j in range(n):
-        e_j = tuple(Q(int(i == j)) for i in range(n))
-        img = tuple(e_j[i] - root.coroot_row[j] * alpha[i] for i in range(n))
-        cols.append(img)
-    matrix = _as_int_matrix(
-        tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    row, cartan = datum.coroot_rows[root.index], datum.cartan_matrix
+    alpha = [int(x) for x in root.as_weight]
+    # s(x) = x - <x, alpha^vee> alpha, on fundamental-weight coordinates
+    matrix = tuple(tuple(int(i == j) - alpha[i] * row[j] for j in range(n))
+                   for i in range(n))
+    # <alpha_k, alpha^vee> per simple root; a root pairs by its simple coords
+    on_simples = [sum(row[j] * cartan[j][k] for j in range(n))
+                  for k in range(n)]
     perm = []
     for beta in datum.roots:
-        img = tuple(beta.as_weight[i] - root.pair(beta.as_weight) * alpha[i]
-                    for i in range(n))
+        k = sum(map(int.__mul__, on_simples, beta.simple_coords))
+        if k == 0:
+            perm.append(beta.index)
+            continue
+        img = tuple(b - k * a for b, a in zip(beta.as_weight, alpha))
         perm.append(datum._root_index[img])
     out = WeylElement(tuple(perm), datum)
     if out.weight_matrix != matrix:
@@ -558,22 +621,19 @@ def build_root_system(type_label: str) -> CartanDatum:
         solve_rational(cartan_q, tuple(Q(int(i == j)) for i in range(rank)))
         for j in range(rank))))
 
-    def as_weight(coords) -> Weight:
-        return tuple(sum(Q(cartan[i][j] * coords[j]) for j in range(rank))
-                     for i in range(rank))
-
-    def coroot_row(coords) -> tuple[Q, ...]:
-        # <omega_j, alpha^vee> = 2 (omega_j, alpha) / (alpha, alpha)
-        norm = sum(2 * d[i] * Q(coords[i]) * Q(cartan[i][j] * coords[j])
-                   for i in range(rank) for j in range(rank)) / 2
-        return tuple(2 * d[j] * Q(coords[j]) / norm for j in range(rank))
+    def coroot_row(coords, weight) -> tuple[Q, ...]:
+        # <omega_j, alpha^vee> = 2 (omega_j, alpha) / (alpha, alpha), where
+        # (alpha, alpha) = sum_i c_i d_i <alpha, alpha_i^vee>
+        norm = sum(d[i] * coords[i] * weight[i] for i in range(rank))
+        return tuple(2 * d[j] * coords[j] / norm for j in range(rank))
 
     roots: list[Root] = []
     index_of: dict[Weight, int] = {}
     ordered = positives + [tuple(-c for c in p) for p in positives]
     for idx, coords in enumerate(ordered):
-        w = as_weight(coords)
-        roots.append(Root(idx, tuple(coords), w, coroot_row(coords)))
+        ints = [pair_with_simple(coords, i) for i in range(rank)]
+        w = tuple(Q(x) for x in ints)
+        roots.append(Root(idx, tuple(coords), w, coroot_row(coords, ints)))
         index_of[w] = idx
 
     rho = tuple(Q(1) for _ in range(rank))
@@ -607,9 +667,9 @@ def dot_action(datum: CartanDatum, w: WeylElement, lam: Weight) -> Weight:
     if len(lam) != datum.rank:
         raise ValueError(f"weight has {len(lam)} coordinates, "
                          f"expected {datum.rank}")
-    shifted = tuple(x + r for x, r in zip(lam, datum.rho))
-    moved = w.act(shifted)
-    return tuple(x - r for x, r in zip(moved, datum.rho))
+    shifted, den = _rho_shifted(lam)
+    moved = _mat_nums(w.weight_matrix, shifted)
+    return _weight([x - den for x in moved], den)
 
 
 @dataclass(frozen=True)
@@ -625,16 +685,18 @@ def classify_weight(datum: CartanDatum, lam: Weight) -> WeightClass:
 
     Dominant means no positive root pairs with lam + rho to a negative
     integer; regular means the dot stabilizer is trivial, i.e. no positive
-    root pairs to zero.
+    root pairs to zero.  The pairings are scanned as numerators over the
+    weight's denominator, so v is integral when den divides it.
     """
-    shifted = tuple(x + r for x, r in zip(lam, datum.rho))
+    shifted, den = _rho_shifted(lam)
     dominant = antidominant = True
     singular = []
+    rows = datum.coroot_rows
     for root in datum.positive_roots:
-        v = root.pair(shifted)
+        v = sum(map(int.__mul__, rows[root.index], shifted))
         if v == 0:
             singular.append(root)
-        elif v.denominator == 1:
+        elif v % den == 0:
             if v < 0:
                 dominant = False
             else:
@@ -687,16 +749,19 @@ def to_dominant_dot(datum: CartanDatum,
     Ascends through simple reflections, always taking the smallest index with
     a negative pairing, so the output is deterministic.
     """
+    word: list[int] = []
+    x, den = _dominant_dot_key(datum, nu, word)
     w = datum.identity
-    x = nu
-    while True:
-        shifted = tuple(a + r for a, r in zip(x, datum.rho))
-        i = next((j for j in range(datum.rank) if shifted[j] < 0), None)
-        if i is None:
-            return w, x
-        s = datum.simple_reflections[i]
-        x = dot_action(datum, s, x)
-        w = s * w
+    for i in word:
+        w = datum.simple_reflections[i] * w
+    return w, _weight([v - den for v in x], den)
+
+
+def dominant_dot_weight(datum: CartanDatum, nu: Weight) -> Weight:
+    """The dominant point of the dot orbit of nu, as ``to_dominant_dot``
+    finds it, without forming the group element."""
+    x, den = _dominant_dot_key(datum, nu)
+    return _weight([v - den for v in x], den)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
 """Independent test oracles, kept apart from the library's main paths.
 
+* The weight arithmetic done directly in Fractions, apart from the
+  integer kernel in rootsys: the action, the dot action, weight
+  classification and the walks to the dominant chamber; dot orbits by
+  applying every element of the Weyl group.
 * Dot stabilizers by scanning the whole Weyl group.
 * Bruhat order by exhaustive subword products of one reduced word.
 * Kazhdan-Lusztig polynomials by inverting the R-polynomial functional
@@ -8,14 +12,69 @@
 
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from itertools import combinations
 
 from weylblocks.coxeter import generate_group, reduced_word
 from weylblocks.hecke import ONE, ZERO, LaurentPoly
-from weylblocks.rootsys import dot_action
+from weylblocks.rootsys import WeightClass, dot_action, mat_vec
 
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})
 Q_VAR = LaurentPoly({1: 1})
+
+
+def fraction_act(w, weight):
+    """w(weight) by the Fraction matrix product."""
+    return mat_vec(w.weight_matrix, tuple(Q(c) for c in weight))
+
+
+def fraction_dot_action(datum, w, lam):
+    shifted = tuple(Q(x) + r for x, r in zip(lam, datum.rho))
+    return tuple(x - r for x, r in zip(fraction_act(w, shifted), datum.rho))
+
+
+def fraction_classify_weight(datum, lam) -> WeightClass:
+    shifted = tuple(Q(x) + r for x, r in zip(lam, datum.rho))
+    dominant = antidominant = True
+    singular = []
+    for root in datum.positive_roots:
+        v = root.pair(shifted)
+        if v == 0:
+            singular.append(root)
+        elif v.denominator == 1:
+            if v < 0:
+                dominant = False
+            else:
+                antidominant = False
+    return WeightClass(dominant, antidominant, len(singular) == 0,
+                       tuple(singular))
+
+
+def fraction_to_dominant_dot(datum, nu):
+    w, x = datum.identity, tuple(Q(c) for c in nu)
+    while True:
+        shifted = tuple(a + r for a, r in zip(x, datum.rho))
+        i = next((j for j in range(datum.rank) if shifted[j] < 0), None)
+        if i is None:
+            return w, x
+        s = datum.simple_reflections[i]
+        x = fraction_dot_action(datum, s, x)
+        w = s * w
+
+
+def fraction_linear_dominant_rep(datum, v):
+    x = tuple(Q(c) for c in v)
+    while True:
+        i = next((j for j in range(datum.rank) if x[j] < 0), None)
+        if i is None:
+            return x
+        x = fraction_act(datum.simple_reflections[i], x)
+
+
+def brute_force_dot_orbit(datum, x) -> frozenset:
+    """{w . x : w in W} by applying every element of the group."""
+    return frozenset(fraction_dot_action(datum, w, x)
+                     for w in generate_group(datum))
 
 
 def brute_force_dot_stabilizer(datum, lam) -> frozenset:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as Q
 
@@ -14,9 +15,19 @@ from weylblocks import (
     weyl_dimension,
     zero_weight_multiplicity,
 )
+from weylblocks import cat_o, cli
 from weylblocks.cat_o import linear_dominant_rep, linear_orbit
+from weylblocks.coxeter import dot_stabilizer
+from weylblocks.integral import integral_datum
 
 from conftest import w
+from oracles import (
+    brute_force_dot_orbit,
+    fraction_act,
+    fraction_classify_weight,
+    fraction_dot_action,
+    fraction_linear_dominant_rep,
+)
 
 
 def test_small_multisets(a1, a2):
@@ -166,3 +177,108 @@ def test_linear_dominant_rep_and_orbit(b2):
     assert dom in linear_orbit(b2, v)
     orbit = linear_orbit(b2, w(1, 1))
     assert len(orbit) == 8  # regular linear orbit has full group size
+
+
+@pytest.mark.parametrize("label", ["A1", "A1xA1", "A3", "B3", "C3", "G2",
+                                   "D4", "F4"])
+def test_linear_kernel_matches_fraction_oracles(label):
+    datum = build_root_system(label)
+    group = generate_group(datum)
+    rng = random.Random(f"linear:{label}")
+    for _ in range(40):
+        v = tuple(Q(rng.randint(-12, 12), rng.randint(1, 6))
+                  for _ in range(datum.rank))
+        dom = linear_dominant_rep(datum, v)
+        assert all(type(c) is Q for c in dom)
+        assert dom == fraction_linear_dominant_rep(datum, v)
+    for _ in range(4):
+        v = tuple(Q(rng.randint(-3, 3), rng.randint(1, 6))
+                  for _ in range(datum.rank))
+        assert linear_orbit(datum, v) == {fraction_act(u, v) for u in group}
+
+
+def _corpus_pairs(translatable_only=False):
+    """(type, lam, mu) of each corpus entry with a mu; optionally only the
+    pairs translate_verma accepts: both dominant, mu - lam a lattice
+    weight."""
+    with open(cli.default_corpus_path(), encoding="utf-8") as fh:
+        entries = cli.load_corpus(json.load(fh))
+    out = []
+    for e in entries:
+        if e.mu is None:
+            continue
+        datum = build_root_system(e.type_label)
+        if translatable_only and not (
+                fraction_classify_weight(datum, e.lam).dominant
+                and fraction_classify_weight(datum, e.mu).dominant
+                and all((a - b).denominator == 1
+                        for a, b in zip(e.mu, e.lam))):
+            continue
+        out.append(pytest.param(e.type_label, e.lam, e.mu,
+                                id=f"{e.index}-{e.type_label}"))
+    return out
+
+
+# dominant pairs whose stabilizers do not nest: the walls of lam and mu are
+# different simple roots
+UNNESTED_PAIRS = [
+    pytest.param("A2", w(-1, 0), w(0, -1), id="A2-unnested"),
+    pytest.param("B2", w(-1, 0), w(1, -1), id="B2-unnested"),
+]
+
+
+@pytest.mark.parametrize("label,lam,mu", _corpus_pairs() + UNNESTED_PAIRS)
+def test_walls_decide_stabilizer_inclusion(label, lam, mu):
+    datum = build_root_system(label)
+    walls = [{r.index for r in fraction_classify_weight(datum, x)
+              .singular_roots} for x in (lam, mu)]
+    stabs = [dot_stabilizer(datum, x).elements for x in (lam, mu)]
+    assert (walls[0] <= walls[1]) == (stabs[0] <= stabs[1])
+
+
+@pytest.mark.parametrize("label,lam,mu", _corpus_pairs(True) + UNNESTED_PAIRS)
+def test_translate_verma_asserts_exactly_when_stabilizers_nest(
+        label, lam, mu, monkeypatch):
+    # with every multiplicity of the character raised by one, the identity
+    # fails; translate_verma must notice it iff Stab(lam) <= Stab(mu)
+    datum = build_root_system(label)
+    real = cat_o.irrep_weight_multiset
+    monkeypatch.setattr(cat_o, "irrep_weight_multiset", lambda d, h: {
+        nu: m + 1 for nu, m in real(d, h).items()})
+    nested = dot_stabilizer(datum, lam).elements <= \
+        dot_stabilizer(datum, mu).elements
+    if nested:
+        with pytest.raises(AssertionError):
+            translate_verma(datum, lam, mu, datum.identity)
+    else:
+        translate_verma(datum, lam, mu, datum.identity)
+
+
+@pytest.mark.parametrize("label,lam,mu", _corpus_pairs(True))
+def test_translate_verma_selects_the_orbit_of_mu(label, lam, mu):
+    # every shift w . lam + nu is kept iff it lies in the brute-force dot
+    # orbit of mu, for every w in the integral Weyl group of lam
+    datum = build_root_system(label)
+    orbit = brute_force_dot_orbit(datum, mu)
+    diff = tuple(a - b for a, b in zip(mu, lam))
+    charset = irrep_weight_multiset(datum, fraction_linear_dominant_rep(
+        datum, diff))
+    outcomes = set()
+    for u in integral_datum(datum, lam).w_int.sorted_elements:
+        u_lam = fraction_dot_action(datum, u, lam)
+        expected = {}
+        for nu, m in charset.items():
+            cand = tuple(a + b for a, b in zip(u_lam, nu))
+            outcomes.add(cand in orbit)
+            if cand in orbit:
+                expected[cand] = m
+        assert translate_verma(datum, lam, mu, u).terms == expected
+    assert True in outcomes
+
+
+def test_translate_verma_does_not_enumerate_the_group():
+    datum = build_root_system.__wrapped__("E6")  # cold: nothing memoized
+    lam = w(0, 0, 0, 0, 0, 0)
+    mu = w(-1, 0, 0, 0, 0, 0)
+    assert translate_verma(datum, lam, mu, datum.identity).terms == {mu: 1}
+    assert "group" not in datum._memo

@@ -290,3 +290,15 @@ def test_cli_entry_point_subprocess():
         env=dict(os.environ, PYTHONPATH=path))
     doc = json.loads(out.stdout)
     assert doc["chamber"] == [[], [1]]
+
+
+def test_python_m_weylblocks_runs_the_cli():
+    src = str(pathlib.Path(weylblocks.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    reports = [subprocess.run(
+        [sys.executable, "-m", module, "run", "--seed", "7"],
+        capture_output=True, text=True, check=True, env=env).stdout
+        for module in ("weylblocks", "weylblocks.cli")]
+    assert json.loads(reports[0])["summary"]["all_passed"]
+    assert reports[0] == reports[1]

@@ -13,9 +13,43 @@ from weylblocks import (
     weight_lattice_tests,
 )
 from weylblocks.coxeter import generate_group, length, reduced_word
-from weylblocks.rootsys import POSITIVE_ROOT_COUNT, smith_normal_form
+from weylblocks.rootsys import (
+    POSITIVE_ROOT_COUNT,
+    dominant_dot_weight,
+    smith_normal_form,
+    to_dominant_dot,
+)
 
 from conftest import w
+from oracles import (
+    fraction_act,
+    fraction_classify_weight,
+    fraction_dot_action,
+    fraction_to_dominant_dot,
+)
+
+KERNEL_TYPES = ["A1", "A1xA1", "A3", "B3", "C3", "G2", "D4", "F4"]
+
+
+def random_weight(rng, rank):
+    """A rational weight with denominators 1-6."""
+    return tuple(Q(rng.randint(-12, 12), rng.randint(1, 6))
+                 for _ in range(rank))
+
+
+def off_chamber_dominant(datum):
+    """Weights that classify_weight calls dominant although lam + rho has a
+    negative coordinate: that pairing is not an integer.  Candidates with a
+    negative integral pairing on some other root are left out."""
+    out = []
+    for i in range(datum.rank):
+        for num, den in ((-3, 2), (-5, 3), (-7, 6), (-5, 4)):
+            lam = [Q(0)] * datum.rank
+            lam[i] = Q(num, den)  # <lam + rho, alpha_i^vee> < 0, nonintegral
+            if fraction_classify_weight(datum, lam).dominant:
+                out.append(tuple(lam))
+    assert out
+    return out
 
 KNOWN = [
     ("A1", 1, 2), ("A2", 3, 6), ("A3", 6, 24), ("A4", 10, 120),
@@ -225,3 +259,42 @@ def test_permutation_action_against_reflection_formula(label):
         assert (u * v).act(x) == u.act(v.act(x))
         assert (u.inverse() * u).is_identity
         assert u.inverse() * u == datum.identity
+
+
+def _is_fraction_weight(x) -> bool:
+    return type(x) is tuple and all(type(c) is Q for c in x)
+
+
+@pytest.mark.parametrize("label", KERNEL_TYPES)
+def test_kernel_matches_fraction_oracles(label):
+    datum = build_root_system(label)
+    group = generate_group(datum)
+    rng = random.Random(f"kernel:{label}")
+    weights = [random_weight(rng, datum.rank) for _ in range(60)]
+    weights += off_chamber_dominant(datum)
+    for lam in weights:
+        u = rng.choice(group)
+        assert u.act(lam) == fraction_act(u, lam)
+        moved = dot_action(datum, u, lam)
+        assert _is_fraction_weight(moved)
+        assert moved == fraction_dot_action(datum, u, lam)
+        assert classify_weight(datum, lam) == \
+            fraction_classify_weight(datum, lam)
+        elem, dom = to_dominant_dot(datum, lam)
+        assert _is_fraction_weight(dom)
+        assert (elem, dom) == fraction_to_dominant_dot(datum, lam)
+        assert dominant_dot_weight(datum, lam) == dom
+
+
+@pytest.mark.parametrize("label", KERNEL_TYPES)
+def test_dominant_is_not_the_fundamental_chamber(label):
+    # classify_weight's dominance ignores nonintegral pairings, so these
+    # weights are dominant yet have another point of their dot orbit in the
+    # closed fundamental chamber
+    datum = build_root_system(label)
+    for lam in off_chamber_dominant(datum):
+        assert classify_weight(datum, lam).dominant
+        dom = dominant_dot_weight(datum, lam)
+        assert dom != lam
+        assert dom == fraction_to_dominant_dot(datum, lam)[1]
+        assert all(c + 1 >= 0 for c in dom)
