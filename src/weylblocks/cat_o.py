@@ -20,8 +20,9 @@ from math import lcm
 from .coxeter import closure
 from .integral import _wadd, _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
-    _dominant_dot_key, _mat_nums, _numerators, _reflect, _rho_shifted, \
-    _to_dominant, _weight, classify_weight, dot_action, weyl_order
+    _dominant_dot_key, _in_root_lattice, _mat_nums, _numerators, _reflect, \
+    _rho_shifted, _to_dominant, _weight, classify_weight, dot_action, \
+    weyl_order
 
 WeightMultiset = dict  # Weight -> positive multiplicity
 
@@ -334,17 +335,18 @@ def translate_verma(datum: CartanDatum, lam: Weight, mu: Weight,
     if any(c.denominator != 1 for c in diff):
         raise ValueError("mu - lam is not a lattice weight; the orbits are "
                          "not compatible")
-    w_lam = dot_action(datum, w, lam)
-    if any(c.denominator != 1
-           for c in datum.root_coords(_wsub(w_lam, lam))):
+    # numerators over lam's denominator, which mu shares since mu - lam is
+    # a lattice weight: w . lam - lam = w(lam + rho) - (lam + rho)
+    shifted, den = _rho_shifted(lam)
+    start = _mat_nums(w.weight_matrix, shifted)  # w . lam + rho
+    if not _in_root_lattice(
+            datum, [a - b for a, b in zip(start, shifted)], den):
         raise ValueError("w is not in the integral Weyl group of lam")
+    w_lam = _weight([x - den for x in start], den)
 
     highest = linear_dominant_rep(datum, diff)
     charset = irrep_weight_multiset(datum, highest)
-    # candidates compare as numerators of cand + rho over lam's denominator,
-    # which mu shares since mu - lam is a lattice weight
-    shifted, den = _rho_shifted(lam)
-    start = _mat_nums(w.weight_matrix, shifted)  # w . lam + rho
+    # candidates compare as numerators of cand + rho
     target, _ = _dominant_dot_key(datum, mu)
     cartan = datum.cartan_matrix
     terms: dict[Weight, int] = {}

@@ -436,8 +436,8 @@ def _check_rewriter(datum, idat, entry, rng, words=40):
 def _check_hecke_block(datum, idat, entry, rng, words=6):
     cache = hecke.kl_cache(idat)  # construction validates the KL table
     vpv = hecke.V + hecke.V_INV
-    for j in range(1, idat.rank + 1):
-        b = hecke.kl_generator(idat, j)
+    gens = [hecke.kl_generator(idat, j) for j in range(1, idat.rank + 1)]
+    for j, b in enumerate(gens, 1):
         if b * b != b.scale(vpv):
             return "fail", f"quadratic relation fails at simple {j}"
     for _ in range(words):
@@ -452,10 +452,10 @@ def _check_hecke_block(datum, idat, entry, rng, words=6):
         [elements[rng.randrange(len(elements))] for _ in range(16)]
     e = datum.identity
     for w in sample:
-        for j in range(1, idat.rank + 1):
-            prod = hecke.kl_generator(idat, j) * cache.kl_basis_element(e, w)
+        b_w = cache.kl_basis_element(e, w)
+        for j, b in enumerate(gens, 1):
             try:
-                hecke.decompose(idat, prod, cache)
+                hecke.decompose(idat, b * b_w, cache)
             except ValueError as exc:
                 return "fail", (f"negative structure constant at "
                                 f"{idat.int_reduced_word(w)}, simple {j}: {exc}")

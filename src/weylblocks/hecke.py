@@ -16,14 +16,15 @@ multiplicities are the values at v = 1 (the completed, ungraded contract),
 with the graded coefficients available separately.
 
 Internally the integral Weyl group is numbered 0..n-1 in ``int_elements()``
-order, and products, KL expansions and decompositions run on those indices
-with left multiplication read from integer tables; WeylElement and
-LaurentPoly appear only at the API edge.
+order and the chamber in ``sorted_elements`` order, an element stores its
+terms under (chamber number, W_int number), and products, characters, KL
+expansions and decompositions run on those numbers with multiplication and
+conjugation read from integer tables; WeylElement and LaurentPoly appear
+only at the API edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .integral import IntegralDatum
@@ -120,93 +121,111 @@ V = LaurentPoly({1: 1})
 V_INV = LaurentPoly({-1: 1})
 
 
-@dataclass(frozen=True, eq=False)
 class HeckeElement:
-    """A finitely supported map (c, x) -> LaurentPoly."""
+    """A finitely supported map (c, x) -> LaurentPoly.
 
-    idat: IntegralDatum = field(repr=False)
-    terms: dict = field(default_factory=dict)
+    Stored on integers: a term key is (chamber number, W_int number), with
+    the chamber numbered in ``idat.chamber.sorted_elements`` order and W_int
+    in ``int_elements()`` order (the identity is 0 in both), and a
+    coefficient is a dict exponent -> nonzero int.  ``terms`` builds the
+    WeylElement-keyed view on request.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", {
-            k: p for k, p in self.terms.items() if not p.is_zero})
+    __slots__ = ("idat", "_ints")
+
+    def __init__(self, idat: IntegralDatum, terms: dict | None = None):
+        t = _tables(idat)
+        self.idat = idat
+        self._ints = {(t.twist(c), t.of(x)): dict(p._c)
+                      for (c, x), p in (terms or {}).items() if not p.is_zero}
+
+    @classmethod
+    def _of(cls, idat: IntegralDatum, ints: dict) -> "HeckeElement":
+        """The element with integer terms ``ints``, zero entries dropped."""
+        self = object.__new__(cls)
+        self.idat = idat
+        self._ints = {}
+        for k, p in ints.items():
+            if 0 in p.values():
+                p = {e: x for e, x in p.items() if x}
+            if p:
+                self._ints[k] = p
+        return self
+
+    @property
+    def terms(self) -> dict:
+        """{(c, x): LaurentPoly}, built on request."""
+        t = _tables(self.idat)
+        return {(t.chamber[c], t.elements[x]): LaurentPoly(p)
+                for (c, x), p in self._ints.items()}
 
     def __eq__(self, other):
-        return isinstance(other, HeckeElement) and self.terms == other.terms
+        return isinstance(other, HeckeElement) and \
+            self.idat is other.idat and self._ints == other._ints
+
+    def __repr__(self):
+        return f"HeckeElement(terms={self.terms!r})"
 
     def coeff(self, c: WeylElement, x: WeylElement) -> LaurentPoly:
-        return self.terms.get((c, x), ZERO)
+        t = _tables(self.idat)
+        p = self._ints.get((t.chamber_index.get(c.root_perm),
+                            t.index.get(x.root_perm)))
+        return ZERO if p is None else LaurentPoly(p)
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.terms)
-        for k, p in other.terms.items():
-            out[k] = out.get(k, ZERO) + p
-        return HeckeElement(self.idat, out)
+        out = {k: dict(p) for k, p in self._ints.items()}
+        for k, p in other._ints.items():
+            q = out.setdefault(k, {})
+            for e, x in p.items():
+                q[e] = q.get(e, 0) + x
+        return HeckeElement._of(self.idat, out)
 
     def scale(self, p: LaurentPoly) -> "HeckeElement":
-        return HeckeElement(self.idat,
-                            {k: q * p for k, q in self.terms.items()})
+        out = {}
+        for k, q in self._ints.items():
+            _add_product(out.setdefault(k, {}), q, p._c)
+        return HeckeElement._of(self.idat, out)
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        idat = self.idat
-        t = _tables(idat)
-        theirs = _by_twist(t, other.terms)
+        t = _tables(self.idat)
+        theirs = _by_twist(other._ints)
         out: dict = {}
-        for c1, xs in _by_twist(t, self.terms).items():
+        for c1, xs in _by_twist(self._ints).items():
             for c2, ys in theirs.items():
-                # c2^{-1} s_j c2 is again simple, so conjugating x by c2
-                # renames the letters of its reduced word
-                ci = c2.inverse()
-                rename = [idat.conjugate_simple(ci, j) - 1
-                          for j in range(1, idat.rank + 1)]
-                acc = out.setdefault(c1 * c2, {})
+                c, conj = t.chamber_mul[c1][c2], t.conj[c2]
                 for x, p in xs.items():
-                    word = [rename[j] for j in t.word(x)]
-                    for y, q in ys.items():
-                        pq: dict = {}
-                        _add_product(pq, p, q)
-                        for z, r in _h_product(t, word, y).items():
-                            _add_product(acc.setdefault(z, {}), pq, r)
-        return HeckeElement(self.idat, {
-            (c, t.elements[z]): LaurentPoly(p)
-            for c, acc in out.items() for z, p in acc.items()})
+                    # H_{c2^{-1} x c2} times the whole combination ys
+                    prod = ys
+                    for j in reversed(t.word(conj[x])):
+                        prod = _left_mult_simple(t, j, prod)
+                    for z, r in prod.items():
+                        _add_product(out.setdefault((c, z), {}), p, r)
+        return HeckeElement._of(self.idat, out)
 
 
 def identity_element(idat: IntegralDatum) -> HeckeElement:
-    e = idat.datum.identity
-    return HeckeElement(idat, {(e, e): ONE})
+    return HeckeElement._of(idat, {(0, 0): {0: 1}})
 
 
 def standard_basis(idat: IntegralDatum, c: WeylElement,
                    x: WeylElement) -> HeckeElement:
-    _require_members(idat, c, x)
     return HeckeElement(idat, {(c, x): ONE})
 
 
 def group_like(idat: IntegralDatum, c: WeylElement) -> HeckeElement:
-    if c not in idat.chamber.elements:
-        raise ValueError("twist is not a chamber element")
-    return HeckeElement(idat, {(c, idat.datum.identity): ONE})
+    return HeckeElement._of(idat, {(_tables(idat).twist(c), 0): {0: 1}})
 
 
 def kl_generator(idat: IntegralDatum, j: int) -> HeckeElement:
     """b_s = H_s + v H_e for the j-th integral simple reflection."""
     if not 1 <= j <= idat.rank:
         raise ValueError(f"integral simple index {j} out of range")
-    e = idat.datum.identity
-    s = idat.simple_reflections[j - 1]
-    return HeckeElement(idat, {(e, s): ONE, (e, e): V})
-
-
-def _require_members(idat: IntegralDatum, c: WeylElement, x: WeylElement):
-    if c not in idat.chamber.elements:
-        raise ValueError("first label is not a chamber element")
-    if x not in idat.w_int.elements:
-        raise ValueError("second label is not in the integral Weyl group")
+    s = _tables(idat).left[j - 1][0]
+    return HeckeElement._of(idat, {(0, s): {0: 1}, (0, 0): {1: 1}})
 
 
 # ---------------------------------------------------------------------------
-# the integral Weyl group as integer tables
+# the integral Weyl group and the chamber as integer tables
 # ---------------------------------------------------------------------------
 
 class _Tables:
@@ -214,24 +233,59 @@ class _Tables:
     0 and lengths never decrease along the numbering.  ``left[j][x]`` is the
     index of s_{j+1} x, ``descent[x]`` the smallest j with s_{j+1} x < x
     (-1 for the identity), so following descents spells the lex-minimal
-    reduced word."""
+    reduced word.
+
+    The chamber is numbered in ``sorted_elements`` order (identity 0), with
+    ``chamber_mul[a][b]`` the number of the product.  ``right[j][x]`` is the
+    index of x s_{j+1} and ``conj[c][x]`` the index of c^{-1} x c; both
+    follow x = s_i u with u = left[i][x] one step shorter: x s = s_i (u s),
+    and c^{-1} x c = s_{i'} (c^{-1} u c) where c^{-1} s_i c = s_{i'}.
+    """
 
     def __init__(self, idat: IntegralDatum):
         self.elements = idat.int_elements()
         self.index = {w.root_perm: i for i, w in enumerate(self.elements)}
         self.length = [idat.int_length(w) for w in self.elements]
-        self.left = [[self.index[tuple(map(s.root_perm.__getitem__,
-                                           w.root_perm))]
-                      for w in self.elements]
-                     for s in idat.simple_reflections]
-        self.descent = [next((j for j, row in enumerate(self.left)
+        self.left = left = [[self.index[tuple(map(s.root_perm.__getitem__,
+                                                  w.root_perm))]
+                             for w in self.elements]
+                            for s in idat.simple_reflections]
+        self.descent = [next((j for j, row in enumerate(left)
                               if self.length[row[x]] < self.length[x]), -1)
                         for x in range(len(self.elements))]
+        self.chamber = idat.chamber.sorted_elements
+        self.chamber_index = {c.root_perm: i
+                              for i, c in enumerate(self.chamber)}
+        self.chamber_mul = [[self.chamber_index[(a * b).root_perm]
+                             for b in self.chamber] for a in self.chamber]
+        # (j, u) with x = s_{j+1} u, for x = 1, 2, ... in order
+        steps = [(j, left[j][x]) for x, j in enumerate(self.descent) if x]
+        self.right = []
+        for row in left:
+            r = [row[0]]
+            for j, u in steps:
+                r.append(left[j][r[u]])
+            self.right.append(r)
+        self.conj = []
+        for c in self.chamber:
+            ci = c.inverse()
+            rename = [left[idat.conjugate_simple(ci, j) - 1]
+                      for j in range(1, idat.rank + 1)]
+            r = [0]
+            for j, u in steps:
+                r.append(rename[j][r[u]])
+            self.conj.append(r)
 
     def of(self, w: WeylElement) -> int:
         hit = self.index.get(w.root_perm)
         if hit is None:
             raise ValueError("element outside the integral Weyl group")
+        return hit
+
+    def twist(self, c: WeylElement) -> int:
+        hit = self.chamber_index.get(c.root_perm)
+        if hit is None:
+            raise ValueError("twist is not a chamber element")
         return hit
 
     def word(self, x: int) -> list[int]:
@@ -250,8 +304,8 @@ def _tables(idat: IntegralDatum) -> _Tables:
     return idat._memo["hecke_tables"]
 
 
-# Inside products and decompositions a polynomial is a dict exponent ->
-# coefficient (LaurentPoly's own storage, read but never mutated), and a
+# Inside elements, products and decompositions a polynomial is a dict
+# exponent -> coefficient (never mutated once an element holds it), and a
 # combination of standard basis elements maps element indices to those.
 
 def _add_product(q: dict, a: dict, b: dict) -> None:
@@ -278,19 +332,11 @@ def _left_mult_simple(t: _Tables, j: int, acc: dict) -> dict:
     return out
 
 
-def _h_product(t: _Tables, word: list[int], y: int) -> dict:
-    """H_u * H_y in the standard basis, for u with the given reduced word."""
-    acc = {y: {0: 1}}
-    for j in reversed(word):
-        acc = _left_mult_simple(t, j, acc)
-    return acc
-
-
-def _by_twist(t: _Tables, terms: dict) -> dict:
-    """{c: {index of x: coefficient dict}} for terms keyed by (c, x)."""
+def _by_twist(ints: dict) -> dict:
+    """{c: {x: coefficient dict}} for integer terms keyed by (c, x)."""
     out: dict = {}
-    for (c, x), p in terms.items():
-        out.setdefault(c, {})[t.of(x)] = p._c
+    for (c, x), p in ints.items():
+        out.setdefault(c, {})[x] = p
     return out
 
 
@@ -399,9 +445,10 @@ class KLCache:
 
     def kl_basis_element(self, c: WeylElement, w: WeylElement) -> HeckeElement:
         """(c, e) b_w in the standard basis."""
-        _require_members(self.idat, c, w)
-        return HeckeElement(self.idat, {
-            (c, x): p for x, p in self.expansion(w).items()})
+        c = self._t.twist(c)
+        return HeckeElement._of(self.idat, {
+            (c, x): dict(enumerate(p))
+            for x, p in self._cols[self._t.of(w)].items()})
 
 
 def kl_cache(idat: IntegralDatum, validate: bool = True) -> KLCache:
@@ -443,31 +490,51 @@ def bs_character(idat: IntegralDatum, word: BimoduleWord) -> HeckeElement:
     """Monoidal image of a word: Bs(j) -> b_{s_j}, Rw(c) -> (c, e), letters
     multiplied in word order.
 
-    The image is invariant under the rewrite rules (the relations hold in
-    the extended algebra), so normalizing first is allowed but not needed.
+    The image is built by right multiplication, letter by letter:
+    (c, x) b_s = (c, H_x H_s + v H_x), one pass over the terms with the
+    table of x s, and (c, x) (c', e) = (c c', c'^{-1} x c'), a relabelling.
+    It is invariant under the rewrite rules (the relations hold in the
+    extended algebra), so normalizing first is allowed but not needed.
     """
-    out = identity_element(idat)
+    t = _tables(idat)
+    length = t.length
+    terms = {(0, 0): {0: 1}}
     for letter in word.letters:
         if isinstance(letter, BsLetter):
-            out = out * kl_generator(idat, letter.simple_index)
+            j = letter.simple_index - 1
+            if not 0 <= j < idat.rank:
+                raise ValueError(
+                    f"integral simple index {j + 1} out of range")
+            row, out = t.right[j], {}
+            for (c, x), p in terms.items():
+                xs = row[x]
+                # H_x H_s = H_{xs}, or H_{xs} + (v^{-1} - v) H_x when xs < x
+                shift = -1 if length[xs] < length[x] else 1
+                for key, k in (((c, xs), 0), ((c, x), shift)):
+                    q = out.setdefault(key, {})
+                    for e, m in p.items():
+                        q[e + k] = q.get(e + k, 0) + m
+            terms = out
         else:
-            out = out * group_like(idat, letter.twist)
-    return out
+            d = t.twist(letter.twist)
+            conj, mul = t.conj[d], t.chamber_mul
+            terms = {(mul[c][d], conj[x]): p for (c, x), p in terms.items()}
+    return HeckeElement._of(idat, terms)
 
 
-def decompose_graded(idat: IntegralDatum, h: HeckeElement,
-                     cache: KLCache | None = None) -> dict:
-    """Exact change of basis into {(c, e) b_x}: label -> LaurentPoly."""
-    cache = cache or kl_cache(idat)
+def _decompose(cache: KLCache, h: HeckeElement) -> dict:
+    """Change of basis into {(c, e) b_x} on integers: {(c, x): coefficient
+    dict}, twists in root-permutation order, then x descending."""
+    if h.idat is not cache.idat:
+        raise ValueError("element of another block")
     t = cache._t
     out: dict = {}
-    for c, f in sorted(_by_twist(t, h.terms).items(),
-                       key=lambda kv: kv[0].root_perm):
+    for c, f in sorted(_by_twist(h._ints).items(),
+                       key=lambda kv: t.chamber[kv[0]].root_perm):
         f = {x: dict(p) for x, p in f.items()}
         while f:
             x = max(f)  # the int_sort_key-largest element
-            g = f.pop(x)
-            out[(c, t.elements[x])] = LaurentPoly(g)
+            g = out[c, x] = f.pop(x)
             for y, hp in cache._cols[x].items():
                 if y == x:
                     continue
@@ -481,6 +548,15 @@ def decompose_graded(idat: IntegralDatum, h: HeckeElement,
     return out
 
 
+def decompose_graded(idat: IntegralDatum, h: HeckeElement,
+                     cache: KLCache | None = None) -> dict:
+    """Exact change of basis into {(c, e) b_x}: label -> LaurentPoly."""
+    cache = cache or kl_cache(idat)
+    t = cache._t
+    return {(t.chamber[c], t.elements[x]): LaurentPoly(g)
+            for (c, x), g in _decompose(cache, h).items()}
+
+
 def decompose(idat: IntegralDatum, h: HeckeElement,
               cache: KLCache | None = None) -> dict:
     """Multiset of labels (c, x) with multiplicity the value at v = 1 of the
@@ -490,12 +566,13 @@ def decompose(idat: IntegralDatum, h: HeckeElement,
     was not a nonnegative combination of the twisted KL basis, which signals
     an upstream bug.
     """
-    graded = decompose_graded(idat, h, cache)
+    cache = cache or kl_cache(idat)
+    t = cache._t
     out = {}
-    for label, p in graded.items():
-        if any(coef < 0 for _, coef in p.items()):
+    for (c, x), g in _decompose(cache, h).items():
+        if min(g.values()) < 0:
             raise ValueError(
-                f"negative coefficient {p.format()} in the KL-basis "
-                "decomposition")
-        out[label] = p.at_one()
+                f"negative coefficient {LaurentPoly(g).format()} in the "
+                "KL-basis decomposition")
+        out[t.chamber[c], t.elements[x]] = sum(g.values())
     return out

@@ -33,6 +33,8 @@ from .rootsys import (
     Root,
     Weight,
     WeylElement,
+    _mat_nums,
+    _numerators,
     classify_weight,
     dominant_dot_weight,
     dot_action,
@@ -113,9 +115,11 @@ class IntegralDatum:
     def conjugate_simple(self, c: WeylElement, j: int) -> int:
         """Index j' with c s_j c^{-1} = s_{j'}, for chamber elements c."""
         img_index = c.root_perm[self.integral_simples[j - 1].index]
-        table = self._memo.setdefault(
-            "simple_by_root",
-            {r.index: pos + 1 for pos, r in enumerate(self.integral_simples)})
+        table = self._memo.get("simple_by_root")
+        if table is None:
+            table = self._memo["simple_by_root"] = {
+                r.index: pos + 1
+                for pos, r in enumerate(self.integral_simples)}
         if img_index not in table:
             raise ValueError("conjugation does not preserve the simple system")
         return table[img_index]
@@ -172,8 +176,15 @@ def integral_datum(datum: CartanDatum, lam: Weight,
         sorted(chamber_els - {datum.identity},
                key=lambda w: sort_key(datum, w))), chamber_els, "chamber")
 
+    # tau(w) from w(lam) - lam, on numerators over lam's denominator
     torsion = torsion_group(datum)
-    tau_table = {w: torsion.class_of(_wsub(w.act(lam), lam)) for w in w_ext}
+    nums, den = _numerators(lam)
+    tau_table = {}
+    for w in w_ext:
+        moved = [a - b for a, b in zip(_mat_nums(w.weight_matrix, nums), nums)]
+        if any(x % den for x in moved):
+            raise AssertionError("w(lam) - lam is not a lattice weight")
+        tau_table[w] = torsion.class_of([x // den for x in moved])
 
     idat = IntegralDatum(
         datum=datum, lam=lam, integral_roots=int_roots,

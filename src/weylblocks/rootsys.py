@@ -162,6 +162,20 @@ def _to_dominant(cartan, x, word: list | None = None) -> list[int]:
             word.append(i)
 
 
+def _in_root_lattice(datum: "CartanDatum", nums, den: int) -> bool:
+    """Whether the weight nums / den lies in the root lattice.  Its simple
+    root coordinates are C^{-1} nums / den; C^{-1} is kept as integer rows
+    over their least common denominator d, so the test is that every row
+    times nums is divisible by d * den."""
+    if "inverse_cartan_nums" not in datum._memo:
+        inv = datum.inverse_cartan
+        d = lcm(*(x.denominator for row in inv for x in row))
+        datum._memo["inverse_cartan_nums"] = (
+            [[int(x * d) for x in row] for row in inv], d)
+    rows, d = datum._memo["inverse_cartan_nums"]
+    return all(x % (d * den) == 0 for x in _mat_nums(rows, nums))
+
+
 def _dominant_dot_key(datum: "CartanDatum", nu: Weight,
                       word: list | None = None) -> tuple:
     """The dominant point of nu's dot orbit as (numerators of it + rho,

@@ -95,26 +95,36 @@ def grading(word: BimoduleWord) -> FiniteAbelianElement:
 
 def rewrite_sites(word: BimoduleWord) -> tuple[int, ...]:
     """Positions where one rewrite applies (drop, fuse or swap at p)."""
-    ls = word.letters
-    sites = []
-    for p, l in enumerate(ls):
-        if isinstance(l, RwLetter) and l.twist.is_identity:
-            sites.append(p)
-        elif p + 1 < len(ls) and isinstance(ls[p + 1], RwLetter):
-            sites.append(p)
-    return tuple(sites)
+    return tuple(_sites(word.letters))
+
+
+def _sites(ls, start: int = 0, stop: int | None = None):
+    """The positions p in [start, stop) where a rewrite applies."""
+    for p in range(start, len(ls) if stop is None else stop):
+        l = ls[p]
+        if (isinstance(l, RwLetter) and l.twist.is_identity) or \
+                (p + 1 < len(ls) and isinstance(ls[p + 1], RwLetter)):
+            yield p
 
 
 def rewrite_step(word: BimoduleWord, site: int | None = None) -> BimoduleWord:
-    """One rule application (leftmost site by default)."""
-    sites = rewrite_sites(word)
-    if not sites:
-        return word
-    p = sites[0] if site is None else site
-    if p not in sites:
-        raise ValueError(f"no rewrite applies at position {p}")
-    idat = word.ambient
+    """One rule application (leftmost site by default).
+
+    A requested site is checked on its own letters, not by listing every
+    site; a word without sites comes back unchanged.
+    """
     ls = list(word.letters)
+    if site is None:
+        p = next(_sites(ls), None)
+    elif 0 <= site < len(ls):
+        p = next(_sites(ls, site, site + 1), None)
+    else:
+        p = None
+    if p is None:
+        if site is None or not rewrite_sites(word):
+            return word
+        raise ValueError(f"no rewrite applies at position {site}")
+    idat = word.ambient
     l = ls[p]
     if isinstance(l, RwLetter) and l.twist.is_identity:
         del ls[p]
@@ -131,16 +141,16 @@ def rewrite_step(word: BimoduleWord, site: int | None = None) -> BimoduleWord:
 def normalize(word: BimoduleWord) -> BimoduleWord:
     """Unique normal form: at most one leading twist, then Bs letters only.
 
-    Applies leftmost rewrites until exhaustion; the step count is bounded by
-    (len + 1)^2, which the loop asserts.
+    Applies leftmost rewrites until the word comes back unchanged; the step
+    count is bounded by (len + 1)^2, which the loop asserts.
     """
     cap = (len(word.letters) + 1) ** 2
     out = word
     for _ in range(cap):
-        sites = rewrite_sites(out)
-        if not sites:
+        nxt = rewrite_step(out)
+        if nxt is out:
             return out
-        out = rewrite_step(out, sites[0])
+        out = nxt
     raise AssertionError("rewriting did not terminate within the bound")
 
 

@@ -8,6 +8,9 @@
 * Bruhat order by exhaustive subword products of one reduced word.
 * Kazhdan-Lusztig polynomials by inverting the R-polynomial functional
   equation (a different recursion from the production b_s-product one).
+* The extended Hecke algebra on WeylElement-keyed LaurentPoly terms: the
+  product one (x, y) pair at a time, Bott-Samelson characters as products
+  letter by letter, and the decomposition into the twisted KL basis.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 from weylblocks.coxeter import generate_group, reduced_word
-from weylblocks.hecke import ONE, ZERO, LaurentPoly
+from weylblocks.hecke import ONE, V, V_INV, ZERO, LaurentPoly
 from weylblocks.rootsys import WeightClass, dot_action, mat_vec
+from weylblocks.soergel import BsLetter
 
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})
 Q_VAR = LaurentPoly({1: 1})
@@ -161,3 +165,66 @@ def kl_polynomials_by_inversion(idat, w) -> dict:
             "functional equation has no bounded-degree solution"
         table[x.root_perm] = cand
     return table
+
+
+def reference_h_product(idat, u, y) -> dict:
+    """H_u H_y as {x: LaurentPoly}, multiplying WeylElements along the
+    lex-minimal reduced word of u."""
+    acc = {y: ONE}
+    for j in reversed(idat.int_reduced_word(u)):
+        s = idat.simple_reflections[j - 1]
+        nxt = {}
+        for x, p in acc.items():
+            sx = s * x
+            nxt[sx] = nxt.get(sx, ZERO) + p
+            if idat.int_length(sx) < idat.int_length(x):
+                nxt[x] = nxt.get(x, ZERO) + p * (V_INV - V)
+        acc = nxt
+    return acc
+
+
+def reference_product(idat, a: dict, b: dict) -> dict:
+    """(c, x)(c', y) = (c c', H_{c'^{-1} x c'} H_y) on WeylElement-keyed
+    terms, one (x, y) pair at a time."""
+    out = {}
+    for (c1, x), p in a.items():
+        for (c2, y), q in b.items():
+            u = c2.inverse() * x * c2
+            for z, r in reference_h_product(idat, u, y).items():
+                key = (c1 * c2, z)
+                out[key] = out.get(key, ZERO) + p * q * r
+    return {k: p for k, p in out.items() if not p.is_zero}
+
+
+def reference_bs_character(idat, word) -> dict:
+    """The image of a word as a product, letter by letter, of b_s = H_s + v
+    and the group-likes (c, e)."""
+    e = idat.datum.identity
+    out = {(e, e): ONE}
+    for letter in word.letters:
+        if isinstance(letter, BsLetter):
+            s = idat.simple_reflections[letter.simple_index - 1]
+            factor = {(e, s): ONE, (e, e): V}
+        else:
+            factor = {(letter.twist, e): ONE}
+        out = reference_product(idat, out, factor)
+    return out
+
+
+def reference_decompose_graded(idat, cache, terms: dict) -> dict:
+    """{(c, x): LaurentPoly} in the twisted KL basis: per twist (in
+    root-permutation order), repeatedly strip the int_sort_key-largest
+    term with its expansion."""
+    out = {}
+    for c in sorted({c for c, _ in terms}, key=lambda c: c.root_perm):
+        f = {x: p for (d, x), p in terms.items() if d == c}
+        while f:
+            x = max(f, key=idat.int_sort_key)
+            g = f.pop(x)
+            out[(c, x)] = g
+            for y, h in cache.expansion(x).items():
+                if y != x:
+                    f[y] = f.get(y, ZERO) - g * h
+                    if f[y].is_zero:
+                        del f[y]
+    return out

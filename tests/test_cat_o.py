@@ -18,7 +18,9 @@ from weylblocks import (
 from weylblocks import cat_o, cli
 from weylblocks.cat_o import linear_dominant_rep, linear_orbit
 from weylblocks.coxeter import dot_stabilizer
-from weylblocks.integral import integral_datum
+from weylblocks.integral import _wsub, integral_datum
+from weylblocks.rootsys import _in_root_lattice, _numerators, \
+    dominant_dot_weight, mat_vec
 
 from conftest import w
 from oracles import (
@@ -282,3 +284,32 @@ def test_translate_verma_does_not_enumerate_the_group():
     mu = w(-1, 0, 0, 0, 0, 0)
     assert translate_verma(datum, lam, mu, datum.identity).terms == {mu: 1}
     assert "group" not in datum._memo
+
+
+@pytest.mark.parametrize("label", ["A1", "A1xA1", "A3", "B3", "C3", "G2",
+                                   "D4", "F4"])
+def test_integral_membership_matches_fraction_oracle(label):
+    # translate_verma accepts w exactly when w . lam - lam has integer
+    # simple-root coordinates, computed here in Fractions
+    datum = build_root_system(label)
+    group = generate_group(datum)
+    rng = random.Random(f"membership:{label}")
+    outcomes = set()
+    for _ in range(12):
+        lam = dominant_dot_weight(datum, tuple(
+            Q(rng.randint(-12, 12), rng.randint(1, 6))
+            for _ in range(datum.rank)))
+        for u in rng.sample(group, min(len(group), 24)):
+            moved = _wsub(fraction_dot_action(datum, u, lam), lam)
+            inside = all(c.denominator == 1
+                         for c in mat_vec(datum.inverse_cartan, moved))
+            assert _in_root_lattice(datum, *_numerators(moved)) == inside
+            try:
+                translate_verma(datum, lam, lam, u)
+                accepted = True
+            except ValueError as exc:
+                assert "integral Weyl group" in str(exc)
+                accepted = False
+            assert accepted == inside, (lam, u)
+            outcomes.add(inside)
+    assert outcomes == {True, False}

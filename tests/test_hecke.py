@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction as Q
@@ -20,6 +21,8 @@ from weylblocks import (
     make_word,
     normalize,
 )
+from weylblocks.cli import _check_hecke_block, default_corpus_path, \
+    load_corpus
 from weylblocks.hecke import (
     ONE,
     V,
@@ -28,6 +31,7 @@ from weylblocks.hecke import (
     HeckeElement,
     KLCache,
     _lower_ideals,
+    _Tables,
     _tables,
     group_like,
     identity_element,
@@ -35,7 +39,19 @@ from weylblocks.hecke import (
 )
 
 from conftest import w
-from oracles import kl_polynomials_by_inversion
+from oracles import (
+    kl_polynomials_by_inversion,
+    reference_bs_character,
+    reference_decompose_graded,
+    reference_product,
+)
+
+with open(default_corpus_path(), encoding="utf-8") as _fh:
+    CORPUS_BLOCKS = sorted({(e.type_label, e.lam)
+                            for e in load_corpus(json.load(_fh))})
+# every corpus twist is an involution; this block's chamber is Z/3 acting on
+# W_int = (Z/2)^3, so conjugating by c and by c^{-1} differ
+REFERENCE_BLOCKS = CORPUS_BLOCKS + [("A5", w(0, Q(2, 3), 0, Q(2, 3), 0))]
 
 
 def test_laurent_poly_basics():
@@ -283,3 +299,93 @@ def test_hecke_associativity_random(a3_block):
     for _ in range(25):
         a, b, c = (rng.choice(pool) for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+def _seeded_word(idat, rng):
+    """A word with at least one twist and up to five more letters."""
+    twists = idat.chamber.sorted_elements
+    letters = [RwLetter(rng.choice(twists))]
+    for _ in range(rng.randrange(6)):
+        if idat.rank and rng.random() < 0.6:
+            letter = BsLetter(rng.randrange(1, idat.rank + 1))
+        else:
+            letter = RwLetter(rng.choice(twists))
+        letters.insert(rng.randrange(len(letters) + 1), letter)
+    return make_word(idat, letters)
+
+
+@pytest.mark.parametrize("label,lam", REFERENCE_BLOCKS,
+                         ids=[f"{t}:{','.join(map(str, l))}"
+                              for t, l in REFERENCE_BLOCKS])
+def test_integer_algebra_matches_reference(label, lam):
+    idat = integral_datum(build_root_system(label), lam)
+    cache = kl_cache(idat)
+    rng = random.Random(f"reference:{label}:{lam}")
+    e = idat.datum.identity
+    twists, elements = idat.chamber.sorted_elements, idat.int_elements()
+    for _ in range(4):
+        word = _seeded_word(idat, rng)
+        image = bs_character(idat, word)
+        ref = reference_bs_character(idat, word)
+        assert image.terms == ref, word
+        assert list(decompose_graded(idat, image, cache).items()) == \
+            list(reference_decompose_graded(idat, cache, ref).items())
+
+    def random_element():
+        return HeckeElement(idat, {
+            (rng.choice(twists), rng.choice(elements)):
+                LaurentPoly({rng.randint(-2, 2): rng.choice((-2, -1, 1, 3))})
+            for _ in range(3)})
+
+    for _ in range(3):
+        a, b = random_element(), random_element()
+        ref = reference_product(idat, a.terms, b.terms)
+        assert (a * b).terms == ref
+        assert list(decompose_graded(idat, a * b, cache).items()) == \
+            list(reference_decompose_graded(idat, cache, ref).items())
+    for _ in range(3):
+        c, u = rng.choice(twists), rng.choice(elements)
+        b_u = cache.kl_basis_element(c, u)
+        assert b_u.terms == reference_product(
+            idat, {(c, e): ONE},
+            {(e, x): p for x, p in cache.expansion(u).items()})
+        if idat.rank:
+            b_s = kl_generator(idat, rng.randrange(1, idat.rank + 1))
+            assert list(decompose_graded(idat, b_s * b_u, cache).items()) == \
+                list(reference_decompose_graded(
+                    idat, cache,
+                    reference_product(idat, b_s.terms, b_u.terms)).items())
+
+
+def test_hecke_block_check_fails_on_a_broken_block(a3, a3_block,
+                                                    monkeypatch):
+    assert _check_hecke_block(a3, a3_block, None, random.Random(1)) == \
+        ("pass", None)
+    # a KL column missing its h_{e, s1 s2} = v^2 term
+    idat = integral_datum(a3, w(0, 0, 0))
+    cache = KLCache(idat)
+    del cache._cols[_tables(idat).of(from_word(a3, (1, 2)))][0]
+    monkeypatch.setitem(idat._memo, ("kl_cache", True), cache)
+    status, witness = _check_hecke_block(a3, idat, None, random.Random(1))
+    assert status == "fail" and "negative structure constant" in witness
+    # conjugation by the twist taken to be trivial, while it swaps s1, s3
+    t = _Tables(a3_block)
+    assert t.conj[1] != list(range(len(t.elements)))
+    t.conj[1] = list(range(len(t.elements)))
+    monkeypatch.setitem(a3_block._memo, "hecke_tables", t)
+    status, witness = _check_hecke_block(a3, a3_block, None, random.Random(1))
+    assert status == "fail" and "not rewrite-invariant" in witness
+
+
+def test_tables_match_weyl_element_products(a3_block):
+    idat = a3_block
+    t = _tables(idat)
+    for x, u in enumerate(t.elements):
+        for j, s in enumerate(idat.simple_reflections):
+            assert t.elements[t.right[j][x]] == u * s
+        for c, g in enumerate(t.chamber):
+            assert t.elements[t.conj[c][x]] == g.inverse() * u * g
+    assert t.chamber[0].is_identity
+    for a, g in enumerate(t.chamber):
+        for b, h in enumerate(t.chamber):
+            assert t.chamber[t.chamber_mul[a][b]] == g * h

@@ -27,8 +27,10 @@ from weylblocks.coxeter import (
     reduced_word,
 )
 from weylblocks.integral import _is_lattice, _wsub, lattice_movers
+from weylblocks.rootsys import torsion_group
 
 from conftest import w
+from oracles import fraction_act
 
 
 def test_integral_datum_full_block(a2):
@@ -319,3 +321,26 @@ def test_integral_words_are_reduced(label, lam):
         for j in word:
             prod = prod * idat.simple_reflections[j - 1]
         assert prod == u
+
+
+@pytest.mark.parametrize("label", ["A1", "A1xA1", "A3", "B3", "C3", "G2",
+                                   "D4", "F4"])
+def test_tau_table_matches_fraction_oracle(label):
+    datum = build_root_system(label)
+    torsion = torsion_group(datum)
+    rng = random.Random(f"tau:{label}")
+    # mixed denominators 1-6, then one common denominator d = 1..6, which
+    # more often gives a nontrivial chamber
+    weights = [tuple(Q(rng.randint(-12, 12), rng.randint(1, 6))
+                     for _ in range(datum.rank)) for _ in range(4)]
+    weights += [tuple(Q(rng.choice((0, 0, 1, -1, 3)), d)
+                      for _ in range(datum.rank)) for d in range(1, 7)]
+    nonzero = 0
+    for lam in weights:
+        idat = integral_datum(datum, lam)
+        assert set(idat.tau_table) == set(idat.w_ext)
+        for u in idat.w_ext:
+            assert idat.tau_table[u] == \
+                torsion.class_of(_wsub(fraction_act(u, lam), lam)), (lam, u)
+            nonzero += not idat.tau_table[u].is_zero
+    assert nonzero or torsion.order == 1

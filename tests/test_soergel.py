@@ -81,6 +81,25 @@ def _random_word(idat, rng, max_len=9):
     return make_word(idat, letters)
 
 
+def test_rewrite_step_checks_only_the_requested_site(a3_block):
+    rng = random.Random("local-site")
+    for _ in range(80):
+        word = _random_word(a3_block, rng)
+        sites = rewrite_sites(word)
+        for p in range(-1, len(word.letters) + 1):
+            if p in sites:
+                assert rewrite_step(word, p).letters != word.letters
+            elif not sites:
+                assert rewrite_step(word, p) is word
+            else:
+                with pytest.raises(ValueError):
+                    rewrite_step(word, p)
+        if sites:
+            assert rewrite_step(word) == rewrite_step(word, sites[0])
+        else:
+            assert rewrite_step(word) is word
+
+
 def _random_rewrite_path(word, rng):
     steps = 0
     cap = (len(word.letters) + 1) ** 2
