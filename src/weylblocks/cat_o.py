@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import lcm
 
-from .coxeter import closure
+from .coxeter import parabolic_order
 from .integral import _wadd, _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
     _dominant_dot_key, _in_root_lattice, _mat_nums, _numerators, _reflect, \
@@ -96,17 +96,6 @@ def _character_scales(datum: CartanDatum):
         for alpha in datum.positive_roots)
     out = (dd, roots)
     datum._memo[key] = out
-    return out
-
-
-def _parabolic_order_of_zeros(datum: CartanDatum, zeros: frozenset) -> int:
-    """Order of the parabolic subgroup on the simple reflections in zeros,
-    the stabilizer of a dominant weight vanishing exactly there."""
-    orders = datum._memo.setdefault("linear_parabolic", {})
-    out = orders.get(zeros)
-    if out is None:
-        gens = [datum.simple_reflections[i] for i in sorted(zeros)]
-        out = orders[zeros] = len(closure(datum, gens))
     return out
 
 
@@ -236,8 +225,8 @@ def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
             zeros = tuple(map((0).__eq__, f))
             size = orbit_size.get(zeros)
             if size is None:
-                size = group_order // _parabolic_order_of_zeros(
-                    datum, frozenset(i for i in rng_n if zeros[i]))
+                size = group_order // parabolic_order(
+                    datum, (i for i in rng_n if zeros[i]))
                 orbit_size[zeros] = size
             mass += m * size
             out[f] = m
@@ -308,6 +297,27 @@ class VermaCombination:
                           for w, m in self.items())
 
 
+def _invariant_form(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix of the W-invariant integer form
+    (x, y) = sum over positive roots of <x, alpha^vee> <y, alpha^vee> on
+    fundamental-weight numerators, cached on the datum.  W permutes the
+    roots up to sign, so it is invariant; on each simple factor it is a
+    positive multiple of the symmetrized form."""
+    out = datum._memo.get("invariant_form")
+    if out is None:
+        rows = datum.coroot_rows[:datum.num_positive]
+        n = datum.rank
+        out = datum._memo["invariant_form"] = tuple(
+            tuple(sum(r[i] * r[j] for r in rows) for j in range(n))
+            for i in range(n))
+    return out
+
+
+def _quadratic(form, x) -> int:
+    """(x, x) for the Gram matrix form."""
+    return sum(a * sum(map(int.__mul__, row, x)) for a, row in zip(x, form))
+
+
 def translate_verma(datum: CartanDatum, lam: Weight, mu: Weight,
                     w: WeylElement) -> VermaCombination:
     """Image of the Verma symbol D(w . lam) under translation to the orbit
@@ -346,14 +356,18 @@ def translate_verma(datum: CartanDatum, lam: Weight, mu: Weight,
 
     highest = linear_dominant_rep(datum, diff)
     charset = irrep_weight_multiset(datum, highest)
-    # candidates compare as numerators of cand + rho
+    # candidates compare as numerators of cand + rho; one off mu's orbit
+    # by its invariant norm needs no walk to the dominant chamber
     target, _ = _dominant_dot_key(datum, mu)
+    form = _invariant_form(datum)
+    norm = _quadratic(form, target)
     cartan = datum.cartan_matrix
     terms: dict[Weight, int] = {}
     selected: list[Weight] = []
     for nu, m in charset.items():
         cand = [x + den * c.numerator for x, c in zip(start, nu)]
-        if tuple(_to_dominant(cartan, cand)) == target:
+        if _quadratic(form, cand) == norm and \
+                tuple(_to_dominant(cartan, cand)) == target:
             terms[_wadd(w_lam, nu)] = m
             selected.append(nu)
 

@@ -1,15 +1,19 @@
 """Weyl groups as finite Coxeter groups.
 
-Full enumeration by closure under the simple reflections, lengths and reduced
-words through the root permutation (``length(w) = #{alpha > 0 : w(alpha) < 0}``),
-Bruhat order by the lifting property, reflection subgroups, dot-action
-stabilizers, and double-coset decompositions.
+Enumeration by one layered search over the simple reflections, which meets
+the elements already in (length, lex-minimal reduced word) order; lengths
+and reduced words through the root permutation
+(``length(w) = #{alpha > 0 : w(alpha) < 0}``), Bruhat order by the lifting
+property, reflection subgroups, dot-action stabilizers, and double-coset
+decompositions.
 
 Elements are canonically keyed by their root permutation.  One
 ``CoxeterSystem`` class serves both the full group and the integral Weyl
-group of a weight: reduced words are computed on demand (greedy smallest left
-descent, which yields the lexicographically minimal word) and memoized per
-system.  The full group's system is cached on the datum.
+group of a weight: its enumeration records each element's length and
+lex-minimal reduced word, and reduced words of other elements are computed
+on demand (greedy smallest left descent, which yields the lexicographically
+minimal word) and memoized per system.  The full group's system is cached
+on the datum.
 """
 
 from __future__ import annotations
@@ -29,9 +33,77 @@ from .rootsys import (
 DEFAULT_GROUP_BOUND = 10**6
 
 
+@dataclass(frozen=True, eq=False)
+class Enumeration:
+    """A Coxeter system's elements numbered 0..n-1 in (length, lex-minimal
+    reduced word) order, so the identity is 0, with what the search met on
+    the way: ``length[x]``, ``descent[x]`` the smallest left descent of x as
+    a 0-based letter (-1 for the identity), and ``left[j][x]`` the number of
+    s_{j+1} x.  Following descents spells the lex-minimal reduced word."""
+
+    elements: tuple[WeylElement, ...]
+    length: list[int]
+    descent: list[int]
+    left: list[list[int]]
+
+
+def _layered_search(datum: CartanDatum, simple_indices, reflections,
+                    bound: int) -> Enumeration:
+    """Enumerate the group generated by the reflections in the simple roots
+    with these indices, layer by layer.
+
+    Layer l+1 is built with the letter j as the outer loop, ascending, and
+    layer l in its own order as the inner loop, keeping each element where
+    it is first met.  An element y is first met from s_j y for its smallest
+    left descent j, so the first-met order is the lex order of the greedy
+    reduced words.  The search keeps inverse root permutations: s_j w > w
+    iff w^{-1}(alpha_j) > 0, one lookup, and (s_j w)^{-1} = w^{-1} s_j.
+    Only ascents are multiplied, and only the new elements' own permutations
+    are formed; a descent's entry of the left table is the matching
+    ascent's read backwards.  Raises GroupBoundExceeded when more
+    than ``bound`` elements would be stored.
+    """
+    n, rank = datum.num_positive, datum.rank
+    ident = datum.identity.root_perm
+    k = len(simple_indices)
+    steps = [(j, s.root_perm, s.root_perm[:rank], i) for j, (s, i)
+             in enumerate(zip(reflections, simple_indices))]
+    inverses, perms = [ident], [ident]
+    # an element is keyed by where its inverse sends the datum's simple
+    # roots, a basis: the first rank entries of the inverse permutation
+    index = {ident[:rank]: 0}
+    descent, length, nbrs = [-1], [0], [[0] * k]
+    layer = range(1)
+    while layer:
+        start = len(inverses)
+        for j, s, head, i in steps:
+            for x in layer:
+                u = inverses[x]
+                if u[i] < n:  # s_j x > x
+                    key = tuple(map(u.__getitem__, head))
+                    y = index.get(key)
+                    if y is None:
+                        y = len(inverses)
+                        if y >= bound:
+                            raise GroupBoundExceeded(
+                                f"group enumeration exceeds bound {bound}")
+                        index[key] = y
+                        inverses.append(tuple(map(u.__getitem__, s)))
+                        perms.append(tuple(map(s.__getitem__, perms[x])))
+                        descent.append(j)
+                        nbrs.append([0] * k)
+                    nbrs[x][j] = y
+                    nbrs[y][j] = x
+        layer = range(start, len(inverses))
+        length += [length[-1] + 1] * len(layer)
+    return Enumeration(tuple(WeylElement(p, datum) for p in perms), length,
+                       descent, [list(row) for row in zip(*nbrs)])
+
+
 class CoxeterSystem:
-    """Length, left descents, reduced words, sort key and Bruhat order of the
-    reflection subgroup generated by the given simple roots.
+    """Ordered enumeration, length, left descents, reduced words, sort key
+    and Bruhat order of the reflection subgroup generated by the given
+    simple roots.
 
     ``simple_root_indices`` must be a simple system of the subsystem's roots
     and ``positive_root_indices`` its positive roots, all lying in the
@@ -50,6 +122,31 @@ class CoxeterSystem:
         self._lengths: dict = {}
         self._words: dict = {datum.identity.root_perm: ()}
         self._bruhat: dict = {}
+        self._enumeration: Enumeration | None = None
+
+    def enumeration(self, bound: int = DEFAULT_GROUP_BOUND) -> Enumeration:
+        """The ordered enumeration of the system, memoized; it primes the
+        length and reduced-word memos of every element.  Raises
+        GroupBoundExceeded when the group has more than ``bound`` elements
+        and is not enumerated yet."""
+        out = self._enumeration
+        if out is None:
+            out = _layered_search(self.datum, self.simple_indices,
+                                  self.simple_reflections, bound)
+            words = [()]
+            for x in range(1, len(out.elements)):
+                j = out.descent[x]
+                words.append((j + 1,) + words[out.left[j][x]])
+            perms = [w.root_perm for w in out.elements]
+            self._lengths.update(zip(perms, out.length))
+            self._words.update(zip(perms, words))
+            self._enumeration = out
+        return out
+
+    def elements(self, bound: int = DEFAULT_GROUP_BOUND
+                 ) -> tuple[WeylElement, ...]:
+        """All elements, sorted by (length, reduced word)."""
+        return self.enumeration(bound).elements
 
     def length(self, w: WeylElement) -> int:
         """Number of the subsystem's positive roots that w sends to negative
@@ -167,20 +264,32 @@ def generate_group(datum: CartanDatum,
     """All Weyl group elements, sorted by (length, reduced word).
 
     Raises GroupBoundExceeded, before enumerating, when the group is larger
-    than ``bound``.  The result is cached on the datum and shared (read-only).
+    than ``bound``.  The result is cached on the datum's Coxeter system and
+    shared (read-only).
     """
     expected = weyl_order(datum)
     if expected > bound:
         raise GroupBoundExceeded(
             f"group order {expected} exceeds bound {bound}")
-    if "group" in datum._memo:
-        return datum._memo["group"]
-    out = tuple(sorted(closure(datum, datum.simple_reflections, bound),
-                       key=coxeter_system(datum).sort_key))
+    out = coxeter_system(datum).elements(bound)
     if len(out) != expected:
         raise AssertionError(f"enumerated {len(out)} elements, expected "
                              f"{expected} for {datum.type_label}")
-    datum._memo["group"] = out
+    return out
+
+
+def parabolic_order(datum: CartanDatum, root_indices) -> int:
+    """Order of the reflection subgroup generated by the roots with these
+    indices, which must be a simple system of its roots (as any subset of a
+    simple system is).  Memoized on the datum, keyed by the index set."""
+    key = frozenset(root_indices)
+    orders = datum._memo.setdefault("parabolic_order", {})
+    out = orders.get(key)
+    if out is None:
+        indices = sorted(key)
+        out = orders[key] = len(_layered_search(
+            datum, indices, [datum.reflection(datum.roots[i])
+                             for i in indices], DEFAULT_GROUP_BOUND).elements)
     return out
 
 

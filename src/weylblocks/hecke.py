@@ -230,10 +230,11 @@ def kl_generator(idat: IntegralDatum, j: int) -> HeckeElement:
 
 class _Tables:
     """W_int numbered 0..n-1 in ``int_elements()`` order, so the identity is
-    0 and lengths never decrease along the numbering.  ``left[j][x]`` is the
-    index of s_{j+1} x, ``descent[x]`` the smallest j with s_{j+1} x < x
-    (-1 for the identity), so following descents spells the lex-minimal
-    reduced word.
+    0 and lengths never decrease along the numbering.  ``length``,
+    ``descent`` and ``left`` are the system's enumeration tables
+    (``coxeter.Enumeration``): ``left[j][x]`` is the index of s_{j+1} x and
+    ``descent[x]`` the smallest j with s_{j+1} x < x (-1 for the identity),
+    so following descents spells the lex-minimal reduced word.
 
     The chamber is numbered in ``sorted_elements`` order (identity 0), with
     ``chamber_mul[a][b]`` the number of the product.  ``right[j][x]`` is the
@@ -243,16 +244,12 @@ class _Tables:
     """
 
     def __init__(self, idat: IntegralDatum):
-        self.elements = idat.int_elements()
+        enum = idat.system.enumeration()
+        self.elements = enum.elements
         self.index = {w.root_perm: i for i, w in enumerate(self.elements)}
-        self.length = [idat.int_length(w) for w in self.elements]
-        self.left = left = [[self.index[tuple(map(s.root_perm.__getitem__,
-                                                  w.root_perm))]
-                             for w in self.elements]
-                            for s in idat.simple_reflections]
-        self.descent = [next((j for j, row in enumerate(left)
-                              if self.length[row[x]] < self.length[x]), -1)
-                        for x in range(len(self.elements))]
+        self.length = enum.length
+        self.left = left = enum.left
+        self.descent = enum.descent
         self.chamber = idat.chamber.sorted_elements
         self.chamber_index = {c.root_perm: i
                               for i, c in enumerate(self.chamber)}

@@ -25,7 +25,6 @@ from .coxeter import (
     dot_stabilizer,
     generate_group,
     sort_key,
-    subgroup,
 )
 from .rootsys import (
     CartanDatum,
@@ -103,10 +102,8 @@ class IntegralDatum:
         return self.system.sort_key(w)
 
     def int_elements(self) -> tuple[WeylElement, ...]:
-        if "int_elements" not in self._memo:
-            self._memo["int_elements"] = tuple(
-                sorted(self.w_int.elements, key=self.int_sort_key))
-        return self._memo["int_elements"]
+        """W_int sorted by the integral (length, reduced word)."""
+        return self.system.elements()
 
     def int_bruhat_leq(self, x: WeylElement, w: WeylElement) -> bool:
         """Bruhat order of the integral Coxeter system (lifting property)."""
@@ -132,14 +129,16 @@ def lattice_movers(datum: CartanDatum, mu: Weight, lam: Weight,
     These are also the w with w.mu - lam a lattice weight, since
     w.mu - w(mu) = w(rho) - rho is one.  Coordinate i of w(mu) is
     <mu, (w^{-1} alpha_i)^vee> and w^{-1} alpha_i is root perm.index(i), so
-    mu's coroot pairings mod 1, taken once, decide every element without
-    arithmetic per element.
+    mu's coroot pairings mod 1, taken once on numerators over the common
+    denominator of mu and lam, decide every element without arithmetic per
+    element.
     """
     if len(mu) != datum.rank or len(lam) != datum.rank:
         raise ValueError(f"weights need {datum.rank} coordinates")
-    residues = [sum(c * Q(x) for c, x in zip(row, mu)) % 1
+    nums, den = _numerators([Q(x) for x in (*mu, *lam)])
+    residues = [sum(map(int.__mul__, row, nums)) % den
                 for row in datum.coroot_rows]
-    target = [Q(x) % 1 for x in lam]
+    target = [x % den for x in nums[datum.rank:]]
     for w in generate_group(datum, bound):
         perm = w.root_perm
         if all(residues[perm.index(i)] == t for i, t in enumerate(target)):
@@ -167,7 +166,10 @@ def integral_datum(datum: CartanDatum, lam: Weight,
     system = CoxeterSystem(datum, (r.index for r in simples),
                            (r.index for r in int_pos))
 
-    w_int = subgroup(datum, system.simple_reflections, "reflection", bound)
+    w_int = SubgroupHandle(
+        datum, tuple(sorted(system.simple_reflections,
+                            key=lambda w: sort_key(datum, w))),
+        frozenset(system.elements(bound)), "reflection")
     w_ext = tuple(lattice_movers(datum, lam, lam, bound))
     chamber_els = frozenset(
         w for w in w_ext
@@ -198,15 +200,17 @@ def integral_datum(datum: CartanDatum, lam: Weight,
 
 def _validate(idat: IntegralDatum) -> None:
     datum = idat.datum
-    # positive integral roots decompose over the integral simples
+    # positive integral roots decompose over the integral simples, on
+    # integer simple coordinates
     if idat.integral_simples:
-        cols = [r.as_weight for r in idat.integral_simples]
-        matrix = tuple(tuple(c[i] for c in cols) for i in range(datum.rank))
-        from .rootsys import solve_rational
-
+        solve, independent = _integer_solver(
+            [[r.simple_coords[i] for r in idat.integral_simples]
+             for i in range(datum.rank)])
+        if not independent:
+            raise AssertionError("integral simples are linearly dependent")
         for r in idat.integral_positive:
-            x = solve_rational(matrix, r.as_weight)
-            if x is None or any(c.denominator != 1 or c < 0 for c in x):
+            x = solve(r.simple_coords)
+            if x is None or min(x) < 0:
                 raise AssertionError(
                     f"integral root {r} does not decompose over the simples")
     # kernel of tau is exactly W_int
@@ -341,22 +345,28 @@ def _solve_single_diophantine(row: tuple[int, ...], target: int):
     return tuple(c * f for c in coeffs)
 
 
-def _solve_integer_system(rows: list[list[int]], rhs: list[int]):
-    """One integer solution of rows * x == rhs, or None (Smith normal form)."""
+def _integer_solver(rows: list[list[int]]):
+    """(solve, independent): solve maps rhs to one integer solution of
+    rows * x == rhs, or None, by a Smith normal form of rows computed once;
+    independent tells whether the columns are, so that it is the only one."""
     p, s, q = smith_normal_form(rows)
     k, n = len(rows), len(rows[0])
-    pr = [sum(p[i][j] * rhs[j] for j in range(k)) for i in range(k)]
-    y = [0] * n
-    for i in range(k):
-        d = s[i][i] if i < min(k, n) else 0
-        if d == 0:
-            if pr[i] != 0:
+
+    def solve(rhs):
+        pr = [sum(p[i][j] * rhs[j] for j in range(k)) for i in range(k)]
+        y = [0] * n
+        for i in range(k):
+            d = s[i][i] if i < min(k, n) else 0
+            if d == 0:
+                if pr[i] != 0:
+                    return None
+                continue
+            if pr[i] % d:
                 return None
-            continue
-        if pr[i] % d:
-            return None
-        y[i] = pr[i] // d
-    return tuple(sum(q[i][j] * y[j] for j in range(n)) for i in range(n))
+            y[i] = pr[i] // d
+        return tuple(sum(q[i][j] * y[j] for j in range(n)) for i in range(n))
+
+    return solve, n <= k and all(s[i][i] for i in range(n))
 
 
 def find_subgeneric(idat: IntegralDatum, i: int) -> Weight:
@@ -384,10 +394,11 @@ def find_subgeneric(idat: IntegralDatum, i: int) -> Weight:
     # step 2: delta in the lattice with <delta, alpha^vee> = 0 and
     # <delta, beta^vee> = m > 0 on the other integral simples
     rows = [[int(x) for x in r.coroot_row] for r in idat.integral_simples]
+    solve, _ = _integer_solver(rows)
     delta = None
     for m in range(1, _SCAN_CAP):
         rhs = [0 if j == i - 1 else m for j in range(idat.rank)]
-        delta = _solve_integer_system(rows, rhs)
+        delta = solve(rhs)
         if delta is not None:
             break
     assert delta is not None

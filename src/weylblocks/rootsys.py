@@ -669,6 +669,7 @@ def build_root_system(type_label: str) -> CartanDatum:
     simples = tuple(_reflection_element(datum, datum.simple_root(i + 1))
                     for i in range(rank))
     object.__setattr__(datum, "simple_reflections", simples)
+    datum._memo.update((("refl", i), s) for i, s in enumerate(simples))
     return datum
 
 

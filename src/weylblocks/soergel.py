@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from .coxeter import closure, dot_stabilizer, double_cosets, sort_key
+from .coxeter import dot_stabilizer, double_cosets, parabolic_order, \
+    sort_key
 from .integral import IntegralDatum, integral_datum, tau, _is_lattice, \
     _wsub, dominant_dot_rep, lattice_movers
 from .rootsys import CartanDatum, FiniteAbelianElement, Weight, WeylElement, \
@@ -168,9 +169,9 @@ def rank_left(obj) -> int:
         idat = obj.ambient
         num = den = 1
         for p in range(1, len(obj.chain), 2):
-            num *= parabolic_order(idat, obj.chain[p])
-            den *= parabolic_order(idat, obj.chain[p - 1])
-        total = parabolic_order(idat, obj.mu_subset) * Q(num, den)
+            num *= _parabolic_order(idat, obj.chain[p])
+            den *= _parabolic_order(idat, obj.chain[p - 1])
+        total = _parabolic_order(idat, obj.mu_subset) * Q(num, den)
         assert total.denominator == 1
         return int(total)
     raise TypeError(f"cannot take a rank of {obj!r}")
@@ -180,13 +181,10 @@ def rank_left(obj) -> int:
 # singular parabolic chains
 # ---------------------------------------------------------------------------
 
-def parabolic_order(idat: IntegralDatum, subset) -> int:
+def _parabolic_order(idat: IntegralDatum, subset) -> int:
     """Order of the subgroup generated by the named integral simples."""
-    key = ("parabolic_order", frozenset(subset))
-    if key not in idat._memo:
-        gens = [idat.simple_reflections[j - 1] for j in sorted(subset)]
-        idat._memo[key] = len(closure(idat.datum, gens))
-    return idat._memo[key]
+    return parabolic_order(idat.datum, (idat.integral_simples[j - 1].index
+                                        for j in subset))
 
 
 @dataclass(frozen=True)

@@ -34,3 +34,20 @@ def a3_block(a3):
 def w(*coords):
     """Shorthand for an exact weight."""
     return tuple(Q(c) for c in coords)
+
+
+def check_enumeration(system, fresh):
+    """The recorded tables against a fresh system and element products."""
+    enum = system.enumeration()
+    els = enum.elements
+    index = {u.root_perm: x for x, u in enumerate(els)}
+    assert len(index) == len(els) and els[0].is_identity
+    for x, u in enumerate(els):
+        assert enum.length[x] == fresh.length(u) == system.length(u)
+        assert system.reduced_word(u) == fresh.reduced_word(u)
+        first = fresh.first_left_descent(u.root_perm)
+        assert enum.descent[x] == (-1 if first is None else first - 1)
+        for j, s in enumerate(system.simple_reflections):
+            assert enum.left[j][x] == index[(s * u).root_perm]
+    assert [fresh.sort_key(u) for u in els] == \
+        sorted(fresh.sort_key(u) for u in els)

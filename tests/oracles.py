@@ -5,6 +5,11 @@
   classification and the walks to the dominant chamber; dot orbits by
   applying every element of the Weyl group.
 * Dot stabilizers by scanning the whole Weyl group.
+* Group enumeration by closure under products, sorted afterwards by
+  (length, reduced word) through a fresh Coxeter system that computes each
+  length as an inversion count and each word by greedy descents.
+* The translation selection by walking every candidate to the dominant
+  chamber, with no norm test in front.
 * Bruhat order by exhaustive subword products of one reduced word.
 * Kazhdan-Lusztig polynomials by inverting the R-polynomial functional
   equation (a different recursion from the production b_s-product one).
@@ -18,9 +23,12 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from itertools import combinations
 
-from weylblocks.coxeter import generate_group, reduced_word
+from weylblocks.cat_o import irrep_weight_multiset, linear_dominant_rep
+from weylblocks.coxeter import CoxeterSystem, closure, generate_group, \
+    reduced_word
 from weylblocks.hecke import ONE, V, V_INV, ZERO, LaurentPoly
-from weylblocks.rootsys import WeightClass, dot_action, mat_vec
+from weylblocks.rootsys import WeightClass, _dominant_dot_key, \
+    _rho_shifted, _to_dominant, dot_action, mat_vec
 from weylblocks.soergel import BsLetter
 
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})
@@ -85,6 +93,45 @@ def brute_force_dot_stabilizer(datum, lam) -> frozenset:
     """{w : w . lam = lam} by an O(|W|) scan of the whole group."""
     return frozenset(w for w in generate_group(datum)
                      if dot_action(datum, w, lam) == lam)
+
+
+def fresh_system(datum, simple_root_indices, positive_root_indices):
+    """A Coxeter system with empty memos, never enumerated."""
+    return CoxeterSystem(datum, simple_root_indices, positive_root_indices)
+
+
+def closure_sorted_group(datum) -> tuple:
+    """The Weyl group by closure, sorted by a fresh (length, word) key."""
+    system = fresh_system(datum, range(datum.rank),
+                          range(datum.num_positive))
+    return tuple(sorted(closure(datum, datum.simple_reflections),
+                        key=system.sort_key))
+
+
+def closure_sorted_w_int(idat) -> tuple:
+    """W_int by closure, sorted by a fresh integral (length, word) key."""
+    system = fresh_system(idat.datum,
+                          (r.index for r in idat.integral_simples),
+                          (r.index for r in idat.integral_positive))
+    return tuple(sorted(closure(idat.datum, system.simple_reflections),
+                        key=system.sort_key))
+
+
+def walk_only_translation(datum, lam, mu, w) -> dict:
+    """translate_verma's terms, choosing each shift by walking it to the
+    dominant chamber and comparing with mu's dominant representative."""
+    shifted, den = _rho_shifted(lam)
+    start = list(mat_vec(w.weight_matrix, shifted))
+    diff = tuple(a - b for a, b in zip(mu, lam))
+    charset = irrep_weight_multiset(datum, linear_dominant_rep(datum, diff))
+    target, _ = _dominant_dot_key(datum, mu)
+    w_lam = fraction_dot_action(datum, w, lam)
+    out = {}
+    for nu, m in charset.items():
+        cand = [x + den * c.numerator for x, c in zip(start, nu)]
+        if tuple(_to_dominant(datum.cartan_matrix, cand)) == target:
+            out[tuple(a + b for a, b in zip(w_lam, nu))] = m
+    return out
 
 
 def bruhat_interval_by_subwords(datum, w) -> set:

@@ -19,7 +19,7 @@ from weylblocks import cat_o, cli
 from weylblocks.cat_o import linear_dominant_rep, linear_orbit
 from weylblocks.coxeter import dot_stabilizer
 from weylblocks.integral import _wsub, integral_datum
-from weylblocks.rootsys import _in_root_lattice, _numerators, \
+from weylblocks.rootsys import _in_root_lattice, _numerators, _reflect, \
     dominant_dot_weight, mat_vec
 
 from conftest import w
@@ -29,6 +29,7 @@ from oracles import (
     fraction_classify_weight,
     fraction_dot_action,
     fraction_linear_dominant_rep,
+    walk_only_translation,
 )
 
 
@@ -283,7 +284,32 @@ def test_translate_verma_does_not_enumerate_the_group():
     lam = w(0, 0, 0, 0, 0, 0)
     mu = w(-1, 0, 0, 0, 0, 0)
     assert translate_verma(datum, lam, mu, datum.identity).terms == {mu: 1}
-    assert "group" not in datum._memo
+    system = datum._memo.get("coxeter")
+    assert system is None or system._enumeration is None
+
+
+@pytest.mark.parametrize("label,lam,mu", _corpus_pairs(True) + UNNESTED_PAIRS)
+def test_norm_test_keeps_the_walk_only_selection(label, lam, mu):
+    # the invariant-norm rejection in front of the walk changes no term,
+    # nested stabilizers or not
+    datum = build_root_system(label)
+    for u in integral_datum(datum, lam).w_int.sorted_elements:
+        assert translate_verma(datum, lam, mu, u).terms == \
+            walk_only_translation(datum, lam, mu, u)
+
+
+@pytest.mark.parametrize("label", ["A1xA1", "A3", "B3", "C3", "G2", "F4"])
+def test_invariant_form_is_weyl_invariant(label):
+    datum = build_root_system(label)
+    form = cat_o._invariant_form(datum)
+    rng = random.Random(f"form:{label}")
+    for _ in range(20):
+        x = [rng.randint(-9, 9) for _ in range(datum.rank)]
+        norm = cat_o._quadratic(form, x)
+        assert norm > 0 or not any(x)
+        for i in range(datum.rank):
+            assert cat_o._quadratic(
+                form, _reflect(datum.cartan_matrix, x, i)) == norm
 
 
 @pytest.mark.parametrize("label", ["A1", "A1xA1", "A3", "B3", "C3", "G2",

@@ -15,22 +15,29 @@ from weylblocks import (
     subgroup,
 )
 from weylblocks.coxeter import (
+    CoxeterSystem,
+    closure,
+    coxeter_system,
     length,
+    parabolic_order,
     sort_key,
     trivial_subgroup,
 )
 from weylblocks.rootsys import WEYL_ORDER, GroupBoundExceeded
 
-from conftest import w
-from oracles import brute_force_dot_stabilizer, bruhat_interval_by_subwords
+from conftest import check_enumeration, w
+from oracles import (
+    brute_force_dot_stabilizer,
+    bruhat_interval_by_subwords,
+    closure_sorted_group,
+    fresh_system,
+)
 
 
 def test_group_bound(a3):
-    fresh = build_root_system("B3")
-    fresh._memo.pop("group", None)
+    fresh = build_root_system.__wrapped__("B3")
     with pytest.raises(GroupBoundExceeded):
         generate_group(fresh, bound=10)
-    fresh._memo.pop("group", None)
 
 
 def test_reduced_words_are_reduced_and_lex_minimal(b2):
@@ -156,3 +163,38 @@ def test_cold_enumeration_budget(label):
     group = generate_group(fresh)
     assert time.perf_counter() - started < 10.0
     assert len(group) == WEYL_ORDER[label[0]](int(label[1:]))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3",
+                                   "B4", "B5", "C2", "C3", "C4", "C5", "D3",
+                                   "D4", "D5", "G2", "F4", "A1xA1", "A2xB2"])
+def test_generate_group_matches_sorted_closure(label):
+    fresh = build_root_system.__wrapped__(label)
+    assert generate_group(fresh) == closure_sorted_group(fresh)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4", "A1xA1"])
+def test_enumeration_tables_match_fresh_system(label):
+    datum = build_root_system.__wrapped__(label)
+    args = (range(datum.rank), range(datum.num_positive))
+    check_enumeration(coxeter_system(datum), fresh_system(datum, *args))
+
+
+def test_enumeration_bound():
+    datum = build_root_system.__wrapped__("B3")
+    system = CoxeterSystem(datum, range(3), range(datum.num_positive))
+    with pytest.raises(GroupBoundExceeded):
+        system.elements(bound=47)
+    assert len(system.elements(bound=48)) == 48
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_parabolic_order_matches_closure(label):
+    datum = build_root_system(label)
+    rng = random.Random(label)
+    subsets = [(), tuple(range(datum.rank))] + [
+        tuple(rng.sample(range(datum.rank), rng.randint(1, datum.rank)))
+        for _ in range(4)]
+    for subset in subsets:
+        gens = [datum.simple_reflections[i] for i in subset]
+        assert parabolic_order(datum, subset) == len(closure(datum, gens))

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction as Q
 
@@ -26,11 +28,13 @@ from weylblocks.coxeter import (
     length,
     reduced_word,
 )
-from weylblocks.integral import _is_lattice, _wsub, lattice_movers
-from weylblocks.rootsys import torsion_group
+from weylblocks.cli import default_corpus_path, load_corpus
+from weylblocks.hecke import _tables
+from weylblocks.integral import _is_lattice, _validate, _wsub, lattice_movers
+from weylblocks.rootsys import GroupBoundExceeded, torsion_group
 
-from conftest import w
-from oracles import fraction_act
+from conftest import check_enumeration, w
+from oracles import closure_sorted_w_int, fraction_act, fresh_system
 
 
 def test_integral_datum_full_block(a2):
@@ -344,3 +348,67 @@ def test_tau_table_matches_fraction_oracle(label):
                 torsion.class_of(_wsub(fraction_act(u, lam), lam)), (lam, u)
             nonzero += not idat.tau_table[u].is_zero
     assert nonzero or torsion.order == 1
+
+
+# the seven nonintegral blocks of the `blocks` benchmark workload
+BLOCK_WEIGHTS = [("D4", "0,0,0,0"), ("D4", "1/2,0,0,0"),
+                 ("B4", "1/2,-1,0,0"), ("C4", "0,0,0,1/2"),
+                 ("A5", "1/3,0,0,0,0"), ("F4", "0,0,0,1/2"),
+                 ("D5", "1/2,0,0,0,0")]
+
+
+def _corpus_and_block_weights():
+    with open(default_corpus_path(), encoding="utf-8") as fh:
+        entries = load_corpus(json.load(fh))
+    out = [pytest.param(e.type_label, e.lam, id=f"{e.index}-{e.type_label}")
+           for e in entries]
+    out += [pytest.param(label, tuple(Q(x) for x in lam.split(",")),
+                         id=f"block-{label}-{lam}")
+            for label, lam in BLOCK_WEIGHTS]
+    return out
+
+
+@pytest.mark.parametrize("label, lam", _corpus_and_block_weights())
+def test_int_elements_match_sorted_closure(label, lam):
+    idat = integral_datum(build_root_system(label), lam)
+    assert idat.int_elements() == closure_sorted_w_int(idat)
+    assert idat.w_int.elements == frozenset(idat.int_elements())
+
+
+@pytest.mark.parametrize("label, lam", [
+    ("A3", (Q(0), Q(1, 2), Q(0))),
+    ("B3", (Q(1, 2), Q(0), Q(0))),
+    ("G2", (Q(0), Q(0))),
+    ("C4", (Q(0), Q(1, 2), Q(0), Q(0))),
+])
+def test_integral_enumeration_tables_match_fresh_system(label, lam):
+    idat = integral_datum(build_root_system(label), lam)
+    fresh = fresh_system(idat.datum, (r.index for r in idat.integral_simples),
+                         (r.index for r in idat.integral_positive))
+    check_enumeration(idat.system, fresh)
+    enum, t = idat.system.enumeration(), _tables(idat)
+    assert (t.elements, t.length, t.descent, t.left) == \
+        (enum.elements, enum.length, enum.descent, enum.left)
+
+
+def test_integral_datum_bound_applies_to_w_int():
+    # |W_int| = 4 for this A3 block, |W| = 24
+    fresh = build_root_system.__wrapped__("A3")
+    with pytest.raises(GroupBoundExceeded, match="enumeration exceeds"):
+        integral_datum(fresh, (Q(0), Q(1, 2), Q(0)), bound=3)
+    assert integral_datum(fresh, (Q(0), Q(1, 2), Q(0)), bound=24) \
+        .w_int.order == 4
+
+
+def test_validate_rejects_a_tampered_simple_system():
+    datum = build_root_system("B3")
+    idat = integral_datum(datum, w(0, 0, 0))
+    _validate(idat)
+    simples = idat.integral_simples
+    highest = idat.integral_positive[-1]
+    for tampered in [(highest,) + simples[1:],  # not simple: negative coords
+                     simples[:1] + simples[:1] + simples[2:],  # dependent
+                     simples[:2]]:  # too few: a root does not decompose
+        with pytest.raises(AssertionError, match="simples"):
+            _validate(dataclasses.replace(idat, integral_simples=tampered,
+                                          _memo={}))

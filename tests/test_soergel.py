@@ -22,7 +22,7 @@ from weylblocks import (
     rewrite_step,
     validate_singular_word,
 )
-from weylblocks.soergel import parabolic_order
+from weylblocks.coxeter import parabolic_order
 
 from conftest import w
 
@@ -184,7 +184,8 @@ def test_singular_rank(a3_block):
                       e, frozenset(), frozenset())
     assert validate_singular_word(sw)
     assert rank_left(sw) == 4
-    assert parabolic_order(idat, {1, 2}) == 4
+    assert parabolic_order(idat.datum, (r.index for r in
+                                        idat.integral_simples[:2])) == 4
 
 
 def test_p_object_unit(a1):
