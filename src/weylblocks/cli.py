@@ -355,12 +355,13 @@ def _check_xi_counts(datum, idat, entry, rng):
     if entry.mu is None:
         return "skip", "no mu in entry"
     lam_dom = dominant_dot_weight(datum, entry.lam)
-    w0 = next(lattice_movers(datum, entry.mu, lam_dom), None)
-    if w0 is None:
+    movers = lattice_movers(datum, entry.mu, lam_dom)
+    if not movers:
         return "skip", "orbits not compatible"
     pairs = enumerate_Xi(datum, entry.mu, entry.lam)
     idat_dom = integral_datum(datum, lam_dom)
-    _, mu_dom = dominant_dot_rep(idat_dom, dot_action(datum, w0, entry.mu))
+    _, mu_dom = dominant_dot_rep(idat_dom,
+                                 dot_action(datum, movers[0], entry.mu))
     dc = double_cosets(datum, frozenset(idat_dom.w_ext),
                        dot_stabilizer(datum, mu_dom),
                        dot_stabilizer(datum, lam_dom))
@@ -590,7 +591,8 @@ def _add_common(p, with_lambda=True):
         p.add_argument("--lambda", required=True,
                        help="comma-separated rational coordinates, e.g. 0,1/2,0")
     p.add_argument("--bound", type=int, default=DEFAULT_GROUP_BOUND,
-                   help="group enumeration bound")
+                   help="largest W_ext and W_int a block may enumerate, "
+                        "checked before enumerating; W is never listed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -653,7 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="include per-entry and per-check timings in the "
                         "JSON report")
-    p.add_argument("--bound", type=int, default=DEFAULT_GROUP_BOUND)
+    p.add_argument("--bound", type=int, default=DEFAULT_GROUP_BOUND,
+                   help="largest W_ext and W_int per entry; the "
+                        "integral-consistency check lists W under the "
+                        "default bound")
     p.set_defaults(fn=cmd_run)
     return parser
 

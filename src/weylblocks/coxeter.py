@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .rootsys import (
     CartanDatum,
@@ -66,21 +67,23 @@ def _layered_search(datum: CartanDatum, simple_indices, reflections,
     n, rank = datum.num_positive, datum.rank
     ident = datum.identity.root_perm
     k = len(simple_indices)
-    steps = [(j, s.root_perm, s.root_perm[:rank], i) for j, (s, i)
+    # u -> u s_j on an inverse permutation u, whole and on the key entries
+    steps = [(j, s.root_perm, itemgetter(*s.root_perm),
+              itemgetter(*s.root_perm[:rank]), i) for j, (s, i)
              in enumerate(zip(reflections, simple_indices))]
     inverses, perms = [ident], [ident]
     # an element is keyed by where its inverse sends the datum's simple
     # roots, a basis: the first rank entries of the inverse permutation
-    index = {ident[:rank]: 0}
+    index = {itemgetter(*range(rank))(ident): 0}
     descent, length, nbrs = [-1], [0], [[0] * k]
     layer = range(1)
     while layer:
         start = len(inverses)
-        for j, s, head, i in steps:
+        for j, s, times_s, head, i in steps:
             for x in layer:
                 u = inverses[x]
                 if u[i] < n:  # s_j x > x
-                    key = tuple(map(u.__getitem__, head))
+                    key = head(u)
                     y = index.get(key)
                     if y is None:
                         y = len(inverses)
@@ -88,8 +91,8 @@ def _layered_search(datum: CartanDatum, simple_indices, reflections,
                             raise GroupBoundExceeded(
                                 f"group enumeration exceeds bound {bound}")
                         index[key] = y
-                        inverses.append(tuple(map(u.__getitem__, s)))
-                        perms.append(tuple(map(s.__getitem__, perms[x])))
+                        inverses.append(times_s(u))
+                        perms.append(itemgetter(*perms[x])(s))
                         descent.append(j)
                         nbrs.append([0] * k)
                     nbrs[x][j] = y
@@ -190,8 +193,7 @@ class CoxeterSystem:
             if j is None:
                 raise ValueError("element is not in this Coxeter system")
             path.append((perm, j))
-            perm = tuple(map(self.simple_reflections[j - 1].root_perm
-                             .__getitem__, perm))
+            perm = itemgetter(*perm)(self.simple_reflections[j - 1].root_perm)
         word = words[perm]
         for perm, j in reversed(path):
             word = (j,) + word
@@ -394,39 +396,40 @@ def double_cosets(datum: CartanDatum, ambient, h: SubgroupHandle,
 
     Representatives are length-minimal, ties broken by the lexicographic
     reduced word; the cosets are sorted by their representative's key.
+    The ambient set is sorted once and numbered, and cosets are grown from
+    its lowest unassigned element, which is then their representative.
     Raises ValueError when H or K does not act within ambient.
     """
     amb = frozenset(ambient)
     for grp, side in ((h, "left"), (k, "right")):
         if not grp.elements <= amb:
             raise ValueError(f"{side} subgroup is not contained in ambient")
-    unassigned = {w.root_perm: w for w in amb}
+    order = sorted(amb, key=coxeter_system(datum).sort_key)
+    position = {w.root_perm: x for x, w in enumerate(order)}
+    lefts = [g.root_perm for g in h.generators]
+    rights = [itemgetter(*g.root_perm) for g in k.generators]
+    assigned = [False] * len(order)
     blocks = []
-    for w in sorted(amb, key=lambda u: sort_key(datum, u)):
-        if w.root_perm not in unassigned:
+    for x, w in enumerate(order):
+        if assigned[x]:
             continue
-        orbit = {w.root_perm: w}
-        frontier = [w]
+        assigned[x] = True
+        orbit = [x]
+        frontier = [w.root_perm]
         while frontier:
             nxt = []
             for g in frontier:
-                for hg in h.generators:
-                    u = hg * g
-                    if u.root_perm not in orbit:
-                        orbit[u.root_perm] = u
-                        nxt.append(u)
-                for kg in k.generators:
-                    u = g * kg
-                    if u.root_perm not in orbit:
-                        orbit[u.root_perm] = u
+                g_of = itemgetter(*g)
+                for u in [g_of(hg) for hg in lefts] + \
+                        [kg(g) for kg in rights]:
+                    y = position.get(u)
+                    if y is None:
+                        raise ValueError(
+                            "ambient set is not closed under H g K")
+                    if not assigned[y]:
+                        assigned[y] = True
+                        orbit.append(y)
                         nxt.append(u)
             frontier = nxt
-        members = frozenset(orbit.values())
-        if not members <= amb:
-            raise ValueError("ambient set is not closed under H g K")
-        rep = min(members, key=lambda u: sort_key(datum, u))
-        blocks.append((rep, members))
-        for u in members:
-            del unassigned[u.root_perm]
-    blocks.sort(key=lambda b: sort_key(datum, b[0]))
+        blocks.append((w, frozenset(order[y] for y in orbit)))
     return DoubleCosetDecomposition(h, k, amb, tuple(blocks))

@@ -7,6 +7,16 @@ through the homomorphism ``tau(w) = w(lam) - lam  mod  root lattice``, and is
 realized inside W_ext by the abelian chamber subgroup C of elements that
 permute the positive integral roots, giving W_ext = C x| W_int.
 
+W itself is never enumerated.  W_ext is the stabilizer of lam's class
+modulo the weight lattice, so a breadth-first search over the orbit of that
+class gives |W_ext| = |W| / |orbit| before any group is built, and the
+bound is enforced there.  C is closed from the Schreier generators of that
+stabilizer, each reduced into C (Schreier's lemma; Seress, *Permutation
+Group Algorithms*, 2003, 4.1), and W_ext = C W_int is sorted by the full
+(length, reduced word) key.  The same orbit search, stopped at a target
+class, finds one element moving mu into lam + (weight lattice); all of them
+are W_ext(lam) times it.
+
 This module also hosts the constructive certificates around that picture:
 regular dominant and subgeneric weights in lam + (weight lattice), the
 canonical weight supported on the integral span, compatibility of dot orbits,
@@ -22,23 +32,28 @@ from .coxeter import (
     DEFAULT_GROUP_BOUND,
     CoxeterSystem,
     SubgroupHandle,
+    closure,
+    coxeter_system,
     dot_stabilizer,
-    generate_group,
-    sort_key,
 )
 from .rootsys import (
     CartanDatum,
     FiniteAbelianElement,
+    GroupBoundExceeded,
     Root,
     Weight,
     WeylElement,
     _mat_nums,
     _numerators,
+    _reflect,
+    _rho_shifted,
+    _weight,
     classify_weight,
     dominant_dot_weight,
     dot_action,
     smith_normal_form,
     torsion_group,
+    weyl_order,
 )
 
 _SCAN_CAP = 10000  # safety cap for the certificate scans; never hit in practice
@@ -122,36 +137,144 @@ class IntegralDatum:
         return table[img_index]
 
 
-def lattice_movers(datum: CartanDatum, mu: Weight, lam: Weight,
-                   bound: int = DEFAULT_GROUP_BOUND):
-    """The w in W with w(mu) - lam a lattice weight, in generate_group order.
+def _class_orbit(datum: CartanDatum, nums, den: int, bound: int,
+                 stop=None) -> dict:
+    """The orbit of the weight nums / den modulo the weight lattice under W.
 
-    These are also the w with w.mu - lam a lattice weight, since
-    w.mu - w(mu) = w(rho) - rho is one.  Coordinate i of w(mu) is
-    <mu, (w^{-1} alpha_i)^vee> and w^{-1} alpha_i is root perm.index(i), so
-    mu's coroot pairings mod 1, taken once on numerators over the common
-    denominator of mu and lam, decide every element without arithmetic per
-    element.
+    A class is the tuple of numerators mod den; W acts on classes, and the
+    orbit is searched breadth first over the simple reflections.  Returns
+    {class: i} in search order, where s_i is the reflection that first
+    reached the class (-1 for the weight's own), so each class's parent is
+    s_i of it.  Stops early once ``stop`` is reached; raises
+    GroupBoundExceeded when more than ``bound`` classes would be stored.
     """
+    cartan = datum.cartan_matrix
+    start = tuple(x % den for x in nums)
+    orbit = {start: -1}
+    frontier = [start]
+    while frontier and stop not in orbit:
+        nxt = []
+        for x in frontier:
+            for i in range(datum.rank):
+                y = tuple(v % den for v in _reflect(cartan, x, i))
+                if y not in orbit:
+                    if len(orbit) >= bound:
+                        raise GroupBoundExceeded(
+                            f"orbit enumeration exceeds bound {bound}")
+                    orbit[y] = i
+                    nxt.append(y)
+        frontier = nxt
+    return orbit
+
+
+def _transversal(datum: CartanDatum, orbit: dict, den: int):
+    """t(x): an element of W moving the orbit's weight into class x, read
+    off the search tree as t(x) = s_i t(parent), memoized."""
+    cartan, simples = datum.cartan_matrix, datum.simple_reflections
+    memo = {next(iter(orbit)): datum.identity}  # the weight's own class
+
+    def t(x):
+        hit = memo.get(x)
+        if hit is None:
+            i = orbit[x]
+            parent = tuple(v % den for v in _reflect(cartan, x, i))
+            hit = memo[x] = simples[i] * t(parent)
+        return hit
+
+    return t
+
+
+def _mover(datum: CartanDatum, mu: Weight, lam: Weight,
+           bound: int) -> WeylElement | None:
+    """Some t in W with t(mu) - lam a lattice weight, by walking mu's class
+    orbit to lam's class; the identity when mu - lam is already one."""
     if len(mu) != datum.rank or len(lam) != datum.rank:
         raise ValueError(f"weights need {datum.rank} coordinates")
     nums, den = _numerators([Q(x) for x in (*mu, *lam)])
-    residues = [sum(map(int.__mul__, row, nums)) % den
-                for row in datum.coroot_rows]
-    target = [x % den for x in nums[datum.rank:]]
-    for w in generate_group(datum, bound):
-        perm = w.root_perm
-        if all(residues[perm.index(i)] == t for i, t in enumerate(target)):
-            yield w
+    target = tuple(x % den for x in nums[datum.rank:])
+    orbit = _class_orbit(datum, nums[:datum.rank], den, bound, target)
+    return _transversal(datum, orbit, den)(target) if target in orbit \
+        else None
+
+
+def lattice_movers(datum: CartanDatum, mu: Weight, lam: Weight,
+                   bound: int = DEFAULT_GROUP_BOUND
+                   ) -> tuple[WeylElement, ...]:
+    """The w in W with w(mu) - lam a lattice weight, sorted by (length,
+    reduced word); empty when there is none.
+
+    These are also the w with w.mu - lam a lattice weight, since
+    w.mu - w(mu) = w(rho) - rho is one.  For one such t they are exactly
+    W_ext(lam) t, and t comes from a walk over mu's classes modulo the
+    weight lattice, so no group is enumerated beyond W_ext(lam).  When
+    mu - lam is a lattice weight they are W_ext(lam), identity first.
+    """
+    t = _mover(datum, mu, lam, bound)
+    if t is None:
+        return ()
+    w_ext = integral_datum(datum, lam, bound).w_ext
+    if t.is_identity:
+        return w_ext
+    return tuple(sorted((w * t for w in w_ext),
+                        key=coxeter_system(datum).sort_key))
+
+
+def _into_chamber(g: WeylElement, simples) -> WeylElement:
+    """The chamber part c of g = c u, u in W_int, for g in W_ext: right
+    multiply by integral simple reflections while g sends one of their
+    roots negative, which shortens g in the integral system each time."""
+    n = g.datum.num_positive
+    while True:
+        s = next((s for i, s in simples if g.root_perm[i] >= n), None)
+        if s is None:
+            return g
+        g = g * s
+
+
+def _chamber_group(datum: CartanDatum, orbit: dict, den: int, system,
+                   order: int, bound: int) -> frozenset[WeylElement]:
+    """The chamber subgroup C, closed from the chamber parts of the Schreier
+    generators t(y)^{-1} s_i t(x), y = s_i x, of the stabilizer W_ext of the
+    weight's class (Schreier's lemma); they are taken in search order until
+    C reaches order |W_ext| / |W_int|, the orbit-stabilizer count."""
+    cartan, t = datum.cartan_matrix, _transversal(datum, orbit, den)
+    simples = list(zip(system.simple_indices, system.simple_reflections))
+    target = order // len(system.elements())
+    chamber = frozenset({datum.identity})
+    for x in orbit:
+        for i, s in enumerate(datum.simple_reflections):
+            if len(chamber) >= target:
+                return chamber
+            st = s * t(x)
+            ty = t(tuple(v % den for v in _reflect(cartan, x, i)))
+            if st != ty:  # not an edge of the search tree
+                c = _into_chamber(ty.inverse() * st, simples)
+                if c not in chamber:
+                    chamber = closure(datum, chamber | {c}, bound)
+    return chamber
 
 
 def integral_datum(datum: CartanDatum, lam: Weight,
                    bound: int = DEFAULT_GROUP_BOUND) -> IntegralDatum:
-    """Build (and cache) the integral package of a rational weight."""
+    """Build (and cache) the integral package of a rational weight.
+
+    W_ext is the stabilizer of lam's class modulo the weight lattice, so
+    |W_ext| = |W| / |orbit of the class|; GroupBoundExceeded is raised from
+    that count, before any group is enumerated, when |W_ext| (or the
+    orbit) exceeds ``bound``.  W_ext is then C W_int, with C from Schreier
+    generators; W itself is never enumerated.
+    """
     lam = tuple(Q(x) for x in lam)
     key = ("integral", lam)
     if key in datum._memo:
         return datum._memo[key]
+
+    nums, den = _numerators(lam)
+    orbit = _class_orbit(datum, nums, den, bound)
+    order = weyl_order(datum) // len(orbit)
+    if order > bound:
+        raise GroupBoundExceeded(
+            f"W_ext enumeration exceeds bound {bound}: |W_ext| = {order}")
 
     n = datum.num_positive
     int_pos = tuple(r for r in datum.positive_roots
@@ -165,25 +288,29 @@ def integral_datum(datum: CartanDatum, lam: Weight,
                    for b in int_pos if b.height < r.height))
     system = CoxeterSystem(datum, (r.index for r in simples),
                            (r.index for r in int_pos))
+    key_of = coxeter_system(datum).sort_key
 
     w_int = SubgroupHandle(
-        datum, tuple(sorted(system.simple_reflections,
-                            key=lambda w: sort_key(datum, w))),
+        datum, tuple(sorted(system.simple_reflections, key=key_of)),
         frozenset(system.elements(bound)), "reflection")
-    w_ext = tuple(lattice_movers(datum, lam, lam, bound))
-    chamber_els = frozenset(
-        w for w in w_ext
-        if all(w.root_perm[r.index] < n for r in int_pos))
+    chamber_els = _chamber_group(datum, orbit, den, system, order, bound)
     chamber = SubgroupHandle(datum, tuple(
-        sorted(chamber_els - {datum.identity},
-               key=lambda w: sort_key(datum, w))), chamber_els, "chamber")
+        sorted(chamber_els - {datum.identity}, key=key_of)),
+        chamber_els, "chamber")
+    w_ext = tuple(sorted({c * u for c in chamber_els for u in w_int.elements},
+                         key=key_of))
+    if len(w_ext) * len(orbit) != weyl_order(datum):
+        raise AssertionError("|W_ext| * |orbit of lam mod the weight "
+                             "lattice| != |W|")
 
-    # tau(w) from w(lam) - lam, on numerators over lam's denominator
+    # tau(w) from w(lam) - lam, on numerators over lam's denominator:
+    # coordinate i of w(lam) is lam's pairing with root perm.index(i)
     torsion = torsion_group(datum)
-    nums, den = _numerators(lam)
+    pairings = [sum(map(int.__mul__, row, nums)) for row in datum.coroot_rows]
     tau_table = {}
     for w in w_ext:
-        moved = [a - b for a, b in zip(_mat_nums(w.weight_matrix, nums), nums)]
+        perm = w.root_perm
+        moved = [pairings[perm.index(i)] - x for i, x in enumerate(nums)]
         if any(x % den for x in moved):
             raise AssertionError("w(lam) - lam is not a lattice weight")
         tau_table[w] = torsion.class_of([x // den for x in moved])
@@ -419,8 +546,9 @@ def find_subgeneric(idat: IntegralDatum, i: int) -> Weight:
 def are_compatible(datum: CartanDatum, lam: Weight, lam2: Weight,
                    bound: int = DEFAULT_GROUP_BOUND) -> bool:
     """True iff some dot translate of lam differs from lam2 by a lattice
-    weight, i.e. the two dot orbits carry compatible central data."""
-    return next(lattice_movers(datum, lam, lam2, bound), None) is not None
+    weight, i.e. the two dot orbits carry compatible central data.  Decided
+    by the walk over lam's classes modulo the weight lattice alone."""
+    return _mover(datum, lam, lam2, bound) is not None
 
 
 @dataclass(frozen=True)
@@ -432,11 +560,6 @@ class ProperPair:
     lam: Weight
 
 
-def _orbit_rep_key(datum: CartanDatum, x: Weight):
-    cls = classify_weight(datum, x)
-    return (0 if cls.antidominant else 1, x)
-
-
 def enumerate_Xi(datum: CartanDatum, mu: Weight, lam: Weight,
                  bound: int = DEFAULT_GROUP_BOUND) -> tuple[ProperPair, ...]:
     """Proper pairs indexing the orbit intersection attached to (mu, lam).
@@ -445,35 +568,49 @@ def enumerate_Xi(datum: CartanDatum, mu: Weight, lam: Weight,
     of mu with lam_dom + (weight lattice); empty when the orbits are not
     compatible.  The cardinality equals the double coset count
     W_mu \\ W_ext / W_lam (checked in the test suite).
+
+    That intersection is the W_ext-dot orbit of mu0 = t.mu for any mover t.
+    It is walked as the integer numerators of its points + rho over mu0's
+    denominator; each stabilizer orbit is represented by its first
+    antidominant point in lexicographic order, else its first point, and
+    Fractions are built only for the returned pairs.
     """
     mu = tuple(Q(x) for x in mu)
     lam = tuple(Q(x) for x in lam)
     lam_dom = dominant_dot_weight(datum, lam)
-    w0 = next(lattice_movers(datum, mu, lam_dom, bound), None)
-    if w0 is None:
+    t = _mover(datum, mu, lam_dom, bound)
+    if t is None:
         return ()
-    mu0 = dot_action(datum, w0, mu)
     idat = integral_datum(datum, lam_dom, bound)
-    orbit = {dot_action(datum, w, mu0) for w in idat.w_ext}
-    stab = dot_stabilizer(datum, lam_dom)
-    pairs = []
+    start, den = _rho_shifted(dot_action(datum, t, mu))
+    # coordinate i of w(x) is x's pairing with root perm.index(i)
+    pairings = [sum(map(int.__mul__, row, start)) for row in datum.coroot_rows]
+    orbit = {tuple(pairings[w.root_perm.index(i)] for i in range(datum.rank))
+             for w in idat.w_ext}
+    matrices = [g.weight_matrix
+                for g in dot_stabilizer(datum, lam_dom).generators]
+    positive_rows = datum.coroot_rows[:datum.num_positive]
+
+    def antidominant(y) -> bool:  # as classify_weight decides it
+        return not any(v > 0 and v % den == 0 for v in (
+            sum(map(int.__mul__, row, y)) for row in positive_rows))
+
+    reps = []
     remaining = set(orbit)
-    for x in sorted(orbit):
-        if x not in remaining:
-            continue
-        block = {x}
-        frontier = [x]
+    while remaining:
+        block = {remaining.pop()}
+        frontier = list(block)
         while frontier:
             nxt = []
             for y in frontier:
-                for g in stab.generators:
-                    z = dot_action(datum, g, y)
+                for m in matrices:
+                    z = tuple(_mat_nums(m, y))
                     if z not in block:
                         block.add(z)
                         nxt.append(z)
             frontier = nxt
         remaining -= block
-        rep = min(block, key=lambda y: _orbit_rep_key(datum, y))
-        pairs.append(ProperPair(rep, lam_dom))
-    pairs.sort(key=lambda p: p.mu)
-    return tuple(pairs)
+        members = sorted(block)
+        reps.append(next((y for y in members if antidominant(y)), members[0]))
+    return tuple(ProperPair(_weight([v - den for v in y], den), lam_dom)
+                 for y in sorted(reps))

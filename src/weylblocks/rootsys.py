@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import itemgetter
 
 Weight = tuple[Q, ...]
 Matrix = tuple[tuple[Q, ...], ...]
@@ -294,6 +295,8 @@ class FiniteAbelianGroup:
 
     moduli: tuple[int, ...]
     projector: tuple[tuple[int, ...], ...]  # unimodular P with P*M*Q diagonal
+    # one element per class met, keyed by residues: at most order entries
+    _elements: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def cokernel(cls, m) -> "FiniteAbelianGroup":
@@ -316,15 +319,19 @@ class FiniteAbelianGroup:
         return FiniteAbelianElement((0,) * len(self.moduli), self.moduli)
 
     def class_of(self, vector) -> FiniteAbelianElement:
-        """Class of an integer vector modulo the column lattice."""
-        ints = []
-        for x in vector:
-            if x != int(x):
+        """Class of an integral vector modulo the column lattice.  A vector
+        of ints is used as it is; other entries must be integral numbers."""
+        ints = list(vector)
+        if not all(type(x) is int for x in ints):
+            if any(x != int(x) for x in ints):
                 raise ValueError(f"vector {vector} is not integral")
-            ints.append(int(x))
-        res = tuple(sum(row[j] * ints[j] for j in range(len(ints)))
-                    for row in self.projector)
-        return FiniteAbelianElement(res, self.moduli)
+            ints = [int(x) for x in ints]
+        res = tuple(sum(map(int.__mul__, row, ints)) % m
+                    for row, m in zip(self.projector, self.moduli))
+        hit = self._elements.get(res)
+        if hit is None:
+            hit = self._elements[res] = FiniteAbelianElement(res, self.moduli)
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +376,8 @@ class WeylElement:
     datum: CartanDatum = field(compare=False, repr=False)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(tuple(map(self.root_perm.__getitem__,
-                                     other.root_perm)), self.datum)
+        return WeylElement(itemgetter(*other.root_perm)(self.root_perm),
+                           self.datum)
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.root_perm)
@@ -394,18 +401,6 @@ class WeylElement:
         return self.root_perm == self.datum.identity.root_perm
 
 
-def _as_int_matrix(m) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for row in m:
-        ints = []
-        for x in row:
-            if x != int(x):
-                raise AssertionError("matrix is not integral on the lattice")
-            ints.append(int(x))
-        out.append(tuple(ints))
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class CartanDatum:
     """A semisimple root datum over exact rationals.
@@ -424,7 +419,6 @@ class CartanDatum:
     roots: tuple[Root, ...]
     coroot_rows: tuple[tuple[int, ...], ...] = field(repr=False)
     rho: Weight
-    inverse_cartan: Matrix
     simple_reflections: tuple[WeylElement, ...]
     identity: WeylElement
     _root_index: dict = field(repr=False)
@@ -456,6 +450,16 @@ class CartanDatum:
             raise ValueError(f"expected {self.rank} coordinates")
         return tuple(Q(c) for c in coords)
 
+    @cached_property
+    def inverse_cartan(self) -> Matrix:
+        """The inverse Cartan matrix, built on first use; column j solves
+        cartan x = e_j."""
+        cartan = tuple(tuple(Q(x) for x in row) for row in self.cartan_matrix)
+        return tuple(zip(*(
+            solve_rational(cartan, tuple(Q(int(i == j))
+                                         for i in range(self.rank)))
+            for j in range(self.rank))))
+
     def root_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight in the simple-root basis."""
         return mat_vec(self.inverse_cartan, weight)
@@ -475,17 +479,19 @@ def _reflection_element(datum: CartanDatum, root: Root) -> WeylElement:
     # s(x) = x - <x, alpha^vee> alpha, on fundamental-weight coordinates
     matrix = tuple(tuple(int(i == j) - alpha[i] * row[j] for j in range(n))
                    for i in range(n))
-    # <alpha_k, alpha^vee> per simple root; a root pairs by its simple coords
+    # <alpha_k, alpha^vee> per simple root; a root pairs by its simple
+    # coords, and s(beta) = beta - k alpha is found by its simple coords
     on_simples = [sum(row[j] * cartan[j][k] for j in range(n))
                   for k in range(n)]
+    by_coords, coords = datum._memo["root_by_coords"], root.simple_coords
     perm = []
     for beta in datum.roots:
         k = sum(map(int.__mul__, on_simples, beta.simple_coords))
         if k == 0:
             perm.append(beta.index)
             continue
-        img = tuple(b - k * a for b, a in zip(beta.as_weight, alpha))
-        perm.append(datum._root_index[img])
+        perm.append(by_coords[tuple(
+            b - k * a for b, a in zip(beta.simple_coords, coords))])
     out = WeylElement(tuple(perm), datum)
     if out.weight_matrix != matrix:
         raise AssertionError(f"reflection in {root} disagrees with the "
@@ -628,42 +634,44 @@ def build_root_system(type_label: str) -> CartanDatum:
             f"root closure produced {len(positives)} positive roots, "
             f"expected {expected} for {type_label}")
 
-    cartan_t = tuple(tuple(row) for row in cartan)
-    cartan_q = tuple(tuple(Q(x) for x in row) for row in cartan)
-    # column j of the inverse solves cartan x = e_j
-    inverse_cartan = tuple(zip(*(
-        solve_rational(cartan_q, tuple(Q(int(i == j)) for i in range(rank)))
-        for j in range(rank))))
+    # the symmetrizer scaled to integers; scaling cancels in the coroots
+    scale = lcm(*(x.denominator for x in d))
+    d_int = [int(x * scale) for x in d]
 
-    def coroot_row(coords, weight) -> tuple[Q, ...]:
+    def coroot_row(coords, weight) -> tuple[int, ...]:
         # <omega_j, alpha^vee> = 2 (omega_j, alpha) / (alpha, alpha), where
         # (alpha, alpha) = sum_i c_i d_i <alpha, alpha_i^vee>
-        norm = sum(d[i] * coords[i] * weight[i] for i in range(rank))
-        return tuple(2 * d[j] * coords[j] / norm for j in range(rank))
+        norm = sum(d_int[i] * coords[i] * weight[i] for i in range(rank))
+        row = [2 * d_int[j] * coords[j] for j in range(rank)]
+        if any(x % norm for x in row):
+            raise AssertionError("coroot is not integral on the lattice")
+        return tuple(x // norm for x in row)
 
     roots: list[Root] = []
+    rows: list[tuple[int, ...]] = []
     index_of: dict[Weight, int] = {}
     ordered = positives + [tuple(-c for c in p) for p in positives]
     for idx, coords in enumerate(ordered):
         ints = [pair_with_simple(coords, i) for i in range(rank)]
         w = tuple(Q(x) for x in ints)
-        roots.append(Root(idx, tuple(coords), w, coroot_row(coords, ints)))
+        rows.append(coroot_row(coords, ints))
+        roots.append(Root(idx, coords, w, tuple(Q(x) for x in rows[-1])))
         index_of[w] = idx
 
     rho = tuple(Q(1) for _ in range(rank))
     datum = CartanDatum(
         type_label="x".join(f"{l}{n}" for l, n in factors),
         rank=rank,
-        cartan_matrix=cartan_t,
+        cartan_matrix=tuple(tuple(row) for row in cartan),
         symmetrizer=tuple(d),
         roots=tuple(roots),
-        coroot_rows=_as_int_matrix(r.coroot_row for r in roots),
+        coroot_rows=tuple(rows),
         rho=rho,
-        inverse_cartan=inverse_cartan,
         simple_reflections=(),  # filled below
         identity=None,  # filled below
         _root_index=index_of,
     )
+    datum._memo["root_by_coords"] = {c: i for i, c in enumerate(ordered)}
     object.__setattr__(datum, "identity",
                        WeylElement(tuple(range(len(roots))), datum))
     simples = tuple(_reflection_element(datum, datum.simple_root(i + 1))

@@ -325,10 +325,10 @@ def indecomposable_index(datum: CartanDatum, mu: Weight, lam: Weight,
             raise ValueError(f"{name} = {x} is not dominant")
     idat = integral_datum(datum, lam, bound)
     # the identity comes first, so a dominant mu in lam + P stays put
-    w0 = next(lattice_movers(datum, mu, lam, bound), None)
-    if w0 is None:
+    movers = lattice_movers(datum, mu, lam, bound)
+    if not movers:
         raise ValueError("mu and lam are not compatible")
-    _, mu_d = dominant_dot_rep(idat, dot_action(datum, w0, mu))
+    _, mu_d = dominant_dot_rep(idat, dot_action(datum, movers[0], mu))
 
     stab_lam = dot_stabilizer(datum, lam)
     labels = []

@@ -5,6 +5,10 @@
   classification and the walks to the dominant chamber; dot orbits by
   applying every element of the Weyl group.
 * Dot stabilizers by scanning the whole Weyl group.
+* The movers of mu into lam + (weight lattice), hence W_ext, by scanning
+  the whole Weyl group in generate_group order; the proper pairs of an
+  orbit intersection from that scan in Fraction arithmetic; double cosets
+  by a (length, word) key on every element.
 * Group enumeration by closure under products, sorted afterwards by
   (length, reduced word) through a fresh Coxeter system that computes each
   length as an inversion count and each word by greedy descents.
@@ -28,7 +32,7 @@ from weylblocks.coxeter import CoxeterSystem, closure, generate_group, \
     reduced_word
 from weylblocks.hecke import ONE, V, V_INV, ZERO, LaurentPoly
 from weylblocks.rootsys import WeightClass, _dominant_dot_key, \
-    _rho_shifted, _to_dominant, dot_action, mat_vec
+    _numerators, _rho_shifted, _to_dominant, dot_action, mat_vec
 from weylblocks.soergel import BsLetter
 
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})
@@ -93,6 +97,64 @@ def brute_force_dot_stabilizer(datum, lam) -> frozenset:
     """{w : w . lam = lam} by an O(|W|) scan of the whole group."""
     return frozenset(w for w in generate_group(datum)
                      if dot_action(datum, w, lam) == lam)
+
+
+def scan_lattice_movers(datum, mu, lam) -> tuple:
+    """The w in W with w(mu) - lam a lattice weight, in generate_group
+    order, by comparing mu's coroot pairings mod 1 on every element."""
+    nums, den = _numerators([Q(x) for x in (*mu, *lam)])
+    residues = [sum(map(int.__mul__, row, nums)) % den
+                for row in datum.coroot_rows]
+    target = [x % den for x in nums[datum.rank:]]
+    return tuple(w for w in generate_group(datum)
+                 if all(residues[w.root_perm.index(i)] == t
+                        for i, t in enumerate(target)))
+
+
+def scan_chamber(datum, w_ext, integral_positive) -> tuple:
+    """The elements of W_ext sending every positive integral root to a
+    positive root, in W_ext's order."""
+    n = datum.num_positive
+    return tuple(w for w in w_ext
+                 if all(w.root_perm[r.index] < n for r in integral_positive))
+
+
+def fraction_enumerate_Xi(datum, mu, lam) -> tuple:
+    """(mu', lam_dom) pairs of enumerate_Xi: the dot orbit of mu0 under the
+    scanned W_ext in Fractions, cut into orbits of the brute-force dot
+    stabilizer of lam_dom, each represented by its least (antidominant
+    first, then lexicographic) point; sorted by that point."""
+    lam_dom = fraction_to_dominant_dot(datum, lam)[1]
+    movers = scan_lattice_movers(datum, mu, lam_dom)
+    if not movers:
+        return ()
+    mu0 = fraction_dot_action(datum, movers[0], mu)
+    orbit = {fraction_dot_action(datum, w, mu0)
+             for w in scan_lattice_movers(datum, lam_dom, lam_dom)}
+    stab = brute_force_dot_stabilizer(datum, lam_dom)
+    reps = set()
+    for x in orbit:
+        block = {fraction_dot_action(datum, g, x) for g in stab}
+        reps.add(min(block, key=lambda y: (
+            not fraction_classify_weight(datum, y).antidominant, y)))
+    return tuple((rep, lam_dom) for rep in sorted(reps))
+
+
+def sorted_double_cosets(datum, ambient, h, k) -> tuple:
+    """(rep, members) per H g K orbit in ambient: the members as products
+    of every h in H and k in K, the representative the least member by a
+    fresh (length, word) key, the cosets sorted by it."""
+    key = fresh_system(datum, range(datum.rank),
+                       range(datum.num_positive)).sort_key
+    left = set()
+    out = []
+    for g in sorted(ambient, key=key):
+        if g in left:
+            continue
+        members = frozenset(a * g * b for a in h.elements for b in k.elements)
+        left |= members
+        out.append((min(members, key=key), members))
+    return tuple(sorted(out, key=lambda c: key(c[0])))
 
 
 def fresh_system(datum, simple_root_indices, positive_root_indices):

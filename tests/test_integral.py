@@ -28,13 +28,19 @@ from weylblocks.coxeter import (
     length,
     reduced_word,
 )
+import weylblocks
+from weylblocks import cli, coxeter, hecke, integral, soergel
 from weylblocks.cli import default_corpus_path, load_corpus
+from weylblocks.coxeter import CoxeterSystem
 from weylblocks.hecke import _tables
 from weylblocks.integral import _is_lattice, _validate, _wsub, lattice_movers
-from weylblocks.rootsys import GroupBoundExceeded, torsion_group
+from weylblocks.rootsys import GroupBoundExceeded, dominant_dot_weight, \
+    torsion_group, weyl_order
 
 from conftest import check_enumeration, w
-from oracles import closure_sorted_w_int, fraction_act, fresh_system
+from oracles import closure_sorted_w_int, fraction_act, \
+    fraction_enumerate_Xi, fresh_system, scan_chamber, scan_lattice_movers, \
+    sorted_double_cosets
 
 
 def test_integral_datum_full_block(a2):
@@ -350,29 +356,96 @@ def test_tau_table_matches_fraction_oracle(label):
     assert nonzero or torsion.order == 1
 
 
-# the seven nonintegral blocks of the `blocks` benchmark workload
-BLOCK_WEIGHTS = [("D4", "0,0,0,0"), ("D4", "1/2,0,0,0"),
-                 ("B4", "1/2,-1,0,0"), ("C4", "0,0,0,1/2"),
-                 ("A5", "1/3,0,0,0,0"), ("F4", "0,0,0,1/2"),
-                 ("D5", "1/2,0,0,0,0")]
+# the seven nonintegral blocks of the `blocks` benchmark workload, as
+# (type, lambda, mu), then B5
+BLOCK_WEIGHTS = [("D4", "0,0,0,0", "0,-1,0,0"),
+                 ("D4", "1/2,0,0,0", "1/2,0,-1,0"),
+                 ("B4", "1/2,-1,0,0", "1/2,0,0,-1"),
+                 ("C4", "0,0,0,1/2", "0,-1,0,1/2"),
+                 ("A5", "1/3,0,0,0,0", "1/3,0,-1,0,0"),
+                 ("F4", "0,0,0,1/2", "0,-1,0,1/2"),
+                 ("D5", "1/2,0,0,0,0", "1/2,-1,0,0,0")]
+B5_BLOCK = ("B5", "1/2,0,0,0,0", "1/2,-1,0,0,0")
+
+
+def _weight(text):
+    return tuple(Q(x) for x in text.split(","))
 
 
 def _corpus_and_block_weights():
     with open(default_corpus_path(), encoding="utf-8") as fh:
         entries = load_corpus(json.load(fh))
-    out = [pytest.param(e.type_label, e.lam, id=f"{e.index}-{e.type_label}")
-           for e in entries]
-    out += [pytest.param(label, tuple(Q(x) for x in lam.split(",")),
+    out = [pytest.param(e.type_label, e.lam, e.mu,
+                        id=f"{e.index}-{e.type_label}") for e in entries]
+    out += [pytest.param(label, _weight(lam), _weight(mu),
                          id=f"block-{label}-{lam}")
-            for label, lam in BLOCK_WEIGHTS]
+            for label, lam, mu in BLOCK_WEIGHTS + [B5_BLOCK]]
     return out
 
 
-@pytest.mark.parametrize("label, lam", _corpus_and_block_weights())
-def test_int_elements_match_sorted_closure(label, lam):
+@pytest.mark.parametrize("label, lam, mu", _corpus_and_block_weights())
+def test_int_elements_match_sorted_closure(label, lam, mu):
     idat = integral_datum(build_root_system(label), lam)
     assert idat.int_elements() == closure_sorted_w_int(idat)
     assert idat.w_int.elements == frozenset(idat.int_elements())
+
+
+@pytest.mark.parametrize("label, lam, mu", _corpus_and_block_weights())
+def test_blocks_match_whole_group_scans(label, lam, mu):
+    """W_ext, C, tau, the movers, Xi and the double cosets against scans
+    of the whole Weyl group in Fraction arithmetic."""
+    datum = build_root_system(label)
+    idat = integral_datum(datum, lam)
+    assert idat.w_ext == scan_lattice_movers(datum, lam, lam)
+    assert idat.chamber.sorted_elements == \
+        scan_chamber(datum, idat.w_ext, idat.integral_positive)
+    torsion = torsion_group(datum)
+    assert list(idat.tau_table) == list(idat.w_ext)
+    for u in idat.w_ext:
+        assert idat.tau_table[u] == \
+            torsion.class_of(_wsub(fraction_act(u, lam), lam))
+    if mu is None:
+        return
+    lam_dom = dominant_dot_weight(datum, lam)
+    # mu and lam need not differ by a lattice weight, nor lam and lam_dom
+    for a, b in ((mu, lam), (mu, lam_dom), (lam, lam_dom), (mu, mu)):
+        assert lattice_movers(datum, a, b) == scan_lattice_movers(datum, a, b)
+    assert [(p.mu, p.lam) for p in enumerate_Xi(datum, mu, lam)] == \
+        list(fraction_enumerate_Xi(datum, mu, lam))
+    h, k = dot_stabilizer(datum, mu), dot_stabilizer(datum, lam)
+    assert double_cosets(datum, frozenset(idat.w_ext), h, k).cosets == \
+        sorted_double_cosets(datum, idat.w_ext, h, k)
+
+
+@pytest.mark.parametrize("label, lam, mu", BLOCK_WEIGHTS)
+def test_block_pipelines_never_enumerate_w(monkeypatch, label, lam, mu):
+    """A `blocks` item, from a datum with empty caches, with every way to
+    enumerate the whole Weyl group made to raise."""
+    def no_w(*args, **kwargs):
+        raise AssertionError("the whole Weyl group was enumerated")
+
+    enumeration = CoxeterSystem.enumeration
+
+    def w_int_only(system, *args, **kwargs):
+        if system is system.datum._memo.get("coxeter"):
+            no_w()
+        return enumeration(system, *args, **kwargs)
+
+    for module in (coxeter, cli, weylblocks):
+        monkeypatch.setattr(module, "generate_group", no_w)
+    monkeypatch.setattr(CoxeterSystem, "enumeration", w_int_only)
+    datum = build_root_system.__wrapped__(label)
+    lam, mu = _weight(lam), _weight(mu)
+    idat = integral_datum(datum, lam)
+    dc = double_cosets(datum, frozenset(idat.w_ext),
+                       dot_stabilizer(datum, mu), dot_stabilizer(datum, lam))
+    labels = soergel.indecomposable_index(datum, mu, lam)
+    assert len(enumerate_Xi(datum, mu, lam)) == dc.count == len(labels)
+    cache = hecke.kl_cache(idat)
+    word = soergel.normalize(soergel.make_word(
+        idat, [soergel.RwLetter(idat.chamber.sorted_elements[-1])]
+        + [soergel.BsLetter(j) for j in range(1, idat.rank + 1)]))
+    hecke.decompose(idat, hecke.bs_character(idat, word), cache)
 
 
 @pytest.mark.parametrize("label, lam", [
@@ -389,6 +462,38 @@ def test_integral_enumeration_tables_match_fresh_system(label, lam):
     enum, t = idat.system.enumeration(), _tables(idat)
     assert (t.elements, t.length, t.descent, t.left) == \
         (enum.elements, enum.length, enum.descent, enum.left)
+
+
+def test_over_bound_w_ext_fails_before_any_enumeration(monkeypatch):
+    # E8 at (1/2, 0, ..., 0): 135 classes mod the weight lattice, so
+    # |W_ext| = 696729600 / 135 = 5160960 > 10^6; W_int = D8 is never built
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.setattr(coxeter, "_layered_search", no_enumeration)
+    e8 = build_root_system.__wrapped__("E8")
+    with pytest.raises(GroupBoundExceeded, match="5160960"):
+        integral_datum(e8, (Q(1, 2),) + (Q(0),) * 7)
+
+
+def test_bound_applies_to_w_ext_not_w():
+    b4 = build_root_system.__wrapped__("B4")
+    idat = integral_datum(b4, w(Q(1, 2), -1, 0, 0), bound=200)
+    assert len(idat.w_ext) == 96 and weyl_order(b4) == 384
+    # the class orbit is bounded too: (0, 1/2, 0) has 3 classes in A3
+    a3 = build_root_system.__wrapped__("A3")
+    with pytest.raises(GroupBoundExceeded, match="orbit enumeration"):
+        integral_datum(a3, w(0, Q(1, 2), 0), bound=2)
+
+
+def test_orbit_stabilizer_check_catches_a_lost_chamber(monkeypatch):
+    # every Schreier generator reduced to the identity: C stays trivial and
+    # |W_ext| * |orbit| = 4 * 3 falls short of |W| = 24
+    monkeypatch.setattr(integral, "_into_chamber",
+                        lambda g, simples: g.datum.identity)
+    fresh = build_root_system.__wrapped__("A3")
+    with pytest.raises(AssertionError, match="orbit"):
+        integral_datum(fresh, (Q(0), Q(1, 2), Q(0)))
 
 
 def test_integral_datum_bound_applies_to_w_int():

@@ -196,6 +196,16 @@ def test_torsion_class_is_additive_and_det_order(a3):
     assert not cls.is_zero and (cls + cls).is_zero
 
 
+def test_torsion_class_of_ints_matches_fractions(a3):
+    grp = torsion_group(a3)
+    for v in ([0, 1, 0], [3, -2, 5], [-1, 0, 7]):
+        assert grp.class_of(v) == grp.class_of(tuple(Q(x) for x in v))
+        assert grp.class_of(v) is grp.class_of(list(v))  # one per class
+    for bad in ((Q(1, 2), 0, 0), [0, 1, Q(-3, 4)], [0.5, 0, 0]):
+        with pytest.raises(ValueError, match="not integral"):
+            grp.class_of(bad)
+
+
 def test_smith_normal_form_random():
     rng = random.Random(3)
     for _ in range(40):
