@@ -25,6 +25,7 @@ only at the API edge.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import itemgetter
 
 from .integral import IntegralDatum
@@ -235,6 +236,8 @@ class _Tables:
     (``coxeter.Enumeration``): ``left[j][x]`` is the index of s_{j+1} x and
     ``descent[x]`` the smallest j with s_{j+1} x < x (-1 for the identity),
     so following descents spells the lex-minimal reduced word.
+    ``dmask[x]`` is the left descent set of x as a bitmask, bit j set iff
+    s_{j+1} x < x.
 
     The chamber is numbered in ``sorted_elements`` order (identity 0), with
     ``chamber_mul[a][b]`` the number of the product.  ``right[j][x]`` is the
@@ -250,6 +253,11 @@ class _Tables:
         self.length = enum.length
         self.left = left = enum.left
         self.descent = enum.descent
+        dmask = [0] * len(self.elements)
+        for j, row in enumerate(left):
+            dmask = [m | 1 << j if self.length[sx] < lx else m
+                     for m, sx, lx in zip(dmask, row, self.length)]
+        self.dmask = dmask
         self.chamber = idat.chamber.sorted_elements
         self.chamber_index = {c.root_perm: i
                               for i, c in enumerate(self.chamber)}
@@ -358,51 +366,106 @@ def _lower_ideals(t: _Tables) -> list[bytes]:
     return ideals
 
 
-def _add_into(q: list[int], p: tuple[int, ...], m: int = 1) -> None:
-    """q += m * p on coefficient lists, padding q with zeros."""
-    if len(q) < len(p):
-        q.extend([0] * (len(p) - len(q)))
-    for k, c in enumerate(p):
-        q[k] += m * c
+def _add_into(q: list[int], p: tuple[int, ...], k: int = 0,
+              m: int = 1) -> None:
+    """q += m * v^k * p on coefficient lists, padding q with zeros."""
+    end = k + len(p)
+    if len(q) < end:
+        q.extend([0] * (end - len(q)))
+    for e, c in enumerate(p, k):
+        q[e] += m * c
+
+
+def _reduction(t: _Tables, mask: int) -> tuple:
+    """(top, up, extremal, tops) for I = mask: x' = top[x] is the top of the
+    coset W_I x and up[x] = l(x') - l(x); bit x of the int extremal is set
+    iff x = x'; tops maps a bitmap b to (b[top[x]] for every x), or is None
+    when I is empty.  Built from x = n - 1 down to 0 over the left table."""
+    n, dmask, left = len(t.elements), t.dmask, t.left
+    top, up, ext = list(range(n)), [0] * n, bytearray(n)
+    for x in range(n - 1, -1, -1):
+        missing = mask & ~dmask[x]
+        if missing:  # s_{j+1} x > x for the lowest such j
+            y = left[(missing & -missing).bit_length() - 1][x]
+            top[x], up[x] = top[y], up[y] + 1
+        else:
+            ext[x] = 1
+    return top, up, int.from_bytes(ext, "little"), \
+        itemgetter(*top) if mask else None
 
 
 class KLCache:
-    """Expansions b_w = sum_x h_{x,w} H_x for the integral Coxeter system.
+    """Expansions b_w = sum_x h_{x,w} H_x for the integral Coxeter system,
+    stored on the extremal pairs.
 
-    Built bottom-up through b_w = b_s b_{sw} - sum mu(z, sw) b_z over the
-    integer tables: column w maps the index of x to the coefficients of
-    h_{x,w}, entry e being the coefficient of v^e.  On construction (with
-    validate=True) every expansion is checked to be unitriangular,
-    supported on the Bruhat interval below w, with coefficients in
-    v Z_{>=0}[v] of degree at most l(w) - l(x) below the top term; a failure
-    aborts with the offending pair.  Safe for concurrent readers once built.
+    For a left descent s of w and x < sx, h_{x,w} = v h_{sx,w}.  So with
+    I = D_L(w) the column of w is determined by its extremal entries, the
+    x <= w with I contained in D_L(x), which are the tops of the cosets
+    W_I x; every other entry is h_{x,w} = v^k h_{x',w} with x' the top of
+    W_I x and k = l(x') - l(x); ``_reductions[I]`` tabulates x -> (x', k),
+    one table per descent set.  Column w maps the index of each extremal x
+    to the coefficients of h_{x,w}, entry e being the coefficient of v^e.
+
+    Built bottom-up through b_w = b_s b_u - sum mu(z, u) b_z with u = sw < w,
+    computing only the extremal entries of each column and reading the
+    entries of u and z through their own reductions; the candidates are the
+    lower-ideal bitmap of w masked by the extremal set of I.  The bitmaps
+    (``_ideals``) and the reductions stay on the cache, and every read
+    (``expansion``, ``kl_basis_element``, ``kl_polynomial``, decompositions)
+    rebuilds entries from them.
+
+    On construction (with validate=True) every pair x <= w is covered: each
+    stored entry is checked to be unitriangular, supported on the Bruhat
+    interval below w, with coefficients in v Z_{>=0}[v] of degree at most
+    l(w) - l(x) below the top term; the stored support must be exactly the
+    extremal part of the lower ideal (a byte count), and the ideal must
+    hold x exactly when it holds x' (one permutation of its bitmap), so it
+    is stable under every s in D_L(w) and x <= w iff x' <= w.  An unstored
+    entry is v^k (k >= 1) times a checked one, so it inherits the zero
+    constant term, nonnegativity and the degree bound.  A failure aborts
+    with the offending pair.  Safe for concurrent readers once built.
     """
 
     def __init__(self, idat: IntegralDatum, validate: bool = True):
         self.idat = idat
         self._t = t = _tables(idat)
-        length = t.length
+        n, length, left, dmask = len(t.elements), t.length, t.left, t.dmask
+        self._ideals = ideals = _lower_ideals(t)
+        self._reductions = reductions = {
+            mask: _reduction(t, mask) for mask in set(dmask)}
+        positions = range(n)
         self._cols = cols = [{0: (1,)}]
-        for w in range(1, len(t.elements)):
-            row = t.left[t.descent[w]]
+        for w in range(1, n):
+            row = left[t.descent[w]]
             u = row[w]
             col_u = cols[u]
-            # b_s b_u has h_{sy,u} + v^{+-1} h_{y,u} at y, + when sy > y
-            acc = {}
-            for x, p in col_u.items():
-                sx = row[x]
-                acc[x] = q = [0, *p] if length[sx] > length[x] else list(p[1:])
-                if sx in col_u:
-                    _add_into(q, col_u[sx])
-                else:
-                    acc[sx] = list(p)
-            for z, p in col_u.items():
-                mu = p[1] if len(p) > 1 else 0
-                if mu and z != u and length[row[z]] < length[z]:
-                    for x, hz in cols[z].items():
-                        _add_into(acc.setdefault(x, []), hz, -mu)
+            top_u, up_u = reductions[dmask[u]][:2]
+            # z < u with mu(z, u) != 0 and sz < z: an extremal entry of u,
+            # or z = s'u for s' in D_L(u), where h_{z,u} = v
+            mus = [(p[1], z) for z, p in col_u.items() if len(p) > 1 and p[1]]
+            mus += [(1, r[u]) for j, r in enumerate(left) if dmask[u] >> j & 1]
+            mus = [(-m, cols[z], *reductions[dmask[z]][:2]) for m, z in mus
+                   if length[row[z]] < length[z]]
+            ext = reductions[dmask[w]][2]
             col = {}
-            for x, q in acc.items():
+            for x in compress(positions, (int.from_bytes(ideals[w], "little")
+                                          & ext).to_bytes(n, "little")):
+                # b_s b_u at x, where sx < x: h_{sx,u} + v^{-1} h_{x,u},
+                # and sx <= u by the lifting property
+                y = row[x]
+                q = [0] * up_u[y]
+                q += col_u.get(top_u[y], ())
+                p = col_u.get(top_u[x])
+                if p is not None:  # x != u, so p has no constant term
+                    k = up_u[x]
+                    if k:
+                        _add_into(q, p, k - 1)
+                    else:
+                        _add_into(q, p[1:])
+                for m, col_z, top_z, up_z in mus:
+                    p = col_z.get(top_z[x])
+                    if p is not None:
+                        _add_into(q, p, up_z[x], m)
                 while q and not q[-1]:
                     q.pop()
                 if q:
@@ -413,39 +476,72 @@ class KLCache:
 
     def _validate(self) -> None:
         t = self._t
-        name = [self.idat.int_reduced_word(x) for x in t.elements]
-        for w, (col, ideal) in enumerate(zip(self._cols, _lower_ideals(t))):
+        n, length, dmask = len(t.elements), t.length, t.dmask
+        positions = range(n)
+
+        def name(x):
+            return self.idat.int_reduced_word(t.elements[x])
+
+        for w, (col, ideal) in enumerate(zip(self._cols, self._ideals)):
             if col.get(w) != (1,):
                 raise AssertionError(
-                    f"KL expansion of {name[w]} is not unitriangular")
-            lw = t.length[w]
+                    f"KL expansion of {name(w)} is not unitriangular")
+            top, _, ext, tops = self._reductions[dmask[w]]
+            if tops and bytes(tops(ideal)) != ideal:  # x <= w iff x' <= w
+                x = next(x for x in positions if ideal[x] != ideal[top[x]])
+                raise AssertionError(
+                    f"Bruhat lower ideal of {name(w)} is not a union of "
+                    f"cosets of its left descents: {name(x)} and "
+                    f"{name(top[x])} differ")
+            lw = length[w]
             for x, p in col.items():
                 if x == w:
                     continue
                 if not ideal[x]:
                     raise AssertionError(
                         f"KL support violates the Bruhat bound at "
-                        f"{name[x]} <= {name[w]}")
-                if not p or p[0] or len(p) - 1 > lw - t.length[x]:
+                        f"{name(x)} <= {name(w)}")
+                if top[x] != x:
                     raise AssertionError(
-                        f"KL degree bound fails for ({name[x]}, {name[w]})")
+                        f"KL entry stored off the extremal pairs at "
+                        f"({name(x)}, {name(w)})")
+                if not p or p[0] or len(p) - 1 > lw - length[x]:
+                    raise AssertionError(
+                        f"KL degree bound fails for ({name(x)}, {name(w)})")
                 if min(p) < 0:
                     raise AssertionError(
-                        f"negative KL coefficient at ({name[x]}, {name[w]}):"
+                        f"negative KL coefficient at ({name(x)}, {name(w)}):"
                         f" {LaurentPoly(dict(enumerate(p))).format()}")
+            support = int.from_bytes(ideal, "little") & ext
+            if len(col) != support.bit_count():
+                x = next(x for x in compress(positions, support.to_bytes(
+                    n, "little")) if x not in col)
+                raise AssertionError(
+                    f"KL support misses the extremal pair "
+                    f"({name(x)}, {name(w)})")
+
+    def _column(self, w: int):
+        """(x, k, p) with h_{x,w} = v^k p for every x <= w, p the stored
+        entry at the top of x's coset."""
+        col = self._cols[w]
+        top, up = self._reductions[self._t.dmask[w]][:2]
+        for x in compress(range(len(top)), self._ideals[w]):
+            p = col.get(top[x])
+            if p is not None:
+                yield x, up[x], p
 
     def expansion(self, w: WeylElement) -> dict:
-        """{x: h_{x,w}}, built on request from the integer column."""
+        """{x: h_{x,w}}, rebuilt on request from the extremal entries."""
         elements = self._t.elements
-        return {elements[x]: LaurentPoly(dict(enumerate(p)))
-                for x, p in self._cols[self._t.of(w)].items()}
+        return {elements[x]: LaurentPoly(dict(enumerate(p, k)))
+                for x, k, p in self._column(self._t.of(w))}
 
     def kl_basis_element(self, c: WeylElement, w: WeylElement) -> HeckeElement:
         """(c, e) b_w in the standard basis."""
         c = self._t.twist(c)
         return HeckeElement._of(self.idat, {
-            (c, x): dict(enumerate(p))
-            for x, p in self._cols[self._t.of(w)].items()})
+            (c, x): dict(enumerate(p, k))
+            for x, k, p in self._column(self._t.of(w))})
 
 
 def kl_cache(idat: IntegralDatum, validate: bool = True) -> KLCache:
@@ -466,12 +562,15 @@ def kl_polynomial(cache: KLCache, x: WeylElement,
     ix, iw = t.of(x), t.of(w)
     if ix == iw:
         return ONE
-    h = cache._cols[iw].get(ix)
+    if not cache._ideals[iw][ix]:
+        return ZERO
+    top, up = cache._reductions[t.dmask[iw]][:2]
+    h = cache._cols[iw].get(top[ix])
     if h is None:
         return ZERO
     gap = t.length[iw] - t.length[ix]
     out = {}
-    for e, coef in enumerate(h):
+    for e, coef in enumerate(h, up[ix]):
         if coef:
             if (gap - e) % 2:
                 raise AssertionError("KL parity violation")
@@ -532,12 +631,12 @@ def _decompose(cache: KLCache, h: HeckeElement) -> dict:
         while f:
             x = max(f)  # the int_sort_key-largest element
             g = out[c, x] = f.pop(x)
-            for y, hp in cache._cols[x].items():
+            for y, k, hp in cache._column(x):
                 if y == x:
                     continue
                 q = f.setdefault(y, {})
                 for e1, g1 in g.items():
-                    for e2, h2 in enumerate(hp):
+                    for e2, h2 in enumerate(hp, k):
                         if h2:
                             q[e1 + e2] = q.get(e1 + e2, 0) - g1 * h2
                 if not any(q.values()):

@@ -17,6 +17,8 @@
 * Bruhat order by exhaustive subword products of one reduced word.
 * Kazhdan-Lusztig polynomials by inverting the R-polynomial functional
   equation (a different recursion from the production b_s-product one).
+* Every KL column in full, by the b_s-product recursion over all pairs
+  x <= w, with no reduction to extremal pairs.
 * The extended Hecke algebra on WeylElement-keyed LaurentPoly terms: the
   product one (x, y) pair at a time, Bott-Samelson characters as products
   letter by letter, and the decomposition into the twisted KL basis.
@@ -337,3 +339,44 @@ def reference_decompose_graded(idat, cache, terms: dict) -> dict:
                     if f[y].is_zero:
                         del f[y]
     return out
+
+
+def reference_kl_columns(idat) -> list:
+    """Every KL column in full, by b_w = b_s b_{sw} - sum mu(z, sw) b_z over
+    all x <= w: entry w maps the number of x (``int_elements()`` order) to
+    the coefficients of h_{x,w}, entry e being the coefficient of v^e."""
+    enum = idat.system.enumeration()
+    length, left = enum.length, enum.left
+
+    def add_into(q, p, m=1):
+        q.extend([0] * (len(p) - len(q)))
+        for e, c in enumerate(p):
+            q[e] += m * c
+
+    cols = [{0: (1,)}]
+    for w in range(1, len(enum.elements)):
+        row = left[enum.descent[w]]
+        u = row[w]
+        col_u = cols[u]
+        # b_s b_u has h_{sy,u} + v^{+-1} h_{y,u} at y, + when sy > y
+        acc = {}
+        for x, p in col_u.items():
+            sx = row[x]
+            acc[x] = q = [0, *p] if length[sx] > length[x] else list(p[1:])
+            if sx in col_u:
+                add_into(q, col_u[sx])
+            else:
+                acc[sx] = list(p)
+        for z, p in col_u.items():
+            mu = p[1] if len(p) > 1 else 0
+            if mu and z != u and length[row[z]] < length[z]:
+                for x, hz in cols[z].items():
+                    add_into(acc.setdefault(x, []), hz, -mu)
+        col = {}
+        for x, q in acc.items():
+            while q and not q[-1]:
+                q.pop()
+            if q:
+                col[x] = tuple(q)
+        cols.append(col)
+    return cols

@@ -43,6 +43,7 @@ from oracles import (
     kl_polynomials_by_inversion,
     reference_bs_character,
     reference_decompose_graded,
+    reference_kl_columns,
     reference_product,
 )
 
@@ -52,6 +53,17 @@ with open(default_corpus_path(), encoding="utf-8") as _fh:
 # every corpus twist is an involution; this block's chamber is Z/3 acting on
 # W_int = (Z/2)^3, so conjugating by c and by c^{-1} differ
 REFERENCE_BLOCKS = CORPUS_BLOCKS + [("A5", w(0, Q(2, 3), 0, Q(2, 3), 0))]
+# the seven blocks of the benchmark's `blocks` workload, and B5
+LARGE_BLOCKS = [
+    ("D4", w(0, 0, 0, 0)), ("D4", w(Q(1, 2), 0, 0, 0)),
+    ("B4", w(Q(1, 2), -1, 0, 0)), ("C4", w(0, 0, 0, Q(1, 2))),
+    ("A5", w(Q(1, 3), 0, 0, 0, 0)), ("F4", w(0, 0, 0, Q(1, 2))),
+    ("D5", w(Q(1, 2), 0, 0, 0, 0)), ("B5", w(Q(1, 2), 0, 0, 0, 0)),
+]
+
+
+def _ids(blocks):
+    return [f"{t}:{','.join(map(str, l))}" for t, l in blocks]
 
 
 def test_laurent_poly_basics():
@@ -178,41 +190,97 @@ def test_lower_ideals_match_bruhat_order(label, lam):
             assert bit == idat.system.bruhat_leq(x, u), (label, x, u)
 
 
+@pytest.mark.parametrize("label,lam", CORPUS_BLOCKS + LARGE_BLOCKS,
+                         ids=_ids(CORPUS_BLOCKS + LARGE_BLOCKS))
+def test_rebuilt_columns_match_full_recursion(label, lam):
+    idat = integral_datum(build_root_system(label), lam)
+    cache = kl_cache(idat)
+    t = _tables(idat)
+    els, length = t.elements, t.length
+    for u, col in enumerate(reference_kl_columns(idat)):
+        assert cache.expansion(els[u]) == {
+            els[x]: LaurentPoly(dict(enumerate(p))) for x, p in col.items()}
+        # h_{x,u} = v h_{sx,u} for a left descent s of u and x < sx, and
+        # the mirror relation h_{x,u} = v h_{xs,u} for a right descent
+        for j in range(idat.rank):
+            for mult in (t.left[j], t.right[j]):
+                if length[mult[u]] > length[u]:
+                    continue
+                assert {mult[x] for x in col} == set(col), (label, u, j)
+                for x, p in col.items():
+                    if length[mult[x]] > length[x]:
+                        assert p == (0, *col[mult[x]]), (label, x, u, j)
+
+
+@pytest.mark.parametrize("label,lam", [
+    ("A3", (0, 0, 0)), ("A3", (0, Q(1, 2), 0)), ("D4", (0, 0, 0, 0)),
+    ("D4", (Q(1, 2), 0, 0, 0)),
+])
+def test_descent_masks_match_is_left_descent(label, lam):
+    idat = integral_datum(build_root_system(label), lam)
+    t = _tables(idat)
+    for x, u in enumerate(t.elements):
+        assert t.dmask[x] == sum(
+            1 << j for j in range(idat.rank)
+            if idat.system.is_left_descent(u, j + 1)), (label, u)
+
+
 def test_validation_catches_each_fault(a3):
     idat = integral_datum(a3, w(0, 0, 0))
     t = _tables(idat)
     word = idat.int_reduced_word
     w3412 = t.of(from_word(a3, (2, 1, 3, 2)))
     s1s2 = t.of(from_word(a3, (1, 2)))
-    s3 = t.of(from_word(a3, (3,)))
-    assert t.length[w3412] == 4
-    assert KLCache(idat)._cols[w3412][0] == (0, 0, 1, 0, 1)  # v^2 + v^4
+    s1s3 = t.of(from_word(a3, (1, 3)))
+    s2 = t.of(from_word(a3, (2,)))
+    assert t.length[w3412] == 4 and t.dmask[w3412] == 0b010
+    # D_L(w3412) = {s2}: e is not extremal, s2 tops its coset {e, s2}
+    cache = KLCache(idat)
+    assert 0 not in cache._cols[w3412]
+    assert cache._cols[w3412][s2] == (0, 1, 0, 1)  # v + v^3
+    assert cache.expansion(t.elements[w3412])[t.elements[0]] == \
+        LaurentPoly({2: 1, 4: 1})
 
-    def drop_diagonal(cols):
-        del cols[w3412][w3412]
+    def drop_diagonal(cache):
+        del cache._cols[w3412][w3412]
 
-    def outside_interval(cols):
-        cols[s1s2][s3] = (0, 1)
+    def outside_interval(cache):  # s1 s3 is extremal for s1 s2
+        cache._cols[s1s2][s1s3] = (0, 1)
 
-    def above_degree_bound(cols):
-        cols[w3412][0] = (0, 0, 1, 0, 1, 1)
+    def above_degree_bound(cache):
+        cache._cols[w3412][s2] = (0, 1, 0, 1, 1)
 
-    def negative_coefficient(cols):
-        cols[w3412][0] = (0, -1, 1, 0, 1)
+    def negative_coefficient(cache):
+        cache._cols[w3412][s2] = (0, -1, 0, 1)
+
+    def dropped_extremal_entry(cache):
+        del cache._cols[w3412][s2]
+
+    def off_the_extremal_pairs(cache):
+        cache._cols[w3412][0] = (0, 0, 1, 0, 1)
+
+    def unstable_ideal(cache):  # s2 <= w3412 kept, e <= w3412 dropped
+        ideal = bytearray(cache._ideals[w3412])
+        ideal[0] = 0
+        cache._ideals[w3412] = bytes(ideal)
 
     for corrupt, what, x, u in [
             (drop_diagonal, "not unitriangular", None, w3412),
-            (outside_interval, "Bruhat bound", s3, s1s2),
-            (above_degree_bound, "degree bound", 0, w3412),
-            (negative_coefficient, "negative KL coefficient", 0, w3412)]:
+            (outside_interval, "Bruhat bound", s1s3, s1s2),
+            (above_degree_bound, "degree bound", s2, w3412),
+            (negative_coefficient, "negative KL coefficient", s2, w3412),
+            (dropped_extremal_entry, "misses the extremal pair", s2, w3412),
+            (off_the_extremal_pairs, "off the extremal pairs", 0, w3412),
+            (unstable_ideal, "not a union of cosets", 0, w3412)]:
         cache = KLCache(idat)
-        corrupt(cache._cols)
+        corrupt(cache)
         with pytest.raises(AssertionError) as err:
             cache._validate()
         msg = str(err.value)
         assert what in msg and str(word(t.elements[u])) in msg, msg
         if x is not None:
-            assert str(word(t.elements[x])) in msg, msg
+            assert any(f.format(word(t.elements[x])) in msg
+                       for f in ("({}, ", "{} <=", "{} and")), msg
 
 
 def test_e6_half_block_builds_validated_table():
@@ -222,7 +290,9 @@ def test_e6_half_block_builds_validated_table():
     started = time.perf_counter()
     cache = KLCache(idat)  # validates every column
     assert time.perf_counter() - started < 20
-    assert sum(map(len, cache._cols)) == 745377
+    assert sum(map(len, cache._cols)) == 97460
+    assert sum(len(cache.expansion(u)) for u in idat.int_elements()) == \
+        745377
 
 
 def test_kl_unitriangular_and_positive(b2):
@@ -315,8 +385,7 @@ def _seeded_word(idat, rng):
 
 
 @pytest.mark.parametrize("label,lam", REFERENCE_BLOCKS,
-                         ids=[f"{t}:{','.join(map(str, l))}"
-                              for t, l in REFERENCE_BLOCKS])
+                         ids=_ids(REFERENCE_BLOCKS))
 def test_integer_algebra_matches_reference(label, lam):
     idat = integral_datum(build_root_system(label), lam)
     cache = kl_cache(idat)
@@ -361,10 +430,14 @@ def test_hecke_block_check_fails_on_a_broken_block(a3, a3_block,
                                                     monkeypatch):
     assert _check_hecke_block(a3, a3_block, None, random.Random(1)) == \
         ("pass", None)
-    # a KL column missing its h_{e, s1 s2} = v^2 term
+    # a KL column missing its extremal h_{s1, s1 s2} = v, and with it the
+    # entry h_{e, s1 s2} = v^2 rebuilt from it
     idat = integral_datum(a3, w(0, 0, 0))
     cache = KLCache(idat)
-    del cache._cols[_tables(idat).of(from_word(a3, (1, 2)))][0]
+    t = _tables(idat)
+    s1s2 = t.of(from_word(a3, (1, 2)))
+    del cache._cols[s1s2][t.of(from_word(a3, (1,)))]
+    assert len(cache.expansion(t.elements[s1s2])) == 2
     monkeypatch.setitem(idat._memo, ("kl_cache", True), cache)
     status, witness = _check_hecke_block(a3, idat, None, random.Random(1))
     assert status == "fail" and "negative structure constant" in witness
