@@ -498,14 +498,10 @@ def run_entry(entry: CorpusEntry, seed: int, bound: int,
     return checks, time.perf_counter() - start
 
 
-def run_corpus(path: str, workers: int = 1, seed: int = DEFAULT_SEED,
+def run_corpus(path: str, seed: int = DEFAULT_SEED,
                bound: int = DEFAULT_GROUP_BOUND,
                with_timings: bool = False) -> tuple[dict, list[float]]:
-    """Run every check on every corpus entry, one entry after another.
-
-    ``workers`` is accepted for compatibility and ignored: the checks are
-    pure Python, so threads cannot overlap them under the interpreter lock.
-    """
+    """Run every check on every corpus entry, one entry after another."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -551,8 +547,7 @@ def run_corpus(path: str, workers: int = 1, seed: int = DEFAULT_SEED,
 
 def cmd_run(args) -> int:
     path = args.corpus or default_corpus_path()
-    report, timings = run_corpus(path, workers=args.workers, seed=args.seed,
-                                 bound=args.bound,
+    report, timings = run_corpus(path, seed=args.seed, bound=args.bound,
                                  with_timings=args.timings)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -642,14 +637,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda")
     p.add_argument("--mu")
     p.add_argument("--w", help="reduced word")
-    p.add_argument("--bound", type=int, default=DEFAULT_GROUP_BOUND,
-                   help="accepted for compatibility; no group is enumerated")
     p.set_defaults(fn=cmd_cato)
 
     p = _weight_friendly(sub.add_parser("run", help="run the invariant checks over a corpus"))
     p.add_argument("--corpus", help="corpus JSON path (default: bundled)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; entries run serially")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="also write the report here")
     p.add_argument("--timings", action="store_true",

@@ -306,7 +306,6 @@ class SubgroupHandle:
     datum: CartanDatum = field(repr=False)
     generators: tuple[WeylElement, ...]
     elements: frozenset[WeylElement]
-    kind_tag: str = "generic"  # parabolic | reflection | chamber | generic
 
     @cached_property
     def sorted_elements(self) -> tuple[WeylElement, ...]:
@@ -342,14 +341,14 @@ def closure(datum: CartanDatum, generators,
     return frozenset(seen.values())
 
 
-def subgroup(datum: CartanDatum, generators, kind_tag: str = "generic",
+def subgroup(datum: CartanDatum, generators,
              bound: int = DEFAULT_GROUP_BOUND) -> SubgroupHandle:
     gens = tuple(sorted(set(generators), key=lambda w: sort_key(datum, w)))
-    return SubgroupHandle(datum, gens, closure(datum, gens, bound), kind_tag)
+    return SubgroupHandle(datum, gens, closure(datum, gens, bound))
 
 
 def trivial_subgroup(datum: CartanDatum) -> SubgroupHandle:
-    return SubgroupHandle(datum, (), frozenset({datum.identity}), "generic")
+    return SubgroupHandle(datum, (), frozenset({datum.identity}))
 
 
 def dot_stabilizer(datum: CartanDatum, lam: Weight) -> SubgroupHandle:
@@ -361,7 +360,7 @@ def dot_stabilizer(datum: CartanDatum, lam: Weight) -> SubgroupHandle:
     """
     walls = classify_weight(datum, lam).singular_roots
     gens = tuple(datum.reflection(alpha) for alpha in walls)
-    return subgroup(datum, gens, "reflection")
+    return subgroup(datum, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -414,10 +414,10 @@ class KLCache:
     (``expansion``, ``kl_basis_element``, ``kl_polynomial``, decompositions)
     rebuilds entries from them.
 
-    On construction (with validate=True) every pair x <= w is covered: each
-    stored entry is checked to be unitriangular, supported on the Bruhat
-    interval below w, with coefficients in v Z_{>=0}[v] of degree at most
-    l(w) - l(x) below the top term; the stored support must be exactly the
+    On construction every pair x <= w is covered: each stored entry is
+    checked to be unitriangular, supported on the Bruhat interval below w,
+    with coefficients in v Z_{>=0}[v] of degree at most l(w) - l(x) below
+    the top term; the stored support must be exactly the
     extremal part of the lower ideal (a byte count), and the ideal must
     hold x exactly when it holds x' (one permutation of its bitmap), so it
     is stable under every s in D_L(w) and x <= w iff x' <= w.  An unstored
@@ -426,7 +426,7 @@ class KLCache:
     with the offending pair.  Safe for concurrent readers once built.
     """
 
-    def __init__(self, idat: IntegralDatum, validate: bool = True):
+    def __init__(self, idat: IntegralDatum):
         self.idat = idat
         self._t = t = _tables(idat)
         n, length, left, dmask = len(t.elements), t.length, t.left, t.dmask
@@ -471,8 +471,7 @@ class KLCache:
                 if q:
                     col[x] = tuple(q)
             cols.append(col)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         t = self._t
@@ -544,11 +543,10 @@ class KLCache:
             for x, k, p in self._column(self._t.of(w))})
 
 
-def kl_cache(idat: IntegralDatum, validate: bool = True) -> KLCache:
-    key = ("kl_cache", validate)
-    if key not in idat._memo:
-        idat._memo[key] = KLCache(idat, validate)
-    return idat._memo[key]
+def kl_cache(idat: IntegralDatum) -> KLCache:
+    if "kl_cache" not in idat._memo:
+        idat._memo["kl_cache"] = KLCache(idat)
+    return idat._memo["kl_cache"]
 
 
 def kl_polynomial(cache: KLCache, x: WeylElement,

@@ -1,7 +1,9 @@
 """Integral root data attached to a rational weight.
 
-For a weight lam, the roots pairing integrally with lam form a root subsystem;
-its Weyl group W_int sits inside the subgroup W_ext of elements moving lam by
+For a weight lam, the roots pairing integrally with lam form a root subsystem
+with an integer Cartan matrix of its own, on which the walk to the dominant
+chamber and the solve for lam# run the integer kernels of rootsys.  Its Weyl
+group W_int sits inside the subgroup W_ext of elements moving lam by
 a lattice weight.  The quotient embeds into (weight lattice)/(root lattice)
 through the homomorphism ``tau(w) = w(lam) - lam  mod  root lattice``, and is
 realized inside W_ext by the abelian chamber subgroup C of elements that
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
 
 from .coxeter import (
     DEFAULT_GROUP_BOUND,
@@ -43,15 +46,17 @@ from .rootsys import (
     Root,
     Weight,
     WeylElement,
+    _integer_inverse,
+    _integer_solver,
     _mat_nums,
     _numerators,
     _reflect,
     _rho_shifted,
+    _to_dominant,
     _weight,
     classify_weight,
     dominant_dot_weight,
     dot_action,
-    smith_normal_form,
     torsion_group,
     weyl_order,
 )
@@ -95,6 +100,17 @@ class IntegralDatum:
     @property
     def rank(self) -> int:
         return len(self.integral_simples)
+
+    @cached_property
+    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The Cartan matrix of the integral system, numbered as the
+        datum's: entry [i][j] is <alpha_j, alpha_i^vee> over the integral
+        simples."""
+        rows, cartan = self.datum.coroot_rows, self.datum.cartan_matrix
+        simples = [_mat_nums(cartan, r.simple_coords)
+                   for r in self.integral_simples]
+        return tuple(tuple(sum(map(int.__mul__, rows[a.index], b))
+                           for b in simples) for a in self.integral_simples)
 
     # -- the integral system as a Coxeter group of its own -----------------
 
@@ -276,27 +292,28 @@ def integral_datum(datum: CartanDatum, lam: Weight,
         raise GroupBoundExceeded(
             f"W_ext enumeration exceeds bound {bound}: |W_ext| = {order}")
 
+    # lam's pairing with every coroot, as numerators over den
+    pairings = [sum(map(int.__mul__, row, nums)) for row in datum.coroot_rows]
     n = datum.num_positive
     int_pos = tuple(r for r in datum.positive_roots
-                    if r.pair(lam).denominator == 1)
+                    if pairings[r.index] % den == 0)
     int_roots = int_pos + tuple(datum.roots[r.index + n] for r in int_pos)
 
-    pos_weights = {r.as_weight for r in int_pos}
+    pos_coords = {r.simple_coords for r in int_pos}
     simples = tuple(
         r for r in int_pos
-        if not any(_wsub(r.as_weight, b.as_weight) in pos_weights
-                   for b in int_pos if b.height < r.height))
+        if not any(tuple(map(int.__sub__, r.simple_coords, b.simple_coords))
+                   in pos_coords for b in int_pos if b.height < r.height))
     system = CoxeterSystem(datum, (r.index for r in simples),
                            (r.index for r in int_pos))
     key_of = coxeter_system(datum).sort_key
 
     w_int = SubgroupHandle(
         datum, tuple(sorted(system.simple_reflections, key=key_of)),
-        frozenset(system.elements(bound)), "reflection")
+        frozenset(system.elements(bound)))
     chamber_els = _chamber_group(datum, orbit, den, system, order, bound)
     chamber = SubgroupHandle(datum, tuple(
-        sorted(chamber_els - {datum.identity}, key=key_of)),
-        chamber_els, "chamber")
+        sorted(chamber_els - {datum.identity}, key=key_of)), chamber_els)
     w_ext = tuple(sorted({c * u for c in chamber_els for u in w_int.elements},
                          key=key_of))
     if len(w_ext) * len(orbit) != weyl_order(datum):
@@ -306,7 +323,6 @@ def integral_datum(datum: CartanDatum, lam: Weight,
     # tau(w) from w(lam) - lam, on numerators over lam's denominator:
     # coordinate i of w(lam) is lam's pairing with root perm.index(i)
     torsion = torsion_group(datum)
-    pairings = [sum(map(int.__mul__, row, nums)) for row in datum.coroot_rows]
     tau_table = {}
     for w in w_ext:
         perm = w.root_perm
@@ -330,10 +346,10 @@ def _validate(idat: IntegralDatum) -> None:
     # positive integral roots decompose over the integral simples, on
     # integer simple coordinates
     if idat.integral_simples:
-        solve, independent = _integer_solver(
+        solve, diagonal = _integer_solver(
             [[r.simple_coords[i] for r in idat.integral_simples]
              for i in range(datum.rank)])
-        if not independent:
+        if len(diagonal) < idat.rank or not all(diagonal):
             raise AssertionError("integral simples are linearly dependent")
         for r in idat.integral_positive:
             x = solve(r.simple_coords)
@@ -371,55 +387,57 @@ def tau(idat: IntegralDatum, w: WeylElement) -> FiniteAbelianElement:
 
 def chamber_decompose(idat: IntegralDatum,
                       w: WeylElement) -> tuple[WeylElement, WeylElement]:
-    """The unique (c, u) with w = c u, c in the chamber, u in W_int."""
+    """The unique (c, u) with w = c u, c in the chamber, u in W_int; c is
+    w shortened by integral simple reflections on the right, as
+    ``_into_chamber`` does it."""
     if w not in idat.tau_table:
         raise ValueError("element does not move lam by a lattice weight")
-    for u in idat.int_elements():
-        c = w * u.inverse()
-        if c in idat.chamber.elements:
-            return c, u
-    raise AssertionError("semidirect decomposition failed")  # unreachable
+    system = idat.system
+    c = _into_chamber(w, list(zip(system.simple_indices,
+                                  system.simple_reflections)))
+    if c not in idat.chamber.elements:
+        raise AssertionError("semidirect decomposition failed")
+    return c, c.inverse() * w
 
 
 def lambda_sharp(idat: IntegralDatum) -> Weight:
     """The weight in the rational span of the integral roots matching lam
-    on every integral coroot, by exact linear algebra."""
+    on every integral coroot: sum_j x_j alpha_j with x the integral
+    Cartan matrix's inverse applied to lam's integral simple pairings."""
+    datum = idat.datum
     if not idat.integral_simples:
-        return idat.datum.zero_weight()
-    k = idat.rank
-    cartan_int = tuple(
-        tuple(idat.integral_simples[i].pair(idat.integral_simples[j].as_weight)
-              for j in range(k))
-        for i in range(k))
-    rhs = tuple(idat.integral_simples[i].pair(idat.lam) for i in range(k))
-    from .rootsys import solve_rational
-
-    x = solve_rational(cartan_int, rhs)
-    out = idat.datum.zero_weight()
-    for c, r in zip(x, idat.integral_simples):
-        out = _wadd(out, tuple(c * y for y in r.as_weight))
-    return out
+        return datum.zero_weight()
+    inverse, d = _integer_inverse(idat.cartan_matrix)
+    nums, den = _numerators(idat.lam)
+    rows = datum.coroot_rows
+    x = _mat_nums(inverse, [sum(map(int.__mul__, rows[r.index], nums))
+                            for r in idat.integral_simples])
+    # sum_j x_j alpha_j in simple-root, then fundamental-weight coordinates
+    coords = _mat_nums(zip(*(r.simple_coords for r in idat.integral_simples)),
+                       x)
+    return _weight(_mat_nums(datum.cartan_matrix, coords), d * den)
 
 
 def dominant_dot_rep(idat: IntegralDatum,
                      nu: Weight) -> tuple[WeylElement, Weight]:
-    """(w, dom) with dom = w . nu dominant, ascending through the integral
-    simple reflections (smallest index first)."""
+    """(w, dom) with dom = w . nu dominant for the integral system,
+    ascending through the integral simple reflections, smallest index
+    first: the integer walk of rootsys on nu + rho's pairings with the
+    integral simple coroots, over the integral Cartan matrix."""
     nu = tuple(Q(x) for x in nu)
     if not _is_lattice(_wsub(nu, idat.lam)):
         raise ValueError("weight is not in lam + (weight lattice)")
     datum = idat.datum
+    shifted, _ = _rho_shifted(nu)
+    rows = datum.coroot_rows
+    word: list[int] = []
+    _to_dominant(idat.cartan_matrix,
+                 [sum(map(int.__mul__, rows[r.index], shifted))
+                  for r in idat.integral_simples], word)
     w = datum.identity
-    x = nu
-    while True:
-        shifted = _wadd(x, datum.rho)
-        j = next((j for j in range(idat.rank)
-                  if idat.integral_simples[j].pair(shifted) < 0), None)
-        if j is None:
-            return w, x
-        s = idat.simple_reflections[j]
-        x = dot_action(datum, s, x)
-        w = s * w
+    for j in word:
+        w = idat.simple_reflections[j] * w
+    return w, dot_action(datum, w, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -470,30 +488,6 @@ def _solve_single_diophantine(row: tuple[int, ...], target: int):
         return None
     f = target // g
     return tuple(c * f for c in coeffs)
-
-
-def _integer_solver(rows: list[list[int]]):
-    """(solve, independent): solve maps rhs to one integer solution of
-    rows * x == rhs, or None, by a Smith normal form of rows computed once;
-    independent tells whether the columns are, so that it is the only one."""
-    p, s, q = smith_normal_form(rows)
-    k, n = len(rows), len(rows[0])
-
-    def solve(rhs):
-        pr = [sum(p[i][j] * rhs[j] for j in range(k)) for i in range(k)]
-        y = [0] * n
-        for i in range(k):
-            d = s[i][i] if i < min(k, n) else 0
-            if d == 0:
-                if pr[i] != 0:
-                    return None
-                continue
-            if pr[i] % d:
-                return None
-            y[i] = pr[i] // d
-        return tuple(sum(q[i][j] * y[j] for j in range(n)) for i in range(n))
-
-    return solve, n <= k and all(s[i][i] for i in range(n))
 
 
 def find_subgeneric(idat: IntegralDatum, i: int) -> Weight:

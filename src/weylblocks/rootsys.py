@@ -12,7 +12,9 @@ coordinates kept as exact rationals:
   the permutation on first use;
 * the action, the dot action, pairings with coroots and the walk to the
   dominant chamber run on a weight's integer numerators over one common
-  denominator, and Fractions are built only for the weights handed back.
+  denominator, and Fractions are built only for the weights handed back;
+* linear systems are solved on integers through one Smith normal form, and
+  the inverse Cartan matrix is kept as integer rows over |det C|.
 
 Simple roots follow the Bourbaki numbering; the columns of the Cartan matrix
 are the simple roots written in the fundamental-weight basis, i.e.
@@ -28,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import lcm
+from math import factorial, lcm, prod
 from operator import itemgetter
 
 Weight = tuple[Q, ...]
-Matrix = tuple[tuple[Q, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 #: positive-root counts and group orders for the irreducible types, used as
 #: construction-time sanity checks.
@@ -47,10 +49,10 @@ POSITIVE_ROOT_COUNT = {
 }
 
 WEYL_ORDER = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2**n * _factorial(n),
-    "C": lambda n: 2**n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "C": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
     "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
     "F": lambda n: 1152,
     "G": lambda n: 12,
@@ -60,60 +62,12 @@ _RANK_RANGE = {"A": (1, 8), "B": (2, 8), "C": (2, 8), "D": (3, 8),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 class UnknownTypeError(ValueError):
     """Raised for type labels outside the supported finite types."""
 
 
 class GroupBoundExceeded(RuntimeError):
     """Raised when an enumeration would exceed the configured group bound."""
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra on small matrices
-# ---------------------------------------------------------------------------
-
-def mat_vec(m: Matrix, v: Weight) -> Weight:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def solve_rational(m: Matrix, rhs: Weight) -> Weight | None:
-    """One exact solution of ``m x = rhs``, or None when inconsistent.
-
-    Free coordinates are set to zero, so the answer is deterministic.
-    """
-    rows, cols = len(m), len(m[0]) if m else 0
-    a = [list(m[i]) + [rhs[i]] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Q(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
-    x = [Q(0)] * cols
-    for i, c in pivots:
-        x[c] = a[i][cols]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +120,9 @@ def _to_dominant(cartan, x, word: list | None = None) -> list[int]:
 def _in_root_lattice(datum: "CartanDatum", nums, den: int) -> bool:
     """Whether the weight nums / den lies in the root lattice.  Its simple
     root coordinates are C^{-1} nums / den; C^{-1} is kept as integer rows
-    over their least common denominator d, so the test is that every row
-    times nums is divisible by d * den."""
-    if "inverse_cartan_nums" not in datum._memo:
-        inv = datum.inverse_cartan
-        d = lcm(*(x.denominator for row in inv for x in row))
-        datum._memo["inverse_cartan_nums"] = (
-            [[int(x * d) for x in row] for row in inv], d)
-    rows, d = datum._memo["inverse_cartan_nums"]
+    over d = |det C|, so the test is that every row times nums is divisible
+    by d * den."""
+    rows, d = datum.inverse_cartan
     return all(x % (d * den) == 0 for x in _mat_nums(rows, nums))
 
 
@@ -251,6 +200,45 @@ def smith_normal_form(m):
     return p, s, q
 
 
+def _integer_solver(rows):
+    """(solve, diagonal): solve maps rhs to one integer solution of
+    rows * x == rhs, or None, by a Smith normal form of rows computed once;
+    diagonal is that form's diagonal, so the columns are independent iff
+    there are at most as many as rows and no diagonal entry is 0, and for a
+    square matrix the entries multiply to |det rows|."""
+    p, s, q = smith_normal_form(rows)
+    k, n = len(rows), len(rows[0])
+    diagonal = [s[i][i] for i in range(min(k, n))]
+
+    def solve(rhs):
+        pr = [sum(p[i][j] * rhs[j] for j in range(k)) for i in range(k)]
+        y = [0] * n
+        for i in range(k):
+            d = diagonal[i] if i < len(diagonal) else 0
+            if d == 0:
+                if pr[i] != 0:
+                    return None
+                continue
+            if pr[i] % d:
+                return None
+            y[i] = pr[i] // d
+        return tuple(sum(q[i][j] * y[j] for j in range(n)) for i in range(n))
+
+    return solve, diagonal
+
+
+def _integer_inverse(m) -> tuple[IntMatrix, int]:
+    """(rows, d) with m^{-1} == rows / d and d = |det m|, for an invertible
+    square integer matrix: column j of rows is the solution of m x = d e_j,
+    integral because d m^{-1} is the adjugate up to sign."""
+    solve, diagonal = _integer_solver(m)
+    d = prod(diagonal)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    return tuple(zip(*(solve([d * int(i == j) for i in range(len(m))])
+                       for j in range(len(m))))), d
+
+
 @dataclass(frozen=True)
 class FiniteAbelianElement:
     """An element of a fixed finite abelian group, as residues per modulus."""
@@ -309,10 +297,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.moduli:
-            out *= d
-        return out
+        return prod(self.moduli)
 
     @property
     def zero(self) -> FiniteAbelianElement:
@@ -451,18 +436,16 @@ class CartanDatum:
         return tuple(Q(c) for c in coords)
 
     @cached_property
-    def inverse_cartan(self) -> Matrix:
-        """The inverse Cartan matrix, built on first use; column j solves
-        cartan x = e_j."""
-        cartan = tuple(tuple(Q(x) for x in row) for row in self.cartan_matrix)
-        return tuple(zip(*(
-            solve_rational(cartan, tuple(Q(int(i == j))
-                                         for i in range(self.rank)))
-            for j in range(self.rank))))
+    def inverse_cartan(self) -> tuple[IntMatrix, int]:
+        """The inverse Cartan matrix as (rows, d): integer rows over
+        d = |det C|, built on first use by ``_integer_inverse``."""
+        return _integer_inverse(self.cartan_matrix)
 
     def root_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight in the simple-root basis."""
-        return mat_vec(self.inverse_cartan, weight)
+        rows, d = self.inverse_cartan
+        nums, den = _numerators(weight)
+        return _weight(_mat_nums(rows, nums), d * den)
 
     def reflection(self, root: Root) -> WeylElement:
         """The reflection s_alpha as a WeylElement."""
@@ -752,8 +735,7 @@ def weight_lattice_tests(datum: CartanDatum, lam: Weight) -> LatticeMembership:
     weights (None otherwise).
     """
     in_wl = all(x.denominator == 1 for x in lam)
-    rc = datum.root_coords(lam)
-    in_rl = all(x.denominator == 1 for x in rc)
+    in_rl = _in_root_lattice(datum, *_numerators(lam))
     cls = torsion_group(datum).class_of(lam) if in_wl else None
     return LatticeMembership(in_wl, in_rl, cls)
 
@@ -785,9 +767,3 @@ def dominant_dot_weight(datum: CartanDatum, nu: Weight) -> Weight:
     finds it, without forming the group element."""
     x, den = _dominant_dot_key(datum, nu)
     return _weight([v - den for v in x], den)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

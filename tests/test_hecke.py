@@ -438,7 +438,7 @@ def test_hecke_block_check_fails_on_a_broken_block(a3, a3_block,
     s1s2 = t.of(from_word(a3, (1, 2)))
     del cache._cols[s1s2][t.of(from_word(a3, (1,)))]
     assert len(cache.expansion(t.elements[s1s2])) == 2
-    monkeypatch.setitem(idat._memo, ("kl_cache", True), cache)
+    monkeypatch.setitem(idat._memo, "kl_cache", cache)
     status, witness = _check_hecke_block(a3, idat, None, random.Random(1))
     assert status == "fail" and "negative structure constant" in witness
     # conjugation by the twist taken to be trivial, while it swaps s1, s3

@@ -39,8 +39,9 @@ from weylblocks.rootsys import GroupBoundExceeded, dominant_dot_weight, \
 
 from conftest import check_enumeration, w
 from oracles import closure_sorted_w_int, fraction_act, \
-    fraction_enumerate_Xi, fresh_system, scan_chamber, scan_lattice_movers, \
-    sorted_double_cosets
+    fraction_dominant_dot_rep, fraction_enumerate_Xi, fraction_inverse, \
+    fresh_system, mat_vec, scan_chamber, scan_chamber_decompose, \
+    scan_lattice_movers, sorted_double_cosets
 
 
 def test_integral_datum_full_block(a2):
@@ -125,13 +126,21 @@ def test_lambda_sharp_examples(a1, a2):
 
 def test_lambda_sharp_matches_on_integral_coroots(b2):
     rng = random.Random(9)
-    for _ in range(20):
-        lam = tuple(Q(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-                    for _ in range(2))
-        idat = integral_datum(b2, lam)
+    cases = [(b2, tuple(Q(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+                        for _ in range(2))) for _ in range(20)]
+    cases += [(build_root_system(p.values[0]), p.values[1])
+              for p in _corpus_and_block_weights()]
+    for datum, lam in cases:
+        idat = integral_datum(datum, lam)
         sharp = lambda_sharp(idat)
         for r in idat.integral_positive:
             assert r.pair(sharp) == r.pair(lam)
+        # and it lies on the integral span: the Fraction solution there
+        x = mat_vec(fraction_inverse(idat.cartan_matrix),
+                    [r.pair(lam) for r in idat.integral_simples])
+        assert sharp == tuple(
+            sum(c * r.as_weight[k] for c, r in zip(x, idat.integral_simples))
+            for k in range(datum.rank))
 
 
 def test_dominant_dot_rep(a1, a3, a3_block):
@@ -415,6 +424,27 @@ def test_blocks_match_whole_group_scans(label, lam, mu):
     h, k = dot_stabilizer(datum, mu), dot_stabilizer(datum, lam)
     assert double_cosets(datum, frozenset(idat.w_ext), h, k).cosets == \
         sorted_double_cosets(datum, idat.w_ext, h, k)
+
+
+@pytest.mark.parametrize("label, lam, mu", _corpus_and_block_weights())
+def test_integral_walks_match_fraction_oracles(label, lam, mu):
+    """The integral Cartan matrix, dominant_dot_rep on seeded weights in
+    lam + (weight lattice) and chamber_decompose on all of W_ext, against
+    Fraction pairings, the Fraction walk and the scan of W_int."""
+    datum = build_root_system(label)
+    idat = integral_datum(datum, lam)
+    simples = idat.integral_simples
+    assert idat.cartan_matrix == tuple(
+        tuple(a.pair(b.as_weight) for b in simples) for a in simples)
+    rng = random.Random(f"walk:{label}:{lam}")
+    for _ in range(10):
+        nu = tuple(x + rng.randint(-6, 6) for x in lam)
+        assert dominant_dot_rep(idat, nu) == \
+            fraction_dominant_dot_rep(idat, nu)
+    if idat.chamber.order > 1:
+        for x in idat.w_ext:
+            assert chamber_decompose(idat, x) == \
+                scan_chamber_decompose(idat, x)
 
 
 @pytest.mark.parametrize("label, lam, mu", BLOCK_WEIGHTS)

@@ -1,8 +1,10 @@
+import doctest
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+import weylblocks.rootsys
 from weylblocks import (
     UnknownTypeError,
     build_root_system,
@@ -14,6 +16,7 @@ from weylblocks import (
 )
 from weylblocks.coxeter import generate_group, length, reduced_word
 from weylblocks.rootsys import (
+    _RANK_RANGE,
     POSITIVE_ROOT_COUNT,
     dominant_dot_weight,
     smith_normal_form,
@@ -25,7 +28,9 @@ from oracles import (
     fraction_act,
     fraction_classify_weight,
     fraction_dot_action,
+    fraction_inverse,
     fraction_to_dominant_dot,
+    mat_vec,
 )
 
 KERNEL_TYPES = ["A1", "A1xA1", "A3", "B3", "C3", "G2", "D4", "F4"]
@@ -226,6 +231,29 @@ def test_smith_normal_form_random():
         for d, e in zip(diag, diag[1:]):
             assert d >= 0 and (d == 0 and e == 0 or e % max(d, 1) == 0
                                if d == 0 else e % d == 0)
+
+
+@pytest.mark.parametrize("label", [
+    f"{letter}{n}" for letter, (lo, hi) in _RANK_RANGE.items()
+    for n in range(lo, hi + 1)] + ["A2xB3xG2"])
+def test_inverse_cartan_matches_fraction_inverse(label):
+    datum = build_root_system(label)
+    rows, d = datum.inverse_cartan
+    cartan, n = datum.cartan_matrix, datum.rank
+    assert d == torsion_group(datum).order  # |det C|
+    assert [[sum(rows[i][k] * cartan[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)] == \
+        [[d * int(i == j) for j in range(n)] for i in range(n)]
+    inverse = fraction_inverse(cartan)
+    rng = random.Random(f"root_coords:{label}")
+    for lam in [r.as_weight for r in datum.roots[:datum.num_positive]] + \
+            [random_weight(rng, n) for _ in range(10)]:
+        assert datum.root_coords(lam) == mat_vec(inverse, lam)
+
+
+def test_rootsys_doctests_pass():
+    result = doctest.testmod(weylblocks.rootsys)
+    assert result.failed == 0 and result.attempted >= 3
 
 
 def test_positive_root_count_table_matches():
