@@ -112,13 +112,9 @@ def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
     coordinates, ordered by depth; they compare and hash equal to the
     Fraction weights used elsewhere, so either kind looks a weight up.  The
     total mass, recovered through orbit-stabilizer counting, is checked
-    against the Weyl dimension formula before returning.
+    against the Weyl dimension formula before returning.  Nothing is cached.
     """
     top = _check_dominant_integral(datum, highest)
-    cache_key = ("dominant_char", top)
-    if cache_key in datum._memo:
-        return datum._memo[cache_key]
-
     n = datum.rank
     dd, roots = _character_scales(datum)
     cartan = datum.cartan_matrix
@@ -233,7 +229,6 @@ def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
     if mass != weyl_dimension(datum, top):
         raise AssertionError("Freudenthal mass disagrees with the Weyl "
                              "dimension formula")
-    datum._memo[cache_key] = out
     return out
 
 

@@ -173,7 +173,7 @@ def cmd_hecke(args) -> int:
     for (c, x), poly in sorted(
             graded.items(),
             key=lambda kv: (sort_key(datum, kv[0][0]),
-                            idat.int_sort_key(kv[0][1]))):
+                            idat.system.sort_key(kv[0][1]))):
         terms.append({
             "c": jsonio.element_to_json(datum, c),
             "x": jsonio.element_to_json(datum, x),
@@ -459,7 +459,8 @@ def _check_hecke_block(datum, idat, entry, rng, words=6):
                 hecke.decompose(idat, b * b_w, cache)
             except ValueError as exc:
                 return "fail", (f"negative structure constant at "
-                                f"{idat.int_reduced_word(w)}, simple {j}: {exc}")
+                                f"{idat.system.reduced_word(w)}, "
+                                f"simple {j}: {exc}")
     return "pass", None
 
 

@@ -238,11 +238,6 @@ def length(datum: CartanDatum, w: WeylElement) -> int:
     return coxeter_system(datum).length(w)
 
 
-def is_left_descent(datum: CartanDatum, w: WeylElement, i: int) -> bool:
-    """True iff length(s_i w) < length(w); i is 1-based."""
-    return coxeter_system(datum).is_left_descent(w, i)
-
-
 def reduced_word(datum: CartanDatum, w: WeylElement) -> tuple[int, ...]:
     """Lexicographically minimal reduced word, as 1-based simple indices."""
     return coxeter_system(datum).reduced_word(w)

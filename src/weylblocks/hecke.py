@@ -479,7 +479,7 @@ class KLCache:
         positions = range(n)
 
         def name(x):
-            return self.idat.int_reduced_word(t.elements[x])
+            return self.idat.system.reduced_word(t.elements[x])
 
         for w, (col, ideal) in enumerate(zip(self._cols, self._ideals)):
             if col.get(w) != (1,):
@@ -627,7 +627,7 @@ def _decompose(cache: KLCache, h: HeckeElement) -> dict:
                        key=lambda kv: t.chamber[kv[0]].root_perm):
         f = {x: dict(p) for x, p in f.items()}
         while f:
-            x = max(f)  # the int_sort_key-largest element
+            x = max(f)  # the largest element by the integral sort key
             g = out[c, x] = f.pop(x)
             for y, k, hp in cache._column(x):
                 if y == x:

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
+from math import prod
 
 from .coxeter import (
     DEFAULT_GROUP_BOUND,
@@ -60,9 +61,6 @@ from .rootsys import (
     torsion_group,
     weyl_order,
 )
-
-_SCAN_CAP = 10000  # safety cap for the certificate scans; never hit in practice
-
 
 def _is_lattice(coords) -> bool:
     return all(x.denominator == 1 for x in coords)
@@ -118,27 +116,9 @@ class IntegralDatum:
     def simple_reflections(self) -> tuple[WeylElement, ...]:
         return self.system.simple_reflections
 
-    def int_length(self, w: WeylElement) -> int:
-        return self.system.length(w)
-
-    def int_left_descent(self, w: WeylElement, j: int) -> bool:
-        """True iff s_j w is shorter in the integral system; j is 1-based."""
-        return self.system.is_left_descent(w, j)
-
-    def int_reduced_word(self, w: WeylElement) -> tuple[int, ...]:
-        """Lex-minimal reduced word over the integral simple indices."""
-        return self.system.reduced_word(w)
-
-    def int_sort_key(self, w: WeylElement):
-        return self.system.sort_key(w)
-
     def int_elements(self) -> tuple[WeylElement, ...]:
         """W_int sorted by the integral (length, reduced word)."""
         return self.system.elements()
-
-    def int_bruhat_leq(self, x: WeylElement, w: WeylElement) -> bool:
-        """Bruhat order of the integral Coxeter system (lifting property)."""
-        return self.system.bruhat_leq(x, w)
 
     def conjugate_simple(self, c: WeylElement, j: int) -> int:
         """Index j' with c s_j c^{-1} = s_{j'}, for chamber elements c."""
@@ -444,15 +424,29 @@ def dominant_dot_rep(idat: IntegralDatum,
 # certificates: regular dominant and subgeneric weights
 # ---------------------------------------------------------------------------
 
+def _least_step(pairings, steps) -> int:
+    """The least l >= 0 with p + l*d >= 1 for every pairing p and its step
+    d > 0."""
+    return max([0, *(-((p - 1) // d) for p, d in zip(pairings, steps))])
+
+
 def find_regular_dominant(idat: IntegralDatum) -> Weight:
-    """First lam + m*rho (m = 0, 1, 2, ...) that is regular dominant."""
+    """The first lam + m*rho (m = 0, 1, 2, ...) that is regular dominant.
+
+    Only an integral root a can pair with lam + (m+1) rho to an integer,
+    p + m*ht with p = <lam + rho, a^vee> and ht = <rho, a^vee>, the sum of
+    its coroot row; m is the least making every such pairing at least 1.
+    """
     datum = idat.datum
-    for m in range(_SCAN_CAP):
-        cand = _wadd(idat.lam, tuple(Q(m) * r for r in datum.rho))
-        cls = classify_weight(datum, cand)
-        if cls.dominant and cls.regular:
-            return cand
-    raise AssertionError("regular dominant scan exceeded cap")  # unreachable
+    shifted, den = _rho_shifted(idat.lam)
+    rows = [datum.coroot_rows[r.index] for r in idat.integral_positive]
+    m = _least_step([p // den for p in _mat_nums(rows, shifted)],
+                    map(sum, rows))
+    cand = _wadd(idat.lam, tuple(Q(m) * r for r in datum.rho))
+    cls = classify_weight(datum, cand)
+    if not (cls.dominant and cls.regular):
+        raise AssertionError(f"{cand} is not regular dominant")
+    return cand
 
 
 def _solve_single_diophantine(row: tuple[int, ...], target: int):
@@ -496,41 +490,45 @@ def find_subgeneric(idat: IntegralDatum, i: int) -> Weight:
 
     Three steps: land on the wall of s alone, find a lattice direction fixed
     by s but strictly positive on every other integral simple coroot, then
-    walk along it until the certificate checks.  All scans start at the
-    minimal coefficient.
+    walk along it to the first point that is dominant and on no other wall.
+    Each step takes its least coefficient, and the walk's length is read
+    off in closed form.
     """
     if not 1 <= i <= idat.rank:
         raise ValueError(f"integral simple index {i} out of range "
                          f"1..{idat.rank}")
     datum = idat.datum
     alpha = idat.integral_simples[i - 1]
-    row = tuple(int(x) for x in alpha.coroot_row)
+    rows = datum.coroot_rows
 
-    # step 1: mu' in lam + lattice with <mu' + rho, alpha^vee> = 0
-    omega = _solve_single_diophantine(row, 1)
-    target = alpha.pair(_wadd(idat.lam, datum.rho))
-    assert target.denominator == 1
-    mu1 = _wadd(idat.lam, tuple(Q(-int(target) * x) for x in omega))
+    # step 1: mu' = lam - <lam + rho, alpha^vee> omega, <omega, alpha^vee>
+    # = 1, lies on alpha's wall; mu1 is mu' + rho over lam's denominator
+    omega = _solve_single_diophantine(rows[alpha.index], 1)
+    shifted, den = _rho_shifted(idat.lam)
+    t = sum(map(int.__mul__, rows[alpha.index], shifted))
+    mu1 = [x - t * o for x, o in zip(shifted, omega)]
 
-    # step 2: delta in the lattice with <delta, alpha^vee> = 0 and
-    # <delta, beta^vee> = m > 0 on the other integral simples
-    rows = [[int(x) for x in r.coroot_row] for r in idat.integral_simples]
-    solve, _ = _integer_solver(rows)
-    delta = None
-    for m in range(1, _SCAN_CAP):
-        rhs = [0 if j == i - 1 else m for j in range(idat.rank)]
-        delta = solve(rhs)
-        if delta is not None:
-            break
-    assert delta is not None
+    # step 2: the least m > 0 with a lattice delta that is 0 on alpha^vee
+    # and m on the other integral simple coroots; m is the order of a class
+    # of Z^k / (image of their rows), so it divides that group's order, the
+    # product of the Smith diagonal
+    solve, diagonal = _integer_solver([rows[r.index]
+                                       for r in idat.integral_simples])
+    delta = next(d for d in (
+        solve([0 if j == i - 1 else m for j in range(idat.rank)])
+        for m in range(1, prod(diagonal) + 1)) if d is not None)
 
-    # step 3: minimal l with mu' + l*delta dominant and singular on alpha only
-    for l in range(_SCAN_CAP):
-        cand = _wadd(mu1, tuple(Q(l * x) for x in delta))
-        cls = classify_weight(datum, cand)
-        if cls.dominant and cls.singular_roots == (alpha,):
-            return cand
-    raise AssertionError("subgeneric scan exceeded cap")  # unreachable
+    # step 3: every other integral positive beta^vee is a nonnegative sum
+    # of integral simple coroots, not all alpha^vee, so <delta, beta^vee>
+    # >= m > 0; l is the least lifting every <mu' + rho, beta^vee> to >= 1
+    others = [rows[b.index] for b in idat.integral_positive if b != alpha]
+    l = _least_step([p // den for p in _mat_nums(others, mu1)],
+                    _mat_nums(others, delta))
+    cand = _weight([x - den + l * den * d for x, d in zip(mu1, delta)], den)
+    cls = classify_weight(datum, cand)
+    if not (cls.dominant and cls.singular_roots == (alpha,)):
+        raise AssertionError(f"{cand} is not subgeneric for {alpha}")
+    return cand
 
 
 # ---------------------------------------------------------------------------

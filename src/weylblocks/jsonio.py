@@ -40,27 +40,6 @@ def weight_to_json(w: Weight) -> list[str]:
     return [fraction_to_str(x) for x in w]
 
 
-def cartan_to_json(datum: CartanDatum) -> dict:
-    return {
-        "type": datum.type_label,
-        "rank": datum.rank,
-        "cartan_matrix": [list(row) for row in datum.cartan_matrix],
-    }
-
-
-def parse_cartan(doc) -> CartanDatum:
-    from .rootsys import build_root_system
-
-    datum = build_root_system(doc["type"])
-    if doc.get("rank") not in (None, datum.rank):
-        raise SchemaError(f"rank {doc['rank']} does not match {datum.rank}")
-    matrix = doc.get("cartan_matrix")
-    if matrix is not None and \
-            [list(row) for row in datum.cartan_matrix] != matrix:
-        raise SchemaError("Cartan matrix does not match the type label")
-    return datum
-
-
 def parse_weight(datum: CartanDatum, items) -> Weight:
     if isinstance(items, str):
         items = items.split(",")

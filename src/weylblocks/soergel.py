@@ -25,9 +25,10 @@ from fractions import Fraction as Q
 from .coxeter import DEFAULT_GROUP_BOUND, dot_stabilizer, double_cosets, \
     parabolic_order, sort_key
 from .integral import IntegralDatum, integral_datum, tau, _is_lattice, \
-    _wsub, dominant_dot_rep, lattice_movers
+    _wsub, dominant_dot_rep, find_regular_dominant, find_subgeneric, \
+    lattice_movers
 from .rootsys import CartanDatum, FiniteAbelianElement, Weight, WeylElement, \
-    classify_weight, dot_action, lattice_class
+    classify_weight, dot_action, lattice_class, torsion_group
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,6 @@ def make_word(idat: IntegralDatum, letters,
               shift: FiniteAbelianElement | None = None) -> BimoduleWord:
     """Validated word: Bs indices within the simple system, twists in the
     chamber subgroup."""
-    from .rootsys import torsion_group
-
     letters = tuple(letters)
     for l in letters:
         if isinstance(l, BsLetter):
@@ -244,9 +243,7 @@ class PObjectSpec:
 
 def p_object_spec(idat: IntegralDatum, mu: Weight, c: WeylElement,
                   indices) -> PObjectSpec:
-    """Assemble a spec, computing the certificates with the minimal scans."""
-    from .integral import find_regular_dominant, find_subgeneric
-
+    """Assemble a spec, computing the certificates in closed form."""
     mu = tuple(Q(x) for x in mu)
     indices = tuple(int(j) for j in indices)
     if c not in idat.chamber.elements:

@@ -7,6 +7,8 @@
   Weyl group.
 * Matrix inverses by Gauss-Jordan elimination in Fractions.
 * The decomposition w = c u in W_ext = C x| W_int by scanning W_int.
+* The regular dominant and subgeneric certificates by scanning their
+  coefficients upwards from the least, instead of the closed forms.
 * Dot stabilizers by scanning the whole Weyl group.
 * The movers of mu into lam + (weight lattice), hence W_ext, by scanning
   the whole Weyl group in generate_group order; the proper pairs of an
@@ -36,8 +38,9 @@ from weylblocks.cat_o import irrep_weight_multiset, linear_dominant_rep
 from weylblocks.coxeter import CoxeterSystem, closure, generate_group, \
     reduced_word
 from weylblocks.hecke import ONE, V, V_INV, ZERO, LaurentPoly
+from weylblocks.integral import _solve_single_diophantine
 from weylblocks.rootsys import WeightClass, _dominant_dot_key, \
-    _numerators, _rho_shifted, _to_dominant, dot_action
+    _integer_solver, _numerators, _rho_shifted, _to_dominant, dot_action
 from weylblocks.soergel import BsLetter
 
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})
@@ -129,6 +132,48 @@ def scan_chamber_decompose(idat, w) -> tuple:
         if c in idat.chamber.elements:
             return c, u
     raise AssertionError("no chamber part found")
+
+
+SCAN_CAP = 10000  # the scans below give up after this many steps
+
+
+def scan_find_regular_dominant(idat):
+    """find_regular_dominant by trying lam + m*rho for m = 0, 1, 2, ..."""
+    datum = idat.datum
+    for m in range(SCAN_CAP):
+        cand = tuple(x + m * r for x, r in zip(idat.lam, datum.rho))
+        cls = fraction_classify_weight(datum, cand)
+        if cls.dominant and cls.regular:
+            return cand
+    raise AssertionError("regular dominant scan exceeded cap")
+
+
+def scan_find_subgeneric(idat, i):
+    """find_subgeneric with steps 2 and 3 as scans from the least
+    coefficient: the least m > 0 for which m on every other integral
+    simple coroot (0 on alpha) is solvable, then the least l making
+    mu' + l*delta dominant and singular on alpha alone."""
+    datum = idat.datum
+    alpha = idat.integral_simples[i - 1]
+    row = tuple(int(x) for x in alpha.coroot_row)
+    omega = _solve_single_diophantine(row, 1)
+    target = alpha.pair(tuple(x + r for x, r in zip(idat.lam, datum.rho)))
+    assert target.denominator == 1
+    mu1 = tuple(x - target * o for x, o in zip(idat.lam, omega))
+    solve, _ = _integer_solver(
+        [[int(x) for x in r.coroot_row] for r in idat.integral_simples])
+    for m in range(1, SCAN_CAP):
+        delta = solve([0 if j == i - 1 else m for j in range(idat.rank)])
+        if delta is not None:
+            break
+    else:
+        raise AssertionError("lattice direction scan exceeded cap")
+    for l in range(SCAN_CAP):
+        cand = tuple(x + l * d for x, d in zip(mu1, delta))
+        cls = fraction_classify_weight(datum, cand)
+        if cls.dominant and cls.singular_roots == (alpha,):
+            return cand
+    raise AssertionError("subgeneric scan exceeded cap")
 
 
 def fraction_linear_dominant_rep(datum, v):
@@ -270,16 +315,16 @@ def r_polynomial_table(idat):
         key = (x.root_perm, w.root_perm)
         if key in table:
             return table[key]
-        if idat.int_length(w) == 0:
-            out = ONE if idat.int_length(x) == 0 else ZERO
-        elif idat.int_length(x) > idat.int_length(w):
+        if idat.system.length(w) == 0:
+            out = ONE if idat.system.length(x) == 0 else ZERO
+        elif idat.system.length(x) > idat.system.length(w):
             out = ZERO
         else:
             j = next(j for j in range(1, idat.rank + 1)
-                     if idat.int_left_descent(w, j))
+                     if idat.system.is_left_descent(w, j))
             s = idat.simple_reflections[j - 1]
             sx, sw = s * x, s * w
-            if idat.int_length(sx) < idat.int_length(x):
+            if idat.system.length(sx) < idat.system.length(x):
                 out = rec(sx, sw)
             else:
                 out = Q_MINUS_1 * rec(x, sw) + Q_VAR * rec(sx, sw)
@@ -299,12 +344,12 @@ def kl_polynomials_by_inversion(idat, w) -> dict:
     r_of = r_polynomial_table(idat)
     table = {w.root_perm: ONE}
     by_length = sorted(idat.int_elements(),
-                       key=lambda x: (-idat.int_length(x),
-                                      idat.int_reduced_word(x)))
+                       key=lambda x: (-idat.system.length(x),
+                                      idat.system.reduced_word(x)))
     for x in by_length:
         if x.root_perm in table:
             continue
-        if idat.int_length(x) >= idat.int_length(w):
+        if idat.system.length(x) >= idat.system.length(w):
             table[x.root_perm] = ZERO
             continue
         rhs = ZERO
@@ -320,7 +365,7 @@ def kl_polynomials_by_inversion(idat, w) -> dict:
         if rhs.is_zero and r_of(x, w).is_zero:
             table[x.root_perm] = ZERO
             continue
-        gap = idat.int_length(w) - idat.int_length(x)
+        gap = idat.system.length(w) - idat.system.length(x)
         low = (gap - 1) // 2
         cand = LaurentPoly({e: -c for e, c in rhs.items() if e <= low})
         assert cand.bar().shift(gap) - cand == rhs, \
@@ -333,13 +378,13 @@ def reference_h_product(idat, u, y) -> dict:
     """H_u H_y as {x: LaurentPoly}, multiplying WeylElements along the
     lex-minimal reduced word of u."""
     acc = {y: ONE}
-    for j in reversed(idat.int_reduced_word(u)):
+    for j in reversed(idat.system.reduced_word(u)):
         s = idat.simple_reflections[j - 1]
         nxt = {}
         for x, p in acc.items():
             sx = s * x
             nxt[sx] = nxt.get(sx, ZERO) + p
-            if idat.int_length(sx) < idat.int_length(x):
+            if idat.system.length(sx) < idat.system.length(x):
                 nxt[x] = nxt.get(x, ZERO) + p * (V_INV - V)
         acc = nxt
     return acc
@@ -375,13 +420,13 @@ def reference_bs_character(idat, word) -> dict:
 
 def reference_decompose_graded(idat, cache, terms: dict) -> dict:
     """{(c, x): LaurentPoly} in the twisted KL basis: per twist (in
-    root-permutation order), repeatedly strip the int_sort_key-largest
+    root-permutation order), repeatedly strip the integral sort-key-largest
     term with its expansion."""
     out = {}
     for c in sorted({c for c, _ in terms}, key=lambda c: c.root_perm):
         f = {x: p for (d, x), p in terms.items() if d == c}
         while f:
-            x = max(f, key=idat.int_sort_key)
+            x = max(f, key=idat.system.sort_key)
             g = f.pop(x)
             out[(c, x)] = g
             for y, h in cache.expansion(x).items():

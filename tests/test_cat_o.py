@@ -58,6 +58,19 @@ def test_dominant_characters(a1, a2, a3):
         [(2, 2), (3, 0), (0, 3), (1, 1), (0, 0)]
 
 
+def test_dominant_character_keeps_no_state_per_weight(a2):
+    # 64 distinct highest weights leave the datum's memo as the first call
+    # left it, and a repeated call recomputes an equal character
+    tops = [w(a, b) for a in range(8) for b in range(8)]
+    first = dominant_character(a2, tops[0])
+    size = len(a2._memo)
+    chars = [dominant_character(a2, top) for top in tops[1:]]
+    assert len(a2._memo) == size
+    assert dominant_character(a2, tops[0]) == first
+    assert dominant_character(a2, tops[-1]) == chars[-1]
+    assert chars[-1] is not dominant_character(a2, tops[-1])
+
+
 def test_input_validation(a1):
     with pytest.raises(ValueError):
         irrep_weight_multiset(a1, w(Q(1, 2)))

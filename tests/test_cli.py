@@ -237,17 +237,6 @@ def test_default_corpus_is_packaged_and_synced():
         assert json.loads(repo_copy.read_text()) == packaged_doc
 
 
-def test_cartan_round_trip(a3):
-    from weylblocks.jsonio import cartan_to_json, parse_cartan
-
-    doc = cartan_to_json(a3)
-    assert doc["rank"] == 3 and doc["type"] == "A3"
-    assert parse_cartan(doc) is a3
-    doc["cartan_matrix"][0][1] = 0
-    with pytest.raises(SchemaError):
-        parse_cartan(doc)
-
-
 def test_emitted_documents_reparse(capsys, a3, a3_block):
     # weights, words and polynomials coming out of the verbs feed back
     # through the same readers

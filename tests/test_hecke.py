@@ -228,7 +228,7 @@ def test_descent_masks_match_is_left_descent(label, lam):
 def test_validation_catches_each_fault(a3):
     idat = integral_datum(a3, w(0, 0, 0))
     t = _tables(idat)
-    word = idat.int_reduced_word
+    word = idat.system.reduced_word
     w3412 = t.of(from_word(a3, (2, 1, 3, 2)))
     s1s2 = t.of(from_word(a3, (1, 2)))
     s1s3 = t.of(from_word(a3, (1, 3)))
@@ -353,7 +353,7 @@ def test_full_label_set_in_regular_twisted_block(a3_block):
         for u in idat.int_elements():
             word = make_word(
                 idat, [RwLetter(c)] + [BsLetter(j)
-                                       for j in idat.int_reduced_word(u)])
+                                       for j in idat.system.reduced_word(u)])
             labels |= set(decompose(idat, bs_character(idat, word), cache))
     assert len(labels) == idat.chamber.order * idat.w_int.order == \
         len(idat.w_ext)

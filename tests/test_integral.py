@@ -41,7 +41,8 @@ from conftest import check_enumeration, w
 from oracles import closure_sorted_w_int, fraction_act, \
     fraction_dominant_dot_rep, fraction_enumerate_Xi, fraction_inverse, \
     fresh_system, mat_vec, scan_chamber, scan_chamber_decompose, \
-    scan_lattice_movers, sorted_double_cosets
+    scan_find_regular_dominant, scan_find_subgeneric, scan_lattice_movers, \
+    sorted_double_cosets
 
 
 def test_integral_datum_full_block(a2):
@@ -315,10 +316,10 @@ def test_integral_system_matches_full_when_w_int_is_w():
     assert idat.w_int.order == len(group) == 192
     assert idat.system is not coxeter_system(d4)
     for u in group:
-        assert idat.int_length(u) == length(d4, u)
-        assert idat.int_reduced_word(u) == reduced_word(d4, u)
+        assert idat.system.length(u) == length(d4, u)
+        assert idat.system.reduced_word(u) == reduced_word(d4, u)
         for x in group:
-            assert idat.int_bruhat_leq(x, u) == bruhat_leq(d4, x, u)
+            assert idat.system.bruhat_leq(x, u) == bruhat_leq(d4, x, u)
 
 
 @pytest.mark.parametrize("label, lam", [
@@ -334,8 +335,8 @@ def test_integral_words_are_reduced(label, lam):
     for u in idat.w_int.elements:
         inversions = sum(1 for r in idat.integral_positive
                          if u.root_perm[r.index] >= n)
-        word = idat.int_reduced_word(u)
-        assert len(word) == inversions == idat.int_length(u)
+        word = idat.system.reduced_word(u)
+        assert len(word) == inversions == idat.system.length(u)
         prod = datum.identity
         for j in word:
             prod = prod * idat.simple_reflections[j - 1]
@@ -445,6 +446,36 @@ def test_integral_walks_match_fraction_oracles(label, lam, mu):
         for x in idat.w_ext:
             assert chamber_decompose(idat, x) == \
                 scan_chamber_decompose(idat, x)
+
+
+SEEDED_CERTIFICATE_TYPES = ("A3", "B3", "C3", "G2", "D4", "A4", "B2")
+
+
+def _certificate_weights():
+    """The corpus and `blocks` weights, then 15 seeded weights on each of
+    seven types."""
+    out = [pytest.param(p.values[0], [p.values[1]], id=p.id)
+           for p in _corpus_and_block_weights()]
+    for label in SEEDED_CERTIFICATE_TYPES:
+        rng = random.Random(f"certificates:{label}")
+        weights = [tuple(Q(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+                         for _ in range(int(label[1:])))
+                   for _ in range(15)]
+        out.append(pytest.param(label, weights, id=f"seeded-{label}"))
+    return out
+
+
+@pytest.mark.parametrize("label, weights", _certificate_weights())
+def test_certificates_match_scans(label, weights):
+    """find_regular_dominant and find_subgeneric, at every integral simple,
+    against the scans from the least coefficient."""
+    datum = build_root_system(label)
+    for lam in weights:
+        idat = integral_datum(datum, lam)
+        assert find_regular_dominant(idat) == scan_find_regular_dominant(idat)
+        for j in range(1, idat.rank + 1):
+            assert find_subgeneric(idat, j) == \
+                scan_find_subgeneric(idat, j), (lam, j)
 
 
 @pytest.mark.parametrize("label, lam, mu", BLOCK_WEIGHTS)
