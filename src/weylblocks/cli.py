@@ -660,7 +660,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SchemaError, UnknownTypeError, GroupBoundExceeded, ValueError) as exc:
+    except (SchemaError, UnknownTypeError, GroupBoundExceeded, ValueError,
+            OSError) as exc:  # bad input, an unreadable file among it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:  # an internal invariant failed

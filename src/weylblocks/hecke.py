@@ -15,12 +15,11 @@ Decomposition into the twisted KL basis {(c, e) b_x} is exact; the exposed
 multiplicities are the values at v = 1 (the completed, ungraded contract),
 with the graded coefficients available separately.
 
-Internally the integral Weyl group is numbered 0..n-1 in ``int_elements()``
-order and the chamber in ``sorted_elements`` order, an element stores its
-terms under (chamber number, W_int number), and products, characters, KL
-expansions and decompositions run on those numbers with multiplication and
-conjugation read from integer tables; WeylElement and LaurentPoly appear
-only at the API edge.
+Internally the block's one numbering, ``idat.tables``, is used: an element
+stores its terms under (chamber number, W_int number), and products,
+characters, KL expansions and decompositions run on those numbers with
+multiplication and conjugation read from integer tables; WeylElement and
+LaurentPoly appear only at the API edge.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import itemgetter
 
-from .integral import IntegralDatum
+from .integral import BlockTables, IntegralDatum
 from .rootsys import WeylElement
 from .soergel import BimoduleWord, BsLetter
 
@@ -54,12 +53,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self._c
-
-    def min_exp(self) -> int:
-        return min(self._c) if self._c else 0
-
-    def max_exp(self) -> int:
-        return max(self._c) if self._c else 0
 
     def __add__(self, other):
         out = dict(self._c)
@@ -135,7 +128,7 @@ class HeckeElement:
     __slots__ = ("idat", "_ints")
 
     def __init__(self, idat: IntegralDatum, terms: dict | None = None):
-        t = _tables(idat)
+        t = idat.tables
         self.idat = idat
         self._ints = {(t.twist(c), t.of(x)): dict(p._c)
                       for (c, x), p in (terms or {}).items() if not p.is_zero}
@@ -156,7 +149,7 @@ class HeckeElement:
     @property
     def terms(self) -> dict:
         """{(c, x): LaurentPoly}, built on request."""
-        t = _tables(self.idat)
+        t = self.idat.tables
         return {(t.chamber[c], t.elements[x]): LaurentPoly(p)
                 for (c, x), p in self._ints.items()}
 
@@ -168,7 +161,7 @@ class HeckeElement:
         return f"HeckeElement(terms={self.terms!r})"
 
     def coeff(self, c: WeylElement, x: WeylElement) -> LaurentPoly:
-        t = _tables(self.idat)
+        t = self.idat.tables
         p = self._ints.get((t.chamber_index.get(c.root_perm),
                             t.index.get(x.root_perm)))
         return ZERO if p is None else LaurentPoly(p)
@@ -188,7 +181,7 @@ class HeckeElement:
         return HeckeElement._of(self.idat, out)
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        t = _tables(self.idat)
+        t, word = self.idat.tables, self.idat.system.reduced_word
         theirs = _by_twist(other._ints)
         out: dict = {}
         for c1, xs in _by_twist(self._ints).items():
@@ -197,8 +190,8 @@ class HeckeElement:
                 for x, p in xs.items():
                     # H_{c2^{-1} x c2} times the whole combination ys
                     prod = ys
-                    for j in reversed(t.word(conj[x])):
-                        prod = _left_mult_simple(t, j, prod)
+                    for j in reversed(word(t.elements[conj[x]])):
+                        prod = _left_mult_simple(t, j - 1, prod)
                     for z, r in prod.items():
                         _add_product(out.setdefault((c, z), {}), p, r)
         return HeckeElement._of(self.idat, out)
@@ -214,99 +207,15 @@ def standard_basis(idat: IntegralDatum, c: WeylElement,
 
 
 def group_like(idat: IntegralDatum, c: WeylElement) -> HeckeElement:
-    return HeckeElement._of(idat, {(_tables(idat).twist(c), 0): {0: 1}})
+    return HeckeElement._of(idat, {(idat.tables.twist(c), 0): {0: 1}})
 
 
 def kl_generator(idat: IntegralDatum, j: int) -> HeckeElement:
     """b_s = H_s + v H_e for the j-th integral simple reflection."""
     if not 1 <= j <= idat.rank:
         raise ValueError(f"integral simple index {j} out of range")
-    s = _tables(idat).left[j - 1][0]
+    s = idat.tables.left[j - 1][0]
     return HeckeElement._of(idat, {(0, s): {0: 1}, (0, 0): {1: 1}})
-
-
-# ---------------------------------------------------------------------------
-# the integral Weyl group and the chamber as integer tables
-# ---------------------------------------------------------------------------
-
-class _Tables:
-    """W_int numbered 0..n-1 in ``int_elements()`` order, so the identity is
-    0 and lengths never decrease along the numbering.  ``length``,
-    ``descent`` and ``left`` are the system's enumeration tables
-    (``coxeter.Enumeration``): ``left[j][x]`` is the index of s_{j+1} x and
-    ``descent[x]`` the smallest j with s_{j+1} x < x (-1 for the identity),
-    so following descents spells the lex-minimal reduced word.
-    ``dmask[x]`` is the left descent set of x as a bitmask, bit j set iff
-    s_{j+1} x < x.
-
-    The chamber is numbered in ``sorted_elements`` order (identity 0), with
-    ``chamber_mul[a][b]`` the number of the product.  ``right[j][x]`` is the
-    index of x s_{j+1} and ``conj[c][x]`` the index of c^{-1} x c; both
-    follow x = s_i u with u = left[i][x] one step shorter: x s = s_i (u s),
-    and c^{-1} x c = s_{i'} (c^{-1} u c) where c^{-1} s_i c = s_{i'}.
-    """
-
-    def __init__(self, idat: IntegralDatum):
-        enum = idat.system.enumeration()
-        self.elements = enum.elements
-        self.index = {w.root_perm: i for i, w in enumerate(self.elements)}
-        self.length = enum.length
-        self.left = left = enum.left
-        self.descent = enum.descent
-        dmask = [0] * len(self.elements)
-        for j, row in enumerate(left):
-            dmask = [m | 1 << j if self.length[sx] < lx else m
-                     for m, sx, lx in zip(dmask, row, self.length)]
-        self.dmask = dmask
-        self.chamber = idat.chamber.sorted_elements
-        self.chamber_index = {c.root_perm: i
-                              for i, c in enumerate(self.chamber)}
-        self.chamber_mul = [[self.chamber_index[(a * b).root_perm]
-                             for b in self.chamber] for a in self.chamber]
-        # (j, u) with x = s_{j+1} u, for x = 1, 2, ... in order
-        steps = [(j, left[j][x]) for x, j in enumerate(self.descent) if x]
-        self.right = []
-        for row in left:
-            r = [row[0]]
-            for j, u in steps:
-                r.append(left[j][r[u]])
-            self.right.append(r)
-        self.conj = []
-        for c in self.chamber:
-            ci = c.inverse()
-            rename = [left[idat.conjugate_simple(ci, j) - 1]
-                      for j in range(1, idat.rank + 1)]
-            r = [0]
-            for j, u in steps:
-                r.append(rename[j][r[u]])
-            self.conj.append(r)
-
-    def of(self, w: WeylElement) -> int:
-        hit = self.index.get(w.root_perm)
-        if hit is None:
-            raise ValueError("element outside the integral Weyl group")
-        return hit
-
-    def twist(self, c: WeylElement) -> int:
-        hit = self.chamber_index.get(c.root_perm)
-        if hit is None:
-            raise ValueError("twist is not a chamber element")
-        return hit
-
-    def word(self, x: int) -> list[int]:
-        """Lex-minimal reduced word of element x, as 0-based letters."""
-        out = []
-        while x:
-            j = self.descent[x]
-            out.append(j)
-            x = self.left[j][x]
-        return out
-
-
-def _tables(idat: IntegralDatum) -> _Tables:
-    if "hecke_tables" not in idat._memo:
-        idat._memo["hecke_tables"] = _Tables(idat)
-    return idat._memo["hecke_tables"]
 
 
 # Inside elements, products and decompositions a polynomial is a dict
@@ -320,7 +229,7 @@ def _add_product(q: dict, a: dict, b: dict) -> None:
             q[e1 + e2] = q.get(e1 + e2, 0) + x1 * x2
 
 
-def _left_mult_simple(t: _Tables, j: int, acc: dict) -> dict:
+def _left_mult_simple(t: BlockTables, j: int, acc: dict) -> dict:
     """H_{s_{j+1}} times a standard-basis combination."""
     row, length = t.left[j], t.length
     out: dict = {}
@@ -349,7 +258,7 @@ def _by_twist(ints: dict) -> dict:
 # Kazhdan-Lusztig basis
 # ---------------------------------------------------------------------------
 
-def _lower_ideals(t: _Tables) -> list[bytes]:
+def _lower_ideals(t: BlockTables) -> list[bytes]:
     """Bruhat lower ideals as bitmaps: byte x of entry w is 1 iff x <= w.
 
     Lifting property: for w = s u > u, {x <= w} = {x <= u} | s{x <= u}.
@@ -376,7 +285,7 @@ def _add_into(q: list[int], p: tuple[int, ...], k: int = 0,
         q[e] += m * c
 
 
-def _reduction(t: _Tables, mask: int) -> tuple:
+def _reduction(t: BlockTables, mask: int) -> tuple:
     """(top, up, extremal, tops) for I = mask: x' = top[x] is the top of the
     coset W_I x and up[x] = l(x') - l(x); bit x of the int extremal is set
     iff x = x'; tops maps a bitmap b to (b[top[x]] for every x), or is None
@@ -428,7 +337,7 @@ class KLCache:
 
     def __init__(self, idat: IntegralDatum):
         self.idat = idat
-        self._t = t = _tables(idat)
+        self._t = t = idat.tables
         n, length, left, dmask = len(t.elements), t.length, t.left, t.dmask
         self._ideals = ideals = _lower_ideals(t)
         self._reductions = reductions = {
@@ -590,7 +499,7 @@ def bs_character(idat: IntegralDatum, word: BimoduleWord) -> HeckeElement:
     It is invariant under the rewrite rules (the relations hold in the
     extended algebra), so normalizing first is allowed but not needed.
     """
-    t = _tables(idat)
+    t = idat.tables
     length = t.length
     terms = {(0, 0): {0: 1}}
     for letter in word.letters:

@@ -14,10 +14,11 @@ modulo the weight lattice, so a breadth-first search over the orbit of that
 class gives |W_ext| = |W| / |orbit| before any group is built, and the
 bound is enforced there.  C is closed from the Schreier generators of that
 stabilizer, each reduced into C (Schreier's lemma; Seress, *Permutation
-Group Algorithms*, 2003, 4.1), and W_ext = C W_int is sorted by the full
-(length, reduced word) key.  The same orbit search, stopped at a target
-class, finds one element moving mu into lam + (weight lattice); all of them
-are W_ext(lam) times it.
+Group Algorithms*, 2003, 4.1).  The block is numbered once, c u by (c, u)
+(``BlockTables``), tau(c u) = tau(c) is stored per chamber element, and
+W_ext sorted by the full (length, reduced word) key is built on request.
+The same orbit search, stopped at a target class, finds one element moving
+mu into lam + (weight lattice); all of them are W_ext(lam) times it.
 
 This module also hosts the constructive certificates around that picture:
 regular dominant and subgeneric weights in lam + (weight lattice), the
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 from math import prod
+from operator import itemgetter
 
 from .coxeter import (
     DEFAULT_GROUP_BOUND,
@@ -90,9 +92,8 @@ class IntegralDatum:
     integral_simples: tuple[Root, ...]     # indexed 1..k downstream
     system: CoxeterSystem                  # W_int over the integral simples
     w_int: SubgroupHandle
-    w_ext: tuple[WeylElement, ...]         # sorted by (length, word)
     chamber: SubgroupHandle
-    tau_table: dict = field(repr=False)    # WeylElement -> FiniteAbelianElement
+    chamber_tau: tuple = field(repr=False)  # per chamber.sorted_elements
     _memo: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -109,6 +110,17 @@ class IntegralDatum:
                    for r in self.integral_simples]
         return tuple(tuple(sum(map(int.__mul__, rows[a.index], b))
                            for b in simples) for a in self.integral_simples)
+
+    @cached_property
+    def w_ext(self) -> tuple[WeylElement, ...]:
+        """W_ext sorted by the full (length, reduced word) key, on request."""
+        return tuple(sorted((c * u for c in self.chamber.elements
+                             for u in self.int_elements()),
+                            key=coxeter_system(self.datum).sort_key))
+
+    @cached_property
+    def tables(self) -> "BlockTables":
+        return BlockTables(self)
 
     # -- the integral system as a Coxeter group of its own -----------------
 
@@ -131,6 +143,84 @@ class IntegralDatum:
         if img_index not in table:
             raise ValueError("conjugation does not preserve the simple system")
         return table[img_index]
+
+
+class BlockTables:
+    """The block W_ext = C W_int on integers: W_int numbered 0..n-1 in
+    ``int_elements()`` order, so the identity is 0 and lengths never
+    decrease along the numbering.  ``length``, ``descent`` and ``left`` are
+    the system's enumeration tables (``coxeter.Enumeration``):
+    ``left[j][x]`` is the index of s_{j+1} x and ``descent[x]`` the smallest
+    j with s_{j+1} x < x (-1 for the identity), so following descents
+    spells the lex-minimal reduced word.  ``dmask[x]`` is the left descent
+    set of x as a bitmask, bit j set iff s_{j+1} x < x.
+
+    The chamber is numbered in ``sorted_elements`` order (identity 0), with
+    ``chamber_mul[a][b]`` the number of the product.  ``right[j][x]`` is the
+    index of x s_{j+1} and ``conj[c][x]`` the index of c^{-1} x c; both
+    follow x = s_i u with u = left[i][x] one step shorter: x s = s_i (u s),
+    and c^{-1} x c = s_{i'} (c^{-1} u c) where c^{-1} s_i c = s_{i'}.
+    """
+
+    def __init__(self, idat: IntegralDatum):
+        enum = idat.system.enumeration()
+        self.elements = enum.elements
+        self.index = {w.root_perm: i for i, w in enumerate(self.elements)}
+        self.length = enum.length
+        self.left = left = enum.left
+        self.descent = enum.descent
+        dmask = [0] * len(self.elements)
+        for j, row in enumerate(left):
+            dmask = [m | 1 << j if self.length[sx] < lx else m
+                     for m, sx, lx in zip(dmask, row, self.length)]
+        self.dmask = dmask
+        self.chamber = idat.chamber.sorted_elements
+        self.chamber_index = {c.root_perm: i
+                              for i, c in enumerate(self.chamber)}
+        self.chamber_mul = [[self.chamber_index[(a * b).root_perm]
+                             for b in self.chamber] for a in self.chamber]
+        self._inverses = inverses = [c.inverse() for c in self.chamber]
+        # (j, u) with x = s_{j+1} u, for x = 1, 2, ... in order
+        steps = [(j, left[j][x]) for x, j in enumerate(self.descent) if x]
+        self.right = []
+        for row in left:
+            r = [row[0]]
+            for j, u in steps:
+                r.append(left[j][r[u]])
+            self.right.append(r)
+        self.conj = []
+        for ci in inverses:
+            rename = [left[idat.conjugate_simple(ci, j) - 1]
+                      for j in range(1, idat.rank + 1)]
+            r = [0]
+            for j, u in steps:
+                r.append(rename[j][r[u]])
+            self.conj.append(r)
+
+    def label(self, w: WeylElement) -> tuple[int, int]:
+        """(chamber number, W_int number) of w = c u, ValueError outside
+        W_ext: one lookup on C or W_int, else a product per chamber element."""
+        perm = w.root_perm
+        if perm in self.chamber_index:
+            return self.chamber_index[perm], 0
+        for c, inverse in enumerate(self._inverses):
+            x = self.index.get(
+                itemgetter(*perm)(inverse.root_perm) if c else perm)
+            if x is not None:
+                return c, x
+        raise ValueError("element does not move lam by a lattice weight")
+
+    def of(self, w: WeylElement) -> int:
+        hit = self.index.get(w.root_perm)
+        if hit is None:
+            raise ValueError("element outside the integral Weyl group")
+        return hit
+
+    def twist(self, c: WeylElement) -> int:
+        hit = self.chamber_index.get(c.root_perm)
+        if hit is None:
+            raise ValueError("twist is not a chamber element")
+        return hit
 
 
 def _class_orbit(datum: CartanDatum, nums, den: int, bound: int,
@@ -228,26 +318,28 @@ def _into_chamber(g: WeylElement, simples) -> WeylElement:
 
 
 def _chamber_group(datum: CartanDatum, orbit: dict, den: int, system,
-                   order: int, bound: int) -> frozenset[WeylElement]:
+                   order: int, bound: int) -> SubgroupHandle:
     """The chamber subgroup C, closed from the chamber parts of the Schreier
     generators t(y)^{-1} s_i t(x), y = s_i x, of the stabilizer W_ext of the
     weight's class (Schreier's lemma); they are taken in search order until
-    C reaches order |W_ext| / |W_int|, the orbit-stabilizer count."""
+    C reaches order |W_ext| / |W_int|, the orbit-stabilizer count, and
+    those that enlarged C are its generators."""
     cartan, t = datum.cartan_matrix, _transversal(datum, orbit, den)
     simples = list(zip(system.simple_indices, system.simple_reflections))
     target = order // len(system.elements())
-    chamber = frozenset({datum.identity})
+    gens, chamber = [], frozenset({datum.identity})
     for x in orbit:
         for i, s in enumerate(datum.simple_reflections):
             if len(chamber) >= target:
-                return chamber
+                return SubgroupHandle(datum, tuple(gens), chamber)
             st = s * t(x)
             ty = t(tuple(v % den for v in _reflect(cartan, x, i)))
             if st != ty:  # not an edge of the search tree
                 c = _into_chamber(ty.inverse() * st, simples)
                 if c not in chamber:
-                    chamber = closure(datum, chamber | {c}, bound)
-    return chamber
+                    gens.append(c)
+                    chamber = closure(datum, gens, bound)
+    return SubgroupHandle(datum, tuple(gens), chamber)
 
 
 def integral_datum(datum: CartanDatum, lam: Weight,
@@ -286,39 +378,39 @@ def integral_datum(datum: CartanDatum, lam: Weight,
                    in pos_coords for b in int_pos if b.height < r.height))
     system = CoxeterSystem(datum, (r.index for r in simples),
                            (r.index for r in int_pos))
-    key_of = coxeter_system(datum).sort_key
-
-    w_int = SubgroupHandle(
-        datum, tuple(sorted(system.simple_reflections, key=key_of)),
-        frozenset(system.elements(bound)))
-    chamber_els = _chamber_group(datum, orbit, den, system, order, bound)
-    chamber = SubgroupHandle(datum, tuple(
-        sorted(chamber_els - {datum.identity}, key=key_of)), chamber_els)
-    w_ext = tuple(sorted({c * u for c in chamber_els for u in w_int.elements},
-                         key=key_of))
-    if len(w_ext) * len(orbit) != weyl_order(datum):
-        raise AssertionError("|W_ext| * |orbit of lam mod the weight "
+    w_int = SubgroupHandle(datum, system.simple_reflections,
+                           frozenset(system.elements(bound)))
+    chamber = _chamber_group(datum, orbit, den, system, order, bound)
+    if chamber.order * w_int.order * len(orbit) != weyl_order(datum):
+        raise AssertionError("|C| * |W_int| * |orbit of lam mod the weight "
                              "lattice| != |W|")
-
-    # tau(w) from w(lam) - lam, on numerators over lam's denominator:
-    # coordinate i of w(lam) is lam's pairing with root perm.index(i)
-    torsion = torsion_group(datum)
-    tau_table = {}
-    for w in w_ext:
-        perm = w.root_perm
-        moved = [pairings[perm.index(i)] - x for i, x in enumerate(nums)]
-        if any(x % den for x in moved):
-            raise AssertionError("w(lam) - lam is not a lattice weight")
-        tau_table[w] = torsion.class_of([x // den for x in moved])
+    tau_of = _tau_of(datum, lam)
+    chamber_tau = tuple(tau_of(map(c.root_perm.index, range(datum.rank)))
+                        for c in chamber.sorted_elements)
 
     idat = IntegralDatum(
         datum=datum, lam=lam, integral_roots=int_roots,
         integral_positive=int_pos, integral_simples=simples,
-        system=system, w_int=w_int, w_ext=w_ext,
-        chamber=chamber, tau_table=tau_table)
+        system=system, w_int=w_int, chamber=chamber, chamber_tau=chamber_tau)
     _validate(idat)
     datum._memo[key] = idat
     return idat
+
+
+def _tau_of(datum: CartanDatum, lam: Weight):
+    """tau as a function of the indices of the roots w^{-1}(alpha_i):
+    coordinate i of w(lam) is lam's pairing with w^{-1}(alpha_i), taken on
+    numerators over lam's denominator."""
+    nums, den = _numerators(lam)
+    pairings, class_of = _mat_nums(datum.coroot_rows, nums), \
+        torsion_group(datum).class_of
+
+    def tau_of(pulled) -> FiniteAbelianElement:
+        moved = [pairings[k] - x for k, x in zip(pulled, nums)]
+        if any(x % den for x in moved):
+            raise AssertionError("w(lam) - lam is not a lattice weight")
+        return class_of([x // den for x in moved])
+    return tau_of
 
 
 def _validate(idat: IntegralDatum) -> None:
@@ -336,15 +428,18 @@ def _validate(idat: IntegralDatum) -> None:
             if x is None or min(x) < 0:
                 raise AssertionError(
                     f"integral root {r} does not decompose over the simples")
-    # kernel of tau is exactly W_int
-    for w in idat.w_ext:
-        if idat.tau_table[w].is_zero != (w in idat.w_int.elements):
+    # tau(c u) = tau(c) on C W_int, no product formed; tau(c) = 0 only at
+    # c = e, so the kernel of tau is W_int and C meets it trivially
+    tau_of = _tau_of(datum, idat.lam)
+    for c, t in zip(idat.chamber.sorted_elements, idat.chamber_tau):
+        if t.is_zero != c.is_identity:
             raise AssertionError("kernel of tau differs from W_int")
-    # semidirect shape
-    if idat.chamber.elements & idat.w_int.elements != {datum.identity}:
-        raise AssertionError("chamber meets W_int nontrivially")
-    if idat.chamber.order * idat.w_int.order != len(idat.w_ext):
-        raise AssertionError("|C| * |W_int| != |W_ext|")
+        heads = list(map(c.root_perm.index, range(datum.rank)))
+        for u in idat.int_elements():
+            # w^{-1}(alpha_i) = u^{-1}(c^{-1}(alpha_i))
+            if tau_of(map(u.root_perm.index, heads)) != t:
+                raise AssertionError("tau(c u) differs from tau(c)")
+    # the chamber is abelian and permutes the integral simples
     for c in idat.chamber.elements:
         for cc in idat.chamber.elements:
             if c * cc != cc * c:
@@ -358,26 +453,16 @@ def _validate(idat: IntegralDatum) -> None:
 # ---------------------------------------------------------------------------
 
 def tau(idat: IntegralDatum, w: WeylElement) -> FiniteAbelianElement:
-    """Class of w(lam) - lam modulo the root lattice."""
-    hit = idat.tau_table.get(w)
-    if hit is None:
-        raise ValueError("element does not move lam by a lattice weight")
-    return hit
+    """Class of w(lam) - lam modulo the root lattice: tau(c) for w = c u."""
+    return idat.chamber_tau[idat.tables.label(w)[0]]
 
 
 def chamber_decompose(idat: IntegralDatum,
                       w: WeylElement) -> tuple[WeylElement, WeylElement]:
-    """The unique (c, u) with w = c u, c in the chamber, u in W_int; c is
-    w shortened by integral simple reflections on the right, as
-    ``_into_chamber`` does it."""
-    if w not in idat.tau_table:
-        raise ValueError("element does not move lam by a lattice weight")
-    system = idat.system
-    c = _into_chamber(w, list(zip(system.simple_indices,
-                                  system.simple_reflections)))
-    if c not in idat.chamber.elements:
-        raise AssertionError("semidirect decomposition failed")
-    return c, c.inverse() * w
+    """The unique (c, u) with w = c u, c in the chamber, u in W_int, read
+    off the block's numbering; raises ValueError outside W_ext."""
+    c, u = idat.tables.label(w)
+    return idat.tables.chamber[c], idat.tables.elements[u]
 
 
 def lambda_sharp(idat: IntegralDatum) -> Weight:

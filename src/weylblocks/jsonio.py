@@ -104,6 +104,8 @@ def letters_to_json(word: BimoduleWord) -> list[str]:
 
 
 def parse_letters(idat: IntegralDatum, items) -> list[Letter]:
+    if not isinstance(items, list):
+        raise SchemaError(f"a word must be a JSON array, not {items!r}")
     datum = idat.datum
     by_element = {refl: j + 1
                   for j, refl in enumerate(idat.simple_reflections)}

@@ -155,6 +155,13 @@ def test_cli_error_paths(capsys):
     code, _, err = run_cli(capsys, "integral", "--type", "A2",
                            "--lambda", "1/0,0")
     assert code == 2 and "malformed rational" in err
+    # a word that is not a JSON array of letters is bad input
+    for word in ("null", "5", '{"B:s1": 0}', '"B:s1"'):
+        code, out, err = run_cli(capsys, "bimod", "grade", "--type", "A3",
+                                 "--lambda", "0,1/2,0", "--word", word)
+        assert code == 2 and out == "" and "JSON array" in err, word
+    code, _, err = run_cli(capsys, "run", "--corpus", "/nonexistent")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -31,12 +31,11 @@ from weylblocks.hecke import (
     HeckeElement,
     KLCache,
     _lower_ideals,
-    _Tables,
-    _tables,
     group_like,
     identity_element,
     standard_basis,
 )
+from weylblocks.integral import BlockTables
 
 from conftest import w
 from oracles import (
@@ -181,7 +180,7 @@ def test_kl_table_matches_r_inversion_oracle(label, lam):
 ])
 def test_lower_ideals_match_bruhat_order(label, lam):
     idat = integral_datum(build_root_system(label), lam)
-    t = _tables(idat)
+    t = idat.tables
     ideals = _lower_ideals(t)
     assert len(ideals) == len(t.elements)
     for u, ideal in zip(t.elements, ideals):
@@ -195,7 +194,7 @@ def test_lower_ideals_match_bruhat_order(label, lam):
 def test_rebuilt_columns_match_full_recursion(label, lam):
     idat = integral_datum(build_root_system(label), lam)
     cache = kl_cache(idat)
-    t = _tables(idat)
+    t = idat.tables
     els, length = t.elements, t.length
     for u, col in enumerate(reference_kl_columns(idat)):
         assert cache.expansion(els[u]) == {
@@ -218,7 +217,7 @@ def test_rebuilt_columns_match_full_recursion(label, lam):
 ])
 def test_descent_masks_match_is_left_descent(label, lam):
     idat = integral_datum(build_root_system(label), lam)
-    t = _tables(idat)
+    t = idat.tables
     for x, u in enumerate(t.elements):
         assert t.dmask[x] == sum(
             1 << j for j in range(idat.rank)
@@ -227,7 +226,7 @@ def test_descent_masks_match_is_left_descent(label, lam):
 
 def test_validation_catches_each_fault(a3):
     idat = integral_datum(a3, w(0, 0, 0))
-    t = _tables(idat)
+    t = idat.tables
     word = idat.system.reduced_word
     w3412 = t.of(from_word(a3, (2, 1, 3, 2)))
     s1s2 = t.of(from_word(a3, (1, 2)))
@@ -304,7 +303,7 @@ def test_kl_unitriangular_and_positive(b2):
         for x, p in exp.items():
             assert all(c >= 0 for _, c in p.items())
             if x != u:
-                assert p.min_exp() >= 1
+                assert min(e for e, _ in p.items()) >= 1
 
 
 def test_kl_basis_products_positive(a3_block):
@@ -434,7 +433,7 @@ def test_hecke_block_check_fails_on_a_broken_block(a3, a3_block,
     # entry h_{e, s1 s2} = v^2 rebuilt from it
     idat = integral_datum(a3, w(0, 0, 0))
     cache = KLCache(idat)
-    t = _tables(idat)
+    t = idat.tables
     s1s2 = t.of(from_word(a3, (1, 2)))
     del cache._cols[s1s2][t.of(from_word(a3, (1,)))]
     assert len(cache.expansion(t.elements[s1s2])) == 2
@@ -442,22 +441,23 @@ def test_hecke_block_check_fails_on_a_broken_block(a3, a3_block,
     status, witness = _check_hecke_block(a3, idat, None, random.Random(1))
     assert status == "fail" and "negative structure constant" in witness
     # conjugation by the twist taken to be trivial, while it swaps s1, s3
-    t = _Tables(a3_block)
+    t = BlockTables(a3_block)
     assert t.conj[1] != list(range(len(t.elements)))
     t.conj[1] = list(range(len(t.elements)))
-    monkeypatch.setitem(a3_block._memo, "hecke_tables", t)
+    monkeypatch.setitem(a3_block.__dict__, "tables", t)
     status, witness = _check_hecke_block(a3, a3_block, None, random.Random(1))
     assert status == "fail" and "not rewrite-invariant" in witness
 
 
 def test_tables_match_weyl_element_products(a3_block):
     idat = a3_block
-    t = _tables(idat)
+    t = idat.tables
     for x, u in enumerate(t.elements):
         for j, s in enumerate(idat.simple_reflections):
             assert t.elements[t.right[j][x]] == u * s
         for c, g in enumerate(t.chamber):
             assert t.elements[t.conj[c][x]] == g.inverse() * u * g
+            assert t.label(g * u) == (c, x)
     assert t.chamber[0].is_identity
     for a, g in enumerate(t.chamber):
         for b, h in enumerate(t.chamber):

@@ -32,7 +32,6 @@ import weylblocks
 from weylblocks import cli, coxeter, hecke, integral, soergel
 from weylblocks.cli import default_corpus_path, load_corpus
 from weylblocks.coxeter import CoxeterSystem
-from weylblocks.hecke import _tables
 from weylblocks.integral import _is_lattice, _validate, _wsub, lattice_movers
 from weylblocks.rootsys import GroupBoundExceeded, dominant_dot_weight, \
     torsion_group, weyl_order
@@ -358,11 +357,10 @@ def test_tau_table_matches_fraction_oracle(label):
     nonzero = 0
     for lam in weights:
         idat = integral_datum(datum, lam)
-        assert set(idat.tau_table) == set(idat.w_ext)
         for u in idat.w_ext:
-            assert idat.tau_table[u] == \
+            assert tau(idat, u) == \
                 torsion.class_of(_wsub(fraction_act(u, lam), lam)), (lam, u)
-            nonzero += not idat.tau_table[u].is_zero
+            nonzero += not tau(idat, u).is_zero
     assert nonzero or torsion.order == 1
 
 
@@ -410,9 +408,8 @@ def test_blocks_match_whole_group_scans(label, lam, mu):
     assert idat.chamber.sorted_elements == \
         scan_chamber(datum, idat.w_ext, idat.integral_positive)
     torsion = torsion_group(datum)
-    assert list(idat.tau_table) == list(idat.w_ext)
     for u in idat.w_ext:
-        assert idat.tau_table[u] == \
+        assert tau(idat, u) == \
             torsion.class_of(_wsub(fraction_act(u, lam), lam))
     if mu is None:
         return
@@ -520,7 +517,7 @@ def test_integral_enumeration_tables_match_fresh_system(label, lam):
     fresh = fresh_system(idat.datum, (r.index for r in idat.integral_simples),
                          (r.index for r in idat.integral_positive))
     check_enumeration(idat.system, fresh)
-    enum, t = idat.system.enumeration(), _tables(idat)
+    enum, t = idat.system.enumeration(), idat.tables
     assert (t.elements, t.length, t.descent, t.left) == \
         (enum.elements, enum.length, enum.descent, enum.left)
 
@@ -578,3 +575,34 @@ def test_validate_rejects_a_tampered_simple_system():
         with pytest.raises(AssertionError, match="simples"):
             _validate(dataclasses.replace(idat, integral_simples=tampered,
                                           _memo={}))
+
+
+def test_validate_rejects_a_tampered_chamber_tau(a3_block):
+    zero, two = a3_block.chamber_tau  # tau(e) = 0, tau(c) = 2 mod 4
+    odd = torsion_group(a3_block.datum).class_of([1, 0, 0])
+    assert zero.is_zero and str(two) == "2 mod 4" and str(odd) == "3 mod 4"
+    for tampered, message in [((two, two), "kernel of tau"),  # nonzero at e
+                              ((two, zero), "kernel of tau"),  # swapped
+                              ((zero, odd), "differs from tau")]:
+        with pytest.raises(AssertionError, match=message):
+            _validate(dataclasses.replace(a3_block, chamber_tau=tampered,
+                                          _memo={}))
+
+
+@pytest.mark.parametrize("label, lam", [
+    ("F4", (0, 0, 0, Q(1, 2))),
+    ("E8", tuple(Q(x, 5) for x in (1, 2, 3, 4, 1, 2, 3, 4))),
+    ("D4", (Q(1, 2), 0, 0, 0)),
+])
+def test_cold_integral_datum_builds_no_w_ext(label, lam):
+    """A cold block forms no product c u and memoizes words of the full
+    system only while sorting its chamber, which is trivial on F4 and E8
+    here."""
+    datum = build_root_system.__wrapped__(label)
+    idat = integral_datum(datum, lam)
+    assert "w_ext" not in idat.__dict__
+    words = coxeter_system(datum)._words
+    if idat.chamber.order == 1:
+        assert list(words) == [datum.identity.root_perm]
+    else:
+        assert label == "D4" and len(words) < idat.w_int.order == 24
