@@ -20,15 +20,16 @@ from math import lcm
 from .coxeter import parabolic_order
 from .integral import _wadd, _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
-    _dominant_dot_key, _in_root_lattice, _mat_nums, _numerators, _reflect, \
-    _rho_shifted, _to_dominant, _weight, classify_weight, dot_action, \
-    weyl_order
+    _check_rank, _dominant_dot_key, _in_root_lattice, _mat_nums, \
+    _numerators, _reflect, _rho_shifted, _to_dominant, _weight, \
+    classify_weight, dot_action, weyl_order
 
 WeightMultiset = dict  # Weight -> positive multiplicity
 
 
 def linear_dominant_rep(datum: CartanDatum, v: Weight) -> Weight:
     """The dominant point of the linear W-orbit of v."""
+    _check_rank(datum, v)
     nums, den = _numerators(v)
     return _weight(_to_dominant(datum.cartan_matrix, nums), den)
 
@@ -36,6 +37,7 @@ def linear_dominant_rep(datum: CartanDatum, v: Weight) -> Weight:
 def linear_orbit(datum: CartanDatum, v: Weight) -> set[Weight]:
     """The linear W-orbit of v, closed under the simple reflections in
     integer numerators."""
+    _check_rank(datum, v)
     nums, den = _numerators(v)
     cartan = datum.cartan_matrix
     seen = {tuple(nums)}
@@ -54,6 +56,7 @@ def linear_orbit(datum: CartanDatum, v: Weight) -> set[Weight]:
 
 
 def _check_dominant_integral(datum: CartanDatum, highest: Weight) -> Weight:
+    _check_rank(datum, highest)
     w = tuple(Q(c) for c in highest)
     if any(c.denominator != 1 for c in w):
         raise ValueError(f"highest weight {w} is not integral")
@@ -261,13 +264,8 @@ def linked(datum: CartanDatum, x: Weight, y: Weight) -> bool:
     Every dot orbit meets the closed dominant chamber of the dot action in
     exactly one point, so the two dominant representatives decide it.
     """
-    keys = []
-    for v in (x, y):
-        if len(v) != datum.rank:
-            raise ValueError(f"weight has {len(v)} coordinates, "
-                             f"expected {datum.rank}")
-        keys.append(_dominant_dot_key(datum, tuple(Q(c) for c in v)))
-    return keys[0] == keys[1]
+    return _dominant_dot_key(datum, tuple(map(Q, x))) == \
+        _dominant_dot_key(datum, tuple(map(Q, y)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ from .integral import (
     find_subgeneric,
     integral_datum,
     lambda_sharp,
-    lattice_movers,
+    lattice_mover,
     tau,
 )
 from .jsonio import SchemaError
@@ -230,9 +230,11 @@ def load_corpus(doc) -> list[CorpusEntry]:
         unknown = set(raw) - {"type", "lambda", "mu", "tags"}
         if unknown:
             raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
+        if not isinstance(raw.get("type"), str):
+            raise SchemaError(f"{where}.type: expected a type label string")
         try:
             datum = build_root_system(raw["type"])
-        except (KeyError, UnknownTypeError, TypeError) as exc:
+        except UnknownTypeError as exc:
             raise SchemaError(f"{where}.type: {exc}") from None
         try:
             lam = jsonio.parse_weight(datum, raw["lambda"])
@@ -244,8 +246,11 @@ def load_corpus(doc) -> list[CorpusEntry]:
                 mu = jsonio.parse_weight(datum, raw["mu"])
             except SchemaError as exc:
                 raise SchemaError(f"{where}.mu: {exc}") from None
-        tags = tuple(raw.get("tags", ()))
-        entries.append(CorpusEntry(i, datum.type_label, lam, mu, tags))
+        tags = raw.get("tags", [])
+        if not isinstance(tags, list) or \
+                not all(isinstance(t, str) for t in tags):
+            raise SchemaError(f"{where}.tags: expected a list of strings")
+        entries.append(CorpusEntry(i, datum.type_label, lam, mu, tuple(tags)))
     return entries
 
 
@@ -355,13 +360,12 @@ def _check_xi_counts(datum, idat, entry, rng):
     if entry.mu is None:
         return "skip", "no mu in entry"
     lam_dom = dominant_dot_weight(datum, entry.lam)
-    movers = lattice_movers(datum, entry.mu, lam_dom)
-    if not movers:
+    mover = lattice_mover(datum, entry.mu, lam_dom)
+    if mover is None:
         return "skip", "orbits not compatible"
     pairs = enumerate_Xi(datum, entry.mu, entry.lam)
     idat_dom = integral_datum(datum, lam_dom)
-    _, mu_dom = dominant_dot_rep(idat_dom,
-                                 dot_action(datum, movers[0], entry.mu))
+    _, mu_dom = dominant_dot_rep(idat_dom, dot_action(datum, mover, entry.mu))
     dc = double_cosets(datum, frozenset(idat_dom.w_ext),
                        dot_stabilizer(datum, mu_dom),
                        dot_stabilizer(datum, lam_dom))
@@ -385,7 +389,7 @@ def _check_translate_verma(datum, idat, entry, rng):
     stab_mu = dot_stabilizer(datum, mu).elements
     if not stab_lam <= stab_mu:
         return "skip", "stabilizer of lambda not inside stabilizer of mu"
-    for w in idat.w_int.sorted_elements:
+    for w in idat.int_elements():
         try:
             combo = cat_o.translate_verma(datum, lam, mu, w)
         except AssertionError as exc:

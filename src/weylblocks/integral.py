@@ -17,8 +17,8 @@ stabilizer, each reduced into C (Schreier's lemma; Seress, *Permutation
 Group Algorithms*, 2003, 4.1).  The block is numbered once, c u by (c, u)
 (``BlockTables``), tau(c u) = tau(c) is stored per chamber element, and
 W_ext sorted by the full (length, reduced word) key is built on request.
-The same orbit search, stopped at a target class, finds one element moving
-mu into lam + (weight lattice); all of them are W_ext(lam) times it.
+The same orbit search, stopped at a target class, finds one t moving mu
+into lam + (weight lattice); the shortest such element is a coset minimum.
 
 This module also hosts the constructive certificates around that picture:
 regular dominant and subgeneric weights in lam + (weight lattice), the
@@ -49,6 +49,7 @@ from .rootsys import (
     Root,
     Weight,
     WeylElement,
+    _check_rank,
     _integer_inverse,
     _integer_solver,
     _mat_nums,
@@ -274,8 +275,8 @@ def _mover(datum: CartanDatum, mu: Weight, lam: Weight,
            bound: int) -> WeylElement | None:
     """Some t in W with t(mu) - lam a lattice weight, by walking mu's class
     orbit to lam's class; the identity when mu - lam is already one."""
-    if len(mu) != datum.rank or len(lam) != datum.rank:
-        raise ValueError(f"weights need {datum.rank} coordinates")
+    _check_rank(datum, mu)
+    _check_rank(datum, lam)
     nums, den = _numerators([Q(x) for x in (*mu, *lam)])
     target = tuple(x % den for x in nums[datum.rank:])
     orbit = _class_orbit(datum, nums[:datum.rank], den, bound, target)
@@ -283,32 +284,29 @@ def _mover(datum: CartanDatum, mu: Weight, lam: Weight,
         else None
 
 
-def lattice_movers(datum: CartanDatum, mu: Weight, lam: Weight,
-                   bound: int = DEFAULT_GROUP_BOUND
-                   ) -> tuple[WeylElement, ...]:
-    """The w in W with w(mu) - lam a lattice weight, sorted by (length,
-    reduced word); empty when there is none.
-
-    These are also the w with w.mu - lam a lattice weight, since
-    w.mu - w(mu) = w(rho) - rho is one.  For one such t they are exactly
-    W_ext(lam) t, and t comes from a walk over mu's classes modulo the
-    weight lattice, so no group is enumerated beyond W_ext(lam).  When
-    mu - lam is a lattice weight they are W_ext(lam), identity first.
+def lattice_mover(datum: CartanDatum, mu: Weight, lam: Weight,
+                  bound: int = DEFAULT_GROUP_BOUND) -> WeylElement | None:
+    """The shortest w in W with w(mu) - lam (or w.mu - lam, the same
+    condition) a lattice weight, ties broken by reduced word; None when
+    there is none.  For one such t, found by walking mu's classes, they are
+    the cosets W_int c t, c in the chamber; each has exactly one shortest
+    element, all others strictly longer (M. Dyer, J. Algebra 135 (1990)),
+    so the least of those |C| minima is the answer.
     """
     t = _mover(datum, mu, lam, bound)
     if t is None:
-        return ()
-    w_ext = integral_datum(datum, lam, bound).w_ext
-    if t.is_identity:
-        return w_ext
-    return tuple(sorted((w * t for w in w_ext),
-                        key=coxeter_system(datum).sort_key))
+        return None
+    idat = integral_datum(datum, lam, bound)
+    simples = list(zip(idat.system.simple_indices, idat.simple_reflections))
+    return min((_into_chamber((c * t).inverse(), simples).inverse()
+                for c in idat.chamber.elements),
+               key=coxeter_system(datum).sort_key)
 
 
 def _into_chamber(g: WeylElement, simples) -> WeylElement:
-    """The chamber part c of g = c u, u in W_int, for g in W_ext: right
-    multiply by integral simple reflections while g sends one of their
-    roots negative, which shortens g in the integral system each time."""
+    """The shortest element of g W_int; for g in W_ext, its chamber part:
+    right multiply by integral simple reflections s_alpha while g(alpha) < 0,
+    which shortens g in the full length each time."""
     n = g.datum.num_positive
     while True:
         s = next((s for i, s in simples if g.root_perm[i] >= n), None)
@@ -352,6 +350,7 @@ def integral_datum(datum: CartanDatum, lam: Weight,
     orbit) exceeds ``bound``.  W_ext is then C W_int, with C from Schreier
     generators; W itself is never enumerated.
     """
+    _check_rank(datum, lam)
     lam = tuple(Q(x) for x in lam)
     key = ("integral", lam)
     if key in datum._memo:
@@ -660,10 +659,12 @@ def enumerate_Xi(datum: CartanDatum, mu: Weight, lam: Weight,
         return ()
     idat = integral_datum(datum, lam_dom, bound)
     start, den = _rho_shifted(dot_action(datum, t, mu))
-    # coordinate i of w(x) is x's pairing with root perm.index(i)
+    # coordinate i of w(x), w = c u, is x's pairing with u^{-1}(c^{-1} alpha_i)
     pairings = [sum(map(int.__mul__, row, start)) for row in datum.coroot_rows]
-    orbit = {tuple(pairings[w.root_perm.index(i)] for i in range(datum.rank))
-             for w in idat.w_ext}
+    heads = [list(map(c.root_perm.index, range(datum.rank)))
+             for c in idat.chamber.elements]
+    orbit = {tuple(pairings[u.root_perm.index(h)] for h in hs)
+             for hs in heads for u in idat.int_elements()}
     matrices = [g.weight_matrix
                 for g in dot_stabilizer(datum, lam_dom).generators]
     positive_rows = datum.coroot_rows[:datum.num_positive]

@@ -43,6 +43,8 @@ def weight_to_json(w: Weight) -> list[str]:
 def parse_weight(datum: CartanDatum, items) -> Weight:
     if isinstance(items, str):
         items = items.split(",")
+    elif not isinstance(items, list):
+        raise SchemaError(f"a weight must be a string or list, not {items!r}")
     coords = tuple(parse_fraction(x) for x in items)
     if len(coords) != datum.rank:
         raise SchemaError(

@@ -74,6 +74,12 @@ class GroupBoundExceeded(RuntimeError):
 # the integer weight kernel
 # ---------------------------------------------------------------------------
 
+def _check_rank(datum: "CartanDatum", weight) -> None:
+    if len(weight) != datum.rank:
+        raise ValueError(f"weight has {len(weight)} coordinates, "
+                         f"expected {datum.rank}")
+
+
 def _numerators(weight) -> tuple[list[int], int]:
     """(nums, den) with weight == nums / den and den the least common
     denominator; the Weyl group and integral shifts keep den fixed."""
@@ -130,6 +136,7 @@ def _dominant_dot_key(datum: "CartanDatum", nu: Weight,
                       word: list | None = None) -> tuple:
     """The dominant point of nu's dot orbit as (numerators of it + rho,
     denominator): two weights are linked iff their keys are equal."""
+    _check_rank(datum, nu)
     x, den = _rho_shifted(nu)
     return tuple(_to_dominant(datum.cartan_matrix, x, word)), den
 
@@ -670,9 +677,7 @@ def build_root_system(type_label: str) -> CartanDatum:
 
 def dot_action(datum: CartanDatum, w: WeylElement, lam: Weight) -> Weight:
     """w . lam = w(lam + rho) - rho."""
-    if len(lam) != datum.rank:
-        raise ValueError(f"weight has {len(lam)} coordinates, "
-                         f"expected {datum.rank}")
+    _check_rank(datum, lam)
     shifted, den = _rho_shifted(lam)
     moved = _mat_nums(w.weight_matrix, shifted)
     return _weight([x - den for x in moved], den)
@@ -694,6 +699,7 @@ def classify_weight(datum: CartanDatum, lam: Weight) -> WeightClass:
     root pairs to zero.  The pairings are scanned as numerators over the
     weight's denominator, so v is integral when den divides it.
     """
+    _check_rank(datum, lam)
     shifted, den = _rho_shifted(lam)
     dominant = antidominant = True
     singular = []
@@ -734,6 +740,7 @@ def weight_lattice_tests(datum: CartanDatum, lam: Weight) -> LatticeMembership:
     computed through the Smith normal form; it is only defined for lattice
     weights (None otherwise).
     """
+    _check_rank(datum, lam)
     in_wl = all(x.denominator == 1 for x in lam)
     in_rl = _in_root_lattice(datum, *_numerators(lam))
     cls = torsion_group(datum).class_of(lam) if in_wl else None
@@ -742,6 +749,7 @@ def weight_lattice_tests(datum: CartanDatum, lam: Weight) -> LatticeMembership:
 
 def lattice_class(datum: CartanDatum, lam: Weight) -> FiniteAbelianElement:
     """Torsion class of a lattice weight; raises for non-lattice input."""
+    _check_rank(datum, lam)
     if any(x.denominator != 1 for x in lam):
         raise ValueError(f"{lam} is not in the weight lattice")
     return torsion_group(datum).class_of(lam)

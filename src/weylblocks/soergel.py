@@ -26,9 +26,9 @@ from .coxeter import DEFAULT_GROUP_BOUND, dot_stabilizer, double_cosets, \
     parabolic_order, sort_key
 from .integral import IntegralDatum, integral_datum, tau, _is_lattice, \
     _wsub, dominant_dot_rep, find_regular_dominant, find_subgeneric, \
-    lattice_movers
+    lattice_mover
 from .rootsys import CartanDatum, FiniteAbelianElement, Weight, WeylElement, \
-    classify_weight, dot_action, lattice_class, torsion_group
+    _check_rank, classify_weight, dot_action, lattice_class, torsion_group
 
 
 @dataclass(frozen=True)
@@ -244,6 +244,7 @@ class PObjectSpec:
 def p_object_spec(idat: IntegralDatum, mu: Weight, c: WeylElement,
                   indices) -> PObjectSpec:
     """Assemble a spec, computing the certificates in closed form."""
+    _check_rank(idat.datum, mu)
     mu = tuple(Q(x) for x in mu)
     indices = tuple(int(j) for j in indices)
     if c not in idat.chamber.elements:
@@ -321,22 +322,23 @@ def indecomposable_index(datum: CartanDatum, mu: Weight, lam: Weight,
         if not classify_weight(datum, x).dominant:
             raise ValueError(f"{name} = {x} is not dominant")
     idat = integral_datum(datum, lam, bound)
-    # the identity comes first, so a dominant mu in lam + P stays put
-    movers = lattice_movers(datum, mu, lam, bound)
-    if not movers:
+    # the identity is the shortest, so a dominant mu in lam + P stays put
+    mover = lattice_mover(datum, mu, lam, bound)
+    if mover is None:
         raise ValueError("mu and lam are not compatible")
-    _, mu_d = dominant_dot_rep(idat, dot_action(datum, movers[0], mu))
+    _, mu_d = dominant_dot_rep(idat, dot_action(datum, mover, mu))
 
+    # count the whole block first: its sort memoizes words under W_ext's
+    # own permutations, so the per-chamber sorts below add no fresh copies
     stab_lam = dot_stabilizer(datum, lam)
+    total = double_cosets(datum, frozenset(idat.w_ext),
+                          dot_stabilizer(datum, mu_d), stab_lam).count
     labels = []
     for c in idat.chamber.sorted_elements:
         c_mu = dot_action(datum, c, mu_d)
         stab_c_mu = dot_stabilizer(datum, c_mu)
         dec = double_cosets(datum, idat.w_int.elements, stab_c_mu, stab_lam)
         labels.extend((c, rep) for rep, _ in dec.cosets)
-
-    total = double_cosets(datum, frozenset(idat.w_ext),
-                          dot_stabilizer(datum, mu_d), stab_lam).count
     if len(labels) != total:
         raise AssertionError(
             f"stratified label count {len(labels)} disagrees with the "

@@ -187,14 +187,23 @@ def test_empty_corpus(tmp_path, capsys):
     assert doc["summary"]["all_passed"] is True
 
 
-def test_malformed_corpus_names_entry(tmp_path):
+def test_malformed_corpus_names_entry(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(
-        {"entries": [{"type": "A1", "lambda": ["0"]},
-                     {"type": "A1", "lambda": ["1/0"]}]}))
-    with pytest.raises(SchemaError) as err:
+    good = {"type": "A1", "lambda": ["0"]}
+    for field, value in [("lambda", ["1/0"]), ("lambda", 5),
+                         ("lambda", {"0": 1}), ("type", 5), ("type", ["A1"]),
+                         ("mu", 5), ("tags", 5), ("tags", "ab"),
+                         ("tags", [1, {}])]:
+        path.write_text(json.dumps({"entries": [good,
+                                                {**good, field: value}]}))
+        with pytest.raises(SchemaError) as err:
+            run_corpus(str(path))
+        assert f"entries[1].{field}" in str(err.value), (field, value)
+    path.write_text(json.dumps({"entries": [{"lambda": ["0"]}]}))
+    with pytest.raises(SchemaError, match=r"entries\[0\]\.type"):
         run_corpus(str(path))
-    assert "entries[1].lambda" in str(err.value)
+    code, out, err = run_cli(capsys, "run", "--corpus", str(path))
+    assert code == 2 and out == "" and err.startswith("error: entries[0].type")
 
 
 def test_report_round_trip_and_determinism(tmp_path):

@@ -32,7 +32,8 @@ import weylblocks
 from weylblocks import cli, coxeter, hecke, integral, soergel
 from weylblocks.cli import default_corpus_path, load_corpus
 from weylblocks.coxeter import CoxeterSystem
-from weylblocks.integral import _is_lattice, _validate, _wsub, lattice_movers
+from weylblocks.integral import IntegralDatum, _is_lattice, _validate, _wsub, \
+    lattice_mover
 from weylblocks.rootsys import GroupBoundExceeded, dominant_dot_weight, \
     torsion_group, weyl_order
 
@@ -221,10 +222,27 @@ def test_lattice_movers_match_brute_force(label, mu, lam):
     lam = tuple(Q(c) for c in lam)
     brute = [u for u in generate_group(datum)
              if _is_lattice(_wsub(dot_action(datum, u, mu), lam))]
-    assert list(lattice_movers(datum, mu, lam)) == brute
+    assert lattice_mover(datum, mu, lam) == (brute[0] if brute else None)
     assert are_compatible(datum, mu, lam) == bool(brute)
     if mu == lam:
         assert integral_datum(datum, lam).w_ext == tuple(brute)
+
+
+@pytest.mark.parametrize("label, lam", [
+    ("A3", (0, H, 0)), ("B3", (0, 0, H)), ("D4", (H, 0, 0, 0)),
+    ("A5", (T, 0, 0, 0, 0)),
+])
+def test_into_chamber_is_the_shortest_in_its_coset(label, lam):
+    """For every g in W, the walk ends at the unique shortest element of
+    g W_int, found by scanning the coset."""
+    datum = build_root_system(label)
+    idat = integral_datum(datum, tuple(Q(c) for c in lam))
+    simples = list(zip(idat.system.simple_indices, idat.simple_reflections))
+    for g in generate_group(datum):
+        coset = sorted((g * u for u in idat.int_elements()),
+                       key=lambda x: length(datum, x))
+        assert integral._into_chamber(g, simples) == coset[0]
+        assert length(datum, coset[0]) < length(datum, coset[1])
 
 
 def test_enumerate_Xi_rank_one(a1):
@@ -416,7 +434,8 @@ def test_blocks_match_whole_group_scans(label, lam, mu):
     lam_dom = dominant_dot_weight(datum, lam)
     # mu and lam need not differ by a lattice weight, nor lam and lam_dom
     for a, b in ((mu, lam), (mu, lam_dom), (lam, lam_dom), (mu, mu)):
-        assert lattice_movers(datum, a, b) == scan_lattice_movers(datum, a, b)
+        scan = scan_lattice_movers(datum, a, b)
+        assert lattice_mover(datum, a, b) == (scan[0] if scan else None)
     assert [(p.mu, p.lam) for p in enumerate_Xi(datum, mu, lam)] == \
         list(fraction_enumerate_Xi(datum, mu, lam))
     h, k = dot_stabilizer(datum, mu), dot_stabilizer(datum, lam)
@@ -499,6 +518,28 @@ def test_block_pipelines_never_enumerate_w(monkeypatch, label, lam, mu):
                        dot_stabilizer(datum, mu), dot_stabilizer(datum, lam))
     labels = soergel.indecomposable_index(datum, mu, lam)
     assert len(enumerate_Xi(datum, mu, lam)) == dc.count == len(labels)
+    cache = hecke.kl_cache(idat)
+    word = soergel.normalize(soergel.make_word(
+        idat, [soergel.RwLetter(idat.chamber.sorted_elements[-1])]
+        + [soergel.BsLetter(j) for j in range(1, idat.rank + 1)]))
+    hecke.decompose(idat, hecke.bs_character(idat, word), cache)
+
+
+@pytest.mark.parametrize("label, lam, mu", BLOCK_WEIGHTS)
+def test_block_pipelines_never_read_w_ext(monkeypatch, label, lam, mu):
+    """The mover, compatibility, Xi and the Hecke pipeline of a `blocks`
+    item, from a datum with empty caches, with W_ext made to raise."""
+    def no_w_ext(idat):
+        raise AssertionError("the sorted W_ext was built")
+
+    monkeypatch.setattr(IntegralDatum, "w_ext", property(no_w_ext))
+    datum = build_root_system.__wrapped__(label)
+    lam, mu = _weight(lam), _weight(mu)
+    idat = integral_datum(datum, lam)
+    for a, b in ((mu, lam), (lam, lam)):
+        assert are_compatible(datum, a, b) == \
+            (lattice_mover(datum, a, b) is not None)
+    assert enumerate_Xi(datum, mu, lam)
     cache = hecke.kl_cache(idat)
     word = soergel.normalize(soergel.make_word(
         idat, [soergel.RwLetter(idat.chamber.sorted_elements[-1])]
@@ -606,3 +647,19 @@ def test_cold_integral_datum_builds_no_w_ext(label, lam):
         assert list(words) == [datum.identity.root_perm]
     else:
         assert label == "D4" and len(words) < idat.w_int.order == 24
+
+
+def test_cold_mover_and_xi_build_no_w_ext():
+    """On E8 at the 1/5 weight, with mu in another class mod the weight
+    lattice, the mover is the least of |C| coset minima and Xi is read
+    through the block's numbering: W_ext is never built, and few words of
+    the full system are memoized (the sorted W_ext would hold 181,580)."""
+    datum = build_root_system.__wrapped__("E8")
+    lam = tuple(Q(x, 5) for x in (1, 2, 3, 4, 1, 2, 3, 4))
+    mu = _weight("16/5,3/5,-17/5,8/5,2/5,14/5,-4/5,-1")
+    idat = integral_datum(datum, lam)
+    assert lattice_mover(datum, mu, lam) is not None
+    assert enumerate_Xi(datum, mu, lam)
+    assert dominant_dot_weight(datum, lam) == lam
+    assert "w_ext" not in idat.__dict__
+    assert len(coxeter_system(datum)._words) < 100

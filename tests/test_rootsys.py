@@ -7,14 +7,23 @@ import pytest
 import weylblocks.rootsys
 from weylblocks import (
     UnknownTypeError,
+    are_compatible,
     build_root_system,
     classify_weight,
+    dominant_character,
     dot_action,
+    enumerate_Xi,
+    integral_datum,
     lattice_class,
+    linked,
+    p_object_spec,
     torsion_group,
     weight_lattice_tests,
+    weyl_dimension,
 )
+from weylblocks.cat_o import linear_dominant_rep, linear_orbit
 from weylblocks.coxeter import generate_group, length, reduced_word
+from weylblocks.integral import lattice_mover
 from weylblocks.rootsys import (
     _RANK_RANGE,
     POSITIVE_ROOT_COUNT,
@@ -133,6 +142,40 @@ def test_dot_action_properties(a3):
         assert dot_action(a3, u, dot_action(a3, u.inverse(), lam)) == lam
         assert dot_action(a3, u * v, lam) == \
             dot_action(a3, u, dot_action(a3, v, lam))
+
+
+A3_ZERO = (Q(0),) * 3
+A3_HALF = (Q(0), Q(1, 2), Q(0))
+WEIGHT_ENTRY_POINTS = {
+    "classify_weight": classify_weight,
+    "weyl_dimension": weyl_dimension,
+    "dominant_dot_weight": dominant_dot_weight,
+    "to_dominant_dot": to_dominant_dot,
+    "linear_dominant_rep": linear_dominant_rep,
+    "linear_orbit": linear_orbit,
+    "lattice_class": lattice_class,
+    "weight_lattice_tests": weight_lattice_tests,
+    "dominant_character": dominant_character,
+    "integral_datum": integral_datum,
+    "dot_action": lambda d, x: dot_action(d, d.identity, x),
+    "linked": lambda d, x: linked(d, A3_ZERO, x),
+    "lattice_mover": lambda d, x: lattice_mover(d, x, A3_ZERO),
+    "are_compatible": lambda d, x: are_compatible(d, A3_ZERO, x),
+    "enumerate_Xi": lambda d, x: enumerate_Xi(d, x, A3_HALF),
+    "p_object_spec": lambda d, x: p_object_spec(integral_datum(d, A3_HALF),
+                                                x, d.identity, ()),
+}
+
+
+@pytest.mark.parametrize("weight", [w(1, 0), w(0, Q(1, 2), 0, 0)],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("name", WEIGHT_ENTRY_POINTS)
+def test_weights_of_the_wrong_length_are_rejected(a3, name, weight):
+    """Every entry point taking a weight rejects one of the wrong length
+    before a zip can truncate it or an index run past it."""
+    with pytest.raises(ValueError, match=f"weight has {len(weight)} "
+                                         "coordinates, expected 3"):
+        WEIGHT_ENTRY_POINTS[name](a3, weight)
 
 
 def test_reflections_fix_their_wall(a3):
