@@ -1,9 +1,10 @@
 """Grothendieck-level category O data.
 
-Finite-dimensional characters by the Freudenthal recursion (exact rationals,
-cross-checked against the Weyl dimension formula), dot-orbit linkage, and the
-translation identity on Verma symbols: tensoring a Verma class by the
-character of the simple module L(mu - lam) and projecting to the target orbit.
+Finite-dimensional characters by the Freudenthal recursion on the dominant
+weights alone (exact integers, cross-checked against the Weyl dimension
+formula), dot-orbit linkage, and the translation identity on Verma symbols:
+tensoring a Verma class by the character of the simple module L(mu - lam)
+and projecting to the target orbit.
 
 Only the formal consequences of highest-weight combinatorics live here; no
 module category is materialized.  The deformed variant of the translation
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import lcm
 
-from .coxeter import parabolic_order
 from .integral import _wadd, _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
     _check_rank, _dominant_dot_key, _in_root_lattice, _mat_nums, \
@@ -69,170 +69,217 @@ def weyl_dimension(datum: CartanDatum, highest: Weight) -> int:
     """dim of the irreducible with the given dominant integral highest
     weight, as the exact product formula."""
     w = _check_dominant_integral(datum, highest)
-    shifted = _wadd(w, datum.rho)
-    out = Q(1)
-    for alpha in datum.positive_roots:
-        out *= alpha.pair(shifted) / alpha.pair(datum.rho)
-    assert out.denominator == 1
-    return int(out)
+    return _weyl_dimension(datum, [int(x) for x in w])
 
 
-def _character_scales(datum: CartanDatum):
-    """Integer data for the character recursion, cached.
+def _weyl_dimension(datum: CartanDatum, t) -> int:
+    """prod <t + rho, alpha^vee> / prod <rho, alpha^vee> over the positive
+    coroots, on integer fundamental coordinates."""
+    num = den = 1
+    for row in datum.coroot_rows[:datum.num_positive]:
+        height = sum(row)  # <rho, alpha^vee>
+        num *= sum(map(int.__mul__, row, t)) + height
+        den *= height
+    if num % den:
+        raise AssertionError("Weyl dimension formula is not integral")
+    return num // den
 
-    All weights of a highest-weight module live in top + (root lattice), so
-    a weight is an integer vector c with nu = top - sum c_i alpha_i.  The
-    invariant form is cleared to integers by D, the common denominator of
-    the symmetrizer: (nu, alpha_i) = d_i <nu, alpha_i-check> with
-    D d_i = dd[i].
+
+@dataclass(frozen=True, eq=False)
+class _CharacterTable:
+    """Integer data for the character recursion, one per datum.
+
+    The invariant form is cleared to integers by D, the common denominator
+    of the symmetrizer: (alpha_i, alpha_i) = 2 d_i, so for nu in fundamental
+    coordinates and alpha with simple coordinates c, D (nu, alpha) is nu
+    times the pairing row (D d_i c_i)_i.
     """
-    key = "char_scales"
-    if key in datum._memo:
-        return datum._memo[key]
-    n = datum.rank
-    d_den = lcm(*(d.denominator for d in datum.symmetrizer))
-    dd = tuple(int(d * d_den) for d in datum.symmetrizer)
-    # per positive root: displacement in c-space and the D-scaled pairing row
-    roots = tuple(
-        (alpha.simple_coords,
-         tuple(dd[i] * alpha.simple_coords[i] for i in range(n)))
-        for alpha in datum.positive_roots)
-    out = (dd, roots)
-    datum._memo[key] = out
+
+    # per root, positives first as in datum.roots: (fundamental
+    # coordinates, pairing row)
+    roots: tuple
+    # per positive root: (fundamental coordinates, pairing row,
+    # D (2 rho - alpha, alpha), height, support as a bit mask)
+    positive: tuple
+    perms: tuple  # the simple reflections' root permutations
+    offsets: tuple  # the largest simple coordinate of a positive root
+
+
+def _character_table(datum: CartanDatum) -> _CharacterTable:
+    out = datum._memo.get("character_table")
+    if out is None:
+        d_den = lcm(*(d.denominator for d in datum.symmetrizer))
+        dd = tuple(int(d * d_den) for d in datum.symmetrizer)
+        roots = tuple(
+            (tuple(int(x) for x in alpha.as_weight),
+             tuple(map(int.__mul__, dd, alpha.simple_coords)))
+            for alpha in datum.roots)
+        positive = tuple(
+            (f, row, sum(r * (2 - x) for r, x in zip(row, f)), alpha.height,
+             sum(1 << i for i, c in enumerate(alpha.simple_coords) if c))
+            for (f, row), alpha in zip(roots, datum.positive_roots))
+        out = datum._memo["character_table"] = _CharacterTable(
+            roots, positive,
+            tuple(s.root_perm for s in datum.simple_reflections),
+            tuple(map(max, zip(*(a.simple_coords
+                                 for a in datum.positive_roots)))))
     return out
+
+
+def _stabilizer_order(datum: CartanDatum, zeros: int) -> int:
+    """Order of the parabolic subgroup on the simple roots in the bit mask
+    ``zeros``, the stabilizer of a dominant weight with those zero
+    coordinates: prod (ht alpha + 1) / ht alpha over its positive roots,
+    the ones supported on ``zeros`` (Macdonald's height formula).  No
+    element is enumerated."""
+    num = den = 1
+    for *_, height, support in _character_table(datum).positive:
+        if support & zeros == support:
+            num *= height + 1
+            den *= height
+    return num // den
 
 
 def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
     """Multiplicities of the dominant weights of the irreducible, by the
-    Freudenthal recursion over integer root-coordinates.
+    Freudenthal recursion run on the dominant weights alone.
 
-    The weight system is laid out in a flat mixed-radix array (padded so a
-    step up a positive root is one index subtraction) and visited once in
-    depth order, down to half its depth, which both discovers it and runs
-    the recursion.  The string sums telescope along each positive root, so
-    the cost is linear in the system's size.  The recursion runs in
-    integers, and the result is keyed by integer tuples of fundamental
-    coordinates, ordered by depth; they compare and hash equal to the
-    Fraction weights used elsewhere, so either kind looks a weight up.  The
-    total mass, recovered through orbit-stabilizer counting, is checked
-    against the Weyl dimension formula before returning.  Nothing is cached.
+    The dominant weights are found from the top by subtracting positive
+    roots: every dominant weight below it is reached that way through
+    dominant weights (Stembridge), and they are visited in buckets by
+    depth, the height of top - mu.  Freudenthal's formula at mu needs, per
+    positive root alpha, the string sum S(mu, alpha) = T(mu + alpha, alpha),
+    where T(nu, beta) = m(nu) (nu, beta) + T(nu + beta, beta) and T is 0 at
+    a non-weight, where the string ends.  When mu + alpha is dominant, its
+    own visit left S(mu, alpha) for mu.  Otherwise mu + alpha is walked to
+    its dominant representative d by simple reflections that carry alpha
+    along to beta; (nu, alpha) = (w nu, w alpha) and m is W-invariant, so
+    T(mu + alpha, alpha) = T(d, beta), followed up the string and memoized
+    per call (Moody-Patera).  The recursion runs in integers, and the
+    result is keyed by integer tuples of fundamental coordinates, ordered
+    by depth and then by the root coordinates of top - mu; they compare and
+    hash equal to the Fraction weights used elsewhere, so either kind looks
+    a weight up.  The total mass, recovered through orbit-stabilizer
+    counting, is checked against the Weyl dimension formula before
+    returning.  Nothing is kept past the call.
     """
     top = _check_dominant_integral(datum, highest)
-    n = datum.rank
-    dd, roots = _character_scales(datum)
-    cartan = datum.cartan_matrix
+    table = _character_table(datum)
+    roots, positive, perms = table.roots, table.positive, table.perms
     t = tuple(int(x) for x in top)
-    rng_n = range(n)
-    cols = tuple(tuple(cartan[j][i] for j in rng_n) for i in rng_n)
+    rng_n = range(datum.rank)
 
-    # flat mixed-radix layout over the padded coordinate box; padding by the
-    # largest root displacement makes "add a positive root" a single index
-    # subtraction with no digit borrowing
-    lowest = tuple(-x for x in linear_dominant_rep(
-        datum, tuple(-Q(x) for x in t)))
-    caps = [int(x) for x in datum.root_coords(
-        tuple(Q(ti) - li for ti, li in zip(t, lowest)))]
-    offs = [max(r[0][i] for r in roots) for i in rng_n]
-    radix = [caps[i] + offs[i] + 1 for i in rng_n]
-    strides = [0] * n
-    acc_stride = 1
-    for i in reversed(rng_n):
-        strides[i] = acc_stride
-        acc_stride *= radix[i]
-    box = acc_stride
+    # the weight system spans top down to the lowest weight w0(top); its
+    # box of root coordinates, padded by the largest root coordinates, is
+    # the supported range
+    lowest = [-x for x in _to_dominant(datum.cartan_matrix, [-x for x in t])]
+    inv_rows, det = datum.inverse_cartan
+    spread = [a - b for a, b in zip(t, lowest)]
+    box = 1
+    for cap, off in zip(_mat_nums(inv_rows, spread), table.offsets):
+        box *= cap // det + off + 1
     if box > 50_000_000:
         raise GroupBoundExceeded(
             f"weight system box of size {box} is out of supported range")
-    base = sum(offs[i] * strides[i] for i in rng_n)
 
-    # per positive root: its index shift and a table whose entry at a weight
-    # nu is sum_{k >= 0} m(nu + k alpha) (nu + k alpha, alpha), D-scaled;
-    # it stays 0 off the weight system
-    tables = [(sum(disp[i] * strides[i] for i in rng_n), w_row, [0] * box)
-              for disp, w_row in roots]
-    # gap(nu) = |top + rho|^2 - |nu + rho|^2, D-scaled, grows by
-    # 2 (nu + rho, alpha_i) - (alpha_i, alpha_i) = 2 D d_i f_i down a step
-    two_dd = tuple(2 * x for x in dd)
-
-    # node_f holds each weight's fundamental coordinates; buckets group the
-    # flat indices by depth (height of top - nu).  A dominant weight lies at
-    # most half-way down, since top - w0(top) = (top - mu) + (mu - w0 mu) +
-    # (w0 mu - w0 top) and the first and last terms have equal height; the
-    # strings above it stay there too, so deeper weights are never visited.
-    half = sum(caps) // 2
-    node_f: list = [None] * box
-    gap = [0] * box
-    mult = [0] * box
-    buckets: list[list[int]] = [[] for _ in range(half + 1)]
-    node_f[base] = t
-    buckets[0].append(base)
-    dominant_by_depth = []
+    cols = tuple(roots[i][0] for i in rng_n)  # alpha_i, fundamental coords
+    ups = tuple(f for f, *_ in positive)
+    no_sums = (0,) * len(positive)
+    # all D-scaled: below[a][nu] = S(nu, alpha_a), left by the dominant
+    # weight nu + alpha_a until nu's visit; tails[b][d] = T(d, beta_b) for
+    # the dominant weights d that a walk reached
+    below = [{} for _ in positive]
+    tails = [{} for _ in roots]
+    # every dominant weight found, with gap(mu) = |top + rho|^2 -
+    # |mu + rho|^2, D-scaled; the ones in mult are visited.  A step down
+    # alpha adds 2 (mu, alpha) + (2 rho - alpha, alpha) to the gap and
+    # ht(alpha) to the depth.
+    gaps = {t: 0}
+    mult: dict[tuple, int] = {}
+    buckets = [[t]]
     for depth, bucket in enumerate(buckets):
-        dominant = []
-        room = half - depth
-        for idx in bucket:
-            f = node_f[idx]
-            mirror = 0
-            for fi, stride, col, q in zip(f, strides, cols, two_dd):
-                if fi > 0:
-                    # each simple-root string is entered at its top, where
-                    # nu + alpha_i is not a weight; it runs down to s_i(nu)
-                    if node_f[idx - stride] is None:
-                        g, h, j, d = f, gap[idx], idx, depth
-                        for x in range(fi, fi - 2 * min(fi, room), -2):
-                            g = tuple(map(int.__sub__, g, col))
-                            h += q * x
-                            j += stride
-                            d += 1
-                            if node_f[j] is None:
-                                node_f[j] = g
-                                gap[j] = h
-                                buckets[d].append(j)
-                elif fi < 0 and not mirror:
-                    # s_i(nu) = nu - f_i alpha_i lies higher
-                    mirror = idx + fi * stride
-            if mirror:  # off the dominant chamber: m(nu) = m(s_i nu)
-                m = mult[mirror]
-            else:
-                if idx == base:  # the highest weight itself
-                    m = 1
-                else:
-                    acc = 0
-                    for shift, _, table in tables:
-                        acc += table[idx - shift]
-                    denom = gap[idx]
-                    if denom <= 0 or 2 * acc % denom:
-                        raise AssertionError(
-                            "Freudenthal recursion is inconsistent")
-                    m = 2 * acc // denom
-                dominant.append(idx)
-            mult[idx] = m
-            for shift, w_row, table in tables:
-                table[idx] = table[idx - shift] + \
-                    m * sum(map(int.__mul__, f, w_row))
-        dominant.sort()
-        dominant_by_depth.append(dominant)
+        if len(bucket) > 1:  # by the root coordinates of top - mu, times det
+            bucket.sort(key=lambda mu: _mat_nums(
+                inv_rows, list(map(int.__sub__, t, mu))))
+        for mu in bucket:
+            if depth:
+                sums = []
+                for a, f in enumerate(ups):
+                    tail = below[a].pop(mu, None)
+                    if tail is not None:
+                        sums.append(tail)
+                        continue
+                    nu = tuple(map(int.__add__, mu, f))
+                    if min(nu) >= 0:  # dominant, so not a weight
+                        sums.append(0)
+                        continue
+                    b = a
+                    chain = []
+                    while True:
+                        # nu, carried with b, to the dominant chamber
+                        while True:
+                            for i, x in enumerate(nu):
+                                if x < 0:
+                                    break
+                            else:
+                                break
+                            nu = [y - x * z for y, z in zip(nu, cols[i])]
+                            b = perms[i][b]
+                        d = tuple(nu)
+                        tail = tails[b].get(d)
+                        if tail is not None:
+                            break
+                        md = mult.get(d)
+                        if md is None:  # not a weight: the string ends
+                            tail = 0
+                            break
+                        chain.append((d, b, md))
+                        nu = tuple(map(int.__add__, d, roots[b][0]))
+                    for d, b, md in reversed(chain):
+                        tail += md * sum(map(int.__mul__, d, roots[b][1]))
+                        tails[b][d] = tail
+                    sums.append(tail)
+                acc = sum(sums)
+                gap = gaps[mu]
+                if gap <= 0 or 2 * acc % gap:
+                    raise AssertionError(
+                        "Freudenthal recursion is inconsistent")
+                m = 2 * acc // gap
+            else:  # the highest weight itself
+                m = 1
+                sums = no_sums
+            mult[mu] = m
+            gap = gaps[mu]
+            for (f, row, step, height, _), s, memo in zip(
+                    positive, sums, below):
+                nu = tuple(map(int.__sub__, mu, f))
+                if min(nu) < 0:
+                    continue
+                pair = sum(map(int.__mul__, mu, row))
+                memo[nu] = m * pair + s
+                if nu not in gaps:
+                    gaps[nu] = gap + 2 * pair + step
+                    while len(buckets) <= depth + height:
+                        buckets.append([])
+                    buckets[depth + height].append(nu)
 
     group_order = weyl_order(datum)
     mass = 0
-    out = {}
-    orbit_size: dict[tuple, int] = {}
-    for dominant in dominant_by_depth:
-        for idx in dominant:
-            f = node_f[idx]
-            m = mult[idx]
-            zeros = tuple(map((0).__eq__, f))
-            size = orbit_size.get(zeros)
-            if size is None:
-                size = group_order // parabolic_order(
-                    datum, (i for i in rng_n if zeros[i]))
-                orbit_size[zeros] = size
-            mass += m * size
-            out[f] = m
-    if mass != weyl_dimension(datum, top):
+    orbit_size: dict[int, int] = {}
+    for mu, m in mult.items():
+        if 0 not in mu:  # regular: a free orbit
+            mass += m * group_order
+            continue
+        zeros = sum(1 << i for i in rng_n if not mu[i])
+        size = orbit_size.get(zeros)
+        if size is None:
+            size = orbit_size[zeros] = \
+                group_order // _stabilizer_order(datum, zeros)
+        mass += m * size
+    if mass != _weyl_dimension(datum, t):
         raise AssertionError("Freudenthal mass disagrees with the Weyl "
                              "dimension formula")
-    return out
+    return mult
 
 
 def irrep_weight_multiset(datum: CartanDatum, highest: Weight) -> WeightMultiset:

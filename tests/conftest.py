@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from weylblocks import build_root_system, integral_datum
+from weylblocks import build_root_system, integral_datum, weyl_dimension
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +34,28 @@ def a3_block(a3):
 def w(*coords):
     """Shorthand for an exact weight."""
     return tuple(Q(c) for c in coords)
+
+
+def dominant_weights_up_to_dim(datum, cap):
+    """Every dominant integral weight of Weyl dimension at most cap; the
+    dimension grows with each coordinate, so a search upwards from 0
+    stops at the cap."""
+    out = []
+    frontier = [datum.zero_weight()]
+    seen = {datum.zero_weight()}
+    while frontier:
+        nxt = []
+        for v in frontier:
+            if weyl_dimension(datum, v) > cap:
+                continue
+            out.append(v)
+            for i in range(datum.rank):
+                u = v[:i] + (v[i] + 1,) + v[i + 1:]
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return out
 
 
 def check_enumeration(system, fresh):

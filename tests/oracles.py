@@ -27,20 +27,26 @@
 * The extended Hecke algebra on WeylElement-keyed LaurentPoly terms: the
   product one (x, y) pair at a time, Bott-Samelson characters as products
   letter by letter, and the decomposition into the twisted KL basis.
+* Dominant characters by the flat-box Freudenthal recursion: every weight
+  down to half depth in a mixed-radix array, stabilizer orders by group
+  enumeration.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from itertools import combinations
+from math import lcm
 
-from weylblocks.cat_o import irrep_weight_multiset, linear_dominant_rep
+from weylblocks.cat_o import _check_dominant_integral, \
+    irrep_weight_multiset, linear_dominant_rep, weyl_dimension
 from weylblocks.coxeter import CoxeterSystem, closure, generate_group, \
-    reduced_word
+    parabolic_order, reduced_word
 from weylblocks.hecke import ONE, V, V_INV, ZERO, LaurentPoly
 from weylblocks.integral import _solve_single_diophantine
-from weylblocks.rootsys import WeightClass, _dominant_dot_key, \
-    _integer_solver, _numerators, _rho_shifted, _to_dominant, dot_action
+from weylblocks.rootsys import GroupBoundExceeded, WeightClass, \
+    _dominant_dot_key, _integer_solver, _numerators, _rho_shifted, \
+    _to_dominant, dot_action, weyl_order
 from weylblocks.soergel import BsLetter
 
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})
@@ -476,3 +482,156 @@ def reference_kl_columns(idat) -> list:
                 col[x] = tuple(q)
         cols.append(col)
     return cols
+
+
+def flat_box_character_scales(datum):
+    """Integer data for the character recursion.
+
+    All weights of a highest-weight module live in top + (root lattice), so
+    a weight is an integer vector c with nu = top - sum c_i alpha_i.  The
+    invariant form is cleared to integers by D, the common denominator of
+    the symmetrizer: (nu, alpha_i) = d_i <nu, alpha_i-check> with
+    D d_i = dd[i].
+    """
+    n = datum.rank
+    d_den = lcm(*(d.denominator for d in datum.symmetrizer))
+    dd = tuple(int(d * d_den) for d in datum.symmetrizer)
+    # per positive root: displacement in c-space and the D-scaled pairing row
+    roots = tuple(
+        (alpha.simple_coords,
+         tuple(dd[i] * alpha.simple_coords[i] for i in range(n)))
+        for alpha in datum.positive_roots)
+    return dd, roots
+
+
+def flat_box_dominant_character(datum, highest) -> dict:
+    """The dominant character by the flat-box Freudenthal recursion over
+    integer root-coordinates, which visits every weight down to half depth.
+
+    The weight system is laid out in a flat mixed-radix array (padded so a
+    step up a positive root is one index subtraction) and visited once in
+    depth order, down to half its depth, which both discovers it and runs
+    the recursion.  The string sums telescope along each positive root, so
+    the cost is linear in the system's size.  The recursion runs in
+    integers, and the result is keyed by integer tuples of fundamental
+    coordinates, ordered by depth; they compare and hash equal to the
+    Fraction weights used elsewhere, so either kind looks a weight up.  The
+    total mass, recovered through orbit-stabilizer counting, is checked
+    against the Weyl dimension formula before returning.  Nothing is cached.
+    """
+    top = _check_dominant_integral(datum, highest)
+    n = datum.rank
+    dd, roots = flat_box_character_scales(datum)
+    cartan = datum.cartan_matrix
+    t = tuple(int(x) for x in top)
+    rng_n = range(n)
+    cols = tuple(tuple(cartan[j][i] for j in rng_n) for i in rng_n)
+
+    # flat mixed-radix layout over the padded coordinate box; padding by the
+    # largest root displacement makes "add a positive root" a single index
+    # subtraction with no digit borrowing
+    lowest = tuple(-x for x in linear_dominant_rep(
+        datum, tuple(-Q(x) for x in t)))
+    caps = [int(x) for x in datum.root_coords(
+        tuple(Q(ti) - li for ti, li in zip(t, lowest)))]
+    offs = [max(r[0][i] for r in roots) for i in rng_n]
+    radix = [caps[i] + offs[i] + 1 for i in rng_n]
+    strides = [0] * n
+    acc_stride = 1
+    for i in reversed(rng_n):
+        strides[i] = acc_stride
+        acc_stride *= radix[i]
+    box = acc_stride
+    if box > 50_000_000:
+        raise GroupBoundExceeded(
+            f"weight system box of size {box} is out of supported range")
+    base = sum(offs[i] * strides[i] for i in rng_n)
+
+    # per positive root: its index shift and a table whose entry at a weight
+    # nu is sum_{k >= 0} m(nu + k alpha) (nu + k alpha, alpha), D-scaled;
+    # it stays 0 off the weight system
+    tables = [(sum(disp[i] * strides[i] for i in rng_n), w_row, [0] * box)
+              for disp, w_row in roots]
+    # gap(nu) = |top + rho|^2 - |nu + rho|^2, D-scaled, grows by
+    # 2 (nu + rho, alpha_i) - (alpha_i, alpha_i) = 2 D d_i f_i down a step
+    two_dd = tuple(2 * x for x in dd)
+
+    # node_f holds each weight's fundamental coordinates; buckets group the
+    # flat indices by depth (height of top - nu).  A dominant weight lies at
+    # most half-way down, since top - w0(top) = (top - mu) + (mu - w0 mu) +
+    # (w0 mu - w0 top) and the first and last terms have equal height; the
+    # strings above it stay there too, so deeper weights are never visited.
+    half = sum(caps) // 2
+    node_f: list = [None] * box
+    gap = [0] * box
+    mult = [0] * box
+    buckets: list[list[int]] = [[] for _ in range(half + 1)]
+    node_f[base] = t
+    buckets[0].append(base)
+    dominant_by_depth = []
+    for depth, bucket in enumerate(buckets):
+        dominant = []
+        room = half - depth
+        for idx in bucket:
+            f = node_f[idx]
+            mirror = 0
+            for fi, stride, col, q in zip(f, strides, cols, two_dd):
+                if fi > 0:
+                    # each simple-root string is entered at its top, where
+                    # nu + alpha_i is not a weight; it runs down to s_i(nu)
+                    if node_f[idx - stride] is None:
+                        g, h, j, d = f, gap[idx], idx, depth
+                        for x in range(fi, fi - 2 * min(fi, room), -2):
+                            g = tuple(map(int.__sub__, g, col))
+                            h += q * x
+                            j += stride
+                            d += 1
+                            if node_f[j] is None:
+                                node_f[j] = g
+                                gap[j] = h
+                                buckets[d].append(j)
+                elif fi < 0 and not mirror:
+                    # s_i(nu) = nu - f_i alpha_i lies higher
+                    mirror = idx + fi * stride
+            if mirror:  # off the dominant chamber: m(nu) = m(s_i nu)
+                m = mult[mirror]
+            else:
+                if idx == base:  # the highest weight itself
+                    m = 1
+                else:
+                    acc = 0
+                    for shift, _, table in tables:
+                        acc += table[idx - shift]
+                    denom = gap[idx]
+                    if denom <= 0 or 2 * acc % denom:
+                        raise AssertionError(
+                            "Freudenthal recursion is inconsistent")
+                    m = 2 * acc // denom
+                dominant.append(idx)
+            mult[idx] = m
+            for shift, w_row, table in tables:
+                table[idx] = table[idx - shift] + \
+                    m * sum(map(int.__mul__, f, w_row))
+        dominant.sort()
+        dominant_by_depth.append(dominant)
+
+    group_order = weyl_order(datum)
+    mass = 0
+    out = {}
+    orbit_size: dict[tuple, int] = {}
+    for dominant in dominant_by_depth:
+        for idx in dominant:
+            f = node_f[idx]
+            m = mult[idx]
+            zeros = tuple(map((0).__eq__, f))
+            size = orbit_size.get(zeros)
+            if size is None:
+                size = group_order // parabolic_order(
+                    datum, (i for i in rng_n if zeros[i]))
+                orbit_size[zeros] = size
+            mass += m * size
+            out[f] = m
+    if mass != weyl_dimension(datum, top):
+        raise AssertionError("Freudenthal mass disagrees with the Weyl "
+                             "dimension formula")
+    return out

@@ -39,6 +39,7 @@ from weylblocks.cli import (
 from weylblocks.hecke import V, V_INV
 from weylblocks.integral import _is_lattice, _wsub
 
+from conftest import dominant_weights_up_to_dim
 from oracles import kl_polynomials_by_inversion
 
 SEED = 20250801
@@ -219,25 +220,6 @@ def test_criterion_8_rewriter(corpus):
     _finish(8, "500-word rewriting suite per block", 60, started, failures)
 
 
-def _dominant_weights_up_to_dim(datum, cap):
-    out = []
-    frontier = [datum.zero_weight()]
-    seen = {datum.zero_weight()}
-    while frontier:
-        nxt = []
-        for v in frontier:
-            if weyl_dimension(datum, v) > cap:
-                continue
-            out.append(v)
-            for i in range(datum.rank):
-                u = v[:i] + (v[i] + 1,) + v[i + 1:]
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return out
-
-
 def test_criterion_9_characters():
     started = time.perf_counter()
     failures = []
@@ -248,7 +230,7 @@ def test_criterion_9_characters():
     for label in ("A1", "A2", "A3", "B2", "B3", "C3", "G2"):
         datum = build_root_system(label)
         order = len(generate_group(datum))
-        for highest in _dominant_weights_up_to_dim(datum, 5000):
+        for highest in dominant_weights_up_to_dim(datum, 5000):
             try:
                 char = dominant_character(datum, highest)
             except AssertionError as exc:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -17,14 +18,15 @@ from weylblocks import (
 )
 from weylblocks import cat_o, cli
 from weylblocks.cat_o import linear_dominant_rep, linear_orbit
-from weylblocks.coxeter import dot_stabilizer
+from weylblocks.coxeter import dot_stabilizer, parabolic_order
 from weylblocks.integral import _wsub, integral_datum
-from weylblocks.rootsys import _in_root_lattice, _numerators, _reflect, \
-    dominant_dot_weight
+from weylblocks.rootsys import GroupBoundExceeded, _in_root_lattice, \
+    _numerators, _reflect, dominant_dot_weight
 
-from conftest import w
+from conftest import dominant_weights_up_to_dim, w
 from oracles import (
     brute_force_dot_orbit,
+    flat_box_dominant_character,
     fraction_act,
     fraction_classify_weight,
     fraction_dot_action,
@@ -60,15 +62,78 @@ def test_dominant_characters(a1, a2, a3):
 
 def test_dominant_character_keeps_no_state_per_weight(a2):
     # 64 distinct highest weights leave the datum's memo as the first call
-    # left it, and a repeated call recomputes an equal character
+    # left it: the same keys, and no memoized table grown; a repeated call
+    # recomputes an equal character
     tops = [w(a, b) for a in range(8) for b in range(8)]
     first = dominant_character(a2, tops[0])
     size = len(a2._memo)
+    keys = set(a2._memo)
+    sizes = {k: len(v) for k, v in a2._memo.items() if isinstance(v, dict)}
     chars = [dominant_character(a2, top) for top in tops[1:]]
     assert len(a2._memo) == size
+    assert set(a2._memo) == keys
+    assert {k: len(a2._memo[k]) for k in sizes} == sizes
     assert dominant_character(a2, tops[0]) == first
     assert dominant_character(a2, tops[-1]) == chars[-1]
     assert chars[-1] is not dominant_character(a2, tops[-1])
+
+
+@pytest.mark.parametrize("label,cap", [
+    ("A1", 400), ("A2", 1000), ("A3", 1000), ("B2", 1000), ("B3", 1000),
+    ("C3", 1000), ("G2", 1000), ("A4", 2000), ("D4", 2000),
+    ("B4", 1000), ("C4", 1000), ("F4", 1300), ("A5", 500), ("D5", 1000),
+    ("E6", 700), ("B2xG2", 500),
+])
+def test_dominant_character_matches_flat_box_oracle(label, cap):
+    # the dominant-only recursion gives the flat-box recursion's items, in
+    # values and in order, on every dominant weight up to the cap
+    datum = build_root_system(label)
+    tops = dominant_weights_up_to_dim(datum, cap)
+    assert len(tops) > 5
+    for top in tops:
+        assert list(dominant_character(datum, top).items()) == \
+            list(flat_box_dominant_character(datum, top).items()), top
+
+
+@pytest.mark.parametrize("label,top,box", [
+    ("A1", (50_000_000,), 50_000_002),
+    ("E8", (0, 0, 0, 0, 0, 0, 0, 1), 251_742_400),  # the adjoint
+])
+def test_dominant_character_refuses_a_box_over_the_cap(label, top, box):
+    datum = build_root_system(label)
+    started = time.perf_counter()
+    with pytest.raises(GroupBoundExceeded) as exc:
+        dominant_character(datum, w(*top))
+    assert time.perf_counter() - started < 0.1
+    assert str(exc.value) == \
+        f"weight system box of size {box} is out of supported range"
+
+
+def test_e7_adjoint_zero_weight_needs_no_group_enumeration():
+    datum = build_root_system.__wrapped__("E7")  # cold: nothing memoized
+    theta = datum.positive_roots[-1].as_weight
+    started = time.perf_counter()
+    assert zero_weight_multiplicity(datum, theta) == 7
+    assert time.perf_counter() - started < 1.0
+    system = datum._memo.get("coxeter")
+    assert system is None or system._enumeration is None
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C4", "D4", "F4", "G2", "A5",
+                                   "B4", "D5", "E6"])
+def test_stabilizer_order_matches_parabolic_order(label):
+    # the height formula against enumeration, on every standard parabolic
+    datum = build_root_system(label)
+    for zeros in range(1 << datum.rank):
+        subset = [i for i in range(datum.rank) if zeros >> i & 1]
+        assert cat_o._stabilizer_order(datum, zeros) == \
+            parabolic_order(datum, subset), subset
+
+
+def test_stabilizer_order_of_e8():
+    datum = build_root_system("E8")
+    assert cat_o._stabilizer_order(datum, 0) == 1
+    assert cat_o._stabilizer_order(datum, (1 << 8) - 1) == 696_729_600
 
 
 def test_input_validation(a1):
