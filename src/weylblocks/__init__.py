@@ -63,6 +63,7 @@ from .soergel import (
     make_word,
     normalize,
     p_object_spec,
+    random_rewrite,
     rank_left,
     rewrite_sites,
     rewrite_step,

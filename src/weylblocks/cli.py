@@ -39,6 +39,9 @@ from .jsonio import SchemaError
 from .rootsys import (
     GroupBoundExceeded,
     UnknownTypeError,
+    _mat_nums,
+    _numerators,
+    _rho_shifted,
     build_root_system,
     classify_weight,
     dominant_dot_weight,
@@ -310,26 +313,28 @@ def _check_semidirect(datum, idat, entry, rng):
 
 def _check_integral_consistency(datum, idat, entry, rng):
     n = datum.num_positive
-    pos = {r.index for r in idat.integral_positive}
+    rows = datum.coroot_rows[:n]
     for r in idat.integral_positive:  # closed under negation by layout
         if (r.index + n) not in {x.index for x in idat.integral_roots}:
             return "fail", f"negative of {r} missing"
-    # two dominance tests agree on random translates of lam
+    # two dominance tests agree on random translates of lam; pairings are
+    # taken on numerators over the weight's denominator
     for _ in range(12):
         shift = tuple(rng.randint(-3, 3) for _ in range(datum.rank))
         x = tuple(a + b for a, b in zip(entry.lam, shift))
-        shifted = tuple(a + b for a, b in zip(x, datum.rho))
+        shifted, _ = _rho_shifted(x)
         full = classify_weight(datum, x).dominant
-        integral_only = all(r.pair(shifted) >= 0 for r in idat.integral_positive)
+        integral_only = all(sum(map(int.__mul__, rows[r.index], shifted)) >= 0
+                            for r in idat.integral_positive)
         if full != integral_only:
             return "fail", f"dominance criteria disagree at {x}"
     # the integral system transports along the dot action
     group = generate_group(datum)
     for _ in range(6):
         w = group[rng.randrange(len(group))]
-        moved = dot_action(datum, w, entry.lam)
-        direct = {r.index for r in datum.positive_roots
-                  if r.pair(moved).denominator == 1}
+        nums, den = _numerators(dot_action(datum, w, entry.lam))
+        direct = {i for i, p in enumerate(_mat_nums(rows, nums))
+                  if p % den == 0}
         transported = set()
         for r in idat.integral_positive:
             img = w.root_perm[r.index]
@@ -402,23 +407,15 @@ def _check_translate_verma(datum, idat, entry, rng):
 
 
 def _random_word(idat, rng, max_len=8):
-    letters = []
+    """Up to max_len letter codes: a Bs index three times in five when
+    the block has simples, else a chamber number."""
+    codes = []
     for _ in range(rng.randrange(max_len + 1)):
         if idat.rank and rng.randrange(5) < 3:
-            letters.append(soergel.BsLetter(rng.randrange(1, idat.rank + 1)))
+            codes.append(rng.randrange(1, idat.rank + 1))
         else:
-            pool = idat.chamber.sorted_elements or (idat.datum.identity,)
-            letters.append(soergel.RwLetter(pool[rng.randrange(len(pool))]))
-    return soergel.make_word(idat, letters)
-
-
-def _random_rewrite(word, rng, cap=400):
-    for _ in range(cap):
-        sites = soergel.rewrite_sites(word)
-        if not sites:
-            return word
-        word = soergel.rewrite_step(word, sites[rng.randrange(len(sites))])
-    raise AssertionError("random rewriting exceeded the step cap")
+            codes.append(~rng.randrange(idat.chamber.order))
+    return soergel.word_of_codes(idat, codes)
 
 
 def _check_rewriter(datum, idat, entry, rng, words=40):
@@ -426,7 +423,7 @@ def _check_rewriter(datum, idat, entry, rng, words=40):
         word = _random_word(idat, rng)
         nf = soergel.normalize(word)
         for _ in range(2):
-            alt = _random_rewrite(word, rng)
+            alt = soergel.random_rewrite(word, rng)
             if alt != nf:
                 return "fail", f"normal forms differ for {jsonio.letters_to_json(word)}"
         if soergel.grading(nf) != soergel.grading(word):
@@ -448,7 +445,7 @@ def _check_hecke_block(datum, idat, entry, rng, words=6):
     for _ in range(words):
         word = _random_word(idat, rng, max_len=6)
         if hecke.bs_character(idat, word) != \
-                hecke.bs_character(idat, _random_rewrite(word, rng)):
+                hecke.bs_character(idat, soergel.random_rewrite(word, rng)):
             return "fail", (f"character not rewrite-invariant for "
                             f"{jsonio.letters_to_json(word)}")
     # nonnegativity of b_s b_w in the KL basis, sampled for large blocks
@@ -547,6 +544,11 @@ def run_corpus(path: str, seed: int = DEFAULT_SEED,
             "all_passed": failed == 0,
         },
     }
+    if with_timings:  # milliseconds per check, summed over the entries
+        report["summary"]["check_ms"] = {
+            name: round(sum(checks[name]["elapsed_ms"]
+                            for checks, _ in results), 3)
+            for name, _ in CHECKS}
     return report, [r[1] for r in results]
 
 
@@ -650,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the report here")
     p.add_argument("--timings", action="store_true",
                    help="include per-entry and per-check timings in the "
-                        "JSON report")
+                        "JSON report, and per-check totals in its summary")
     p.add_argument("--bound", type=int, default=DEFAULT_GROUP_BOUND,
                    help="largest W_ext and W_int per entry; the "
                         "integral-consistency check lists W under the "

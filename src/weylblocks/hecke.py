@@ -29,7 +29,7 @@ from operator import itemgetter
 
 from .integral import BlockTables, IntegralDatum
 from .rootsys import WeylElement
-from .soergel import BimoduleWord, BsLetter
+from .soergel import BimoduleWord
 
 
 class LaurentPoly:
@@ -490,25 +490,25 @@ def kl_polynomial(cache: KLCache, x: WeylElement,
 # ---------------------------------------------------------------------------
 
 def bs_character(idat: IntegralDatum, word: BimoduleWord) -> HeckeElement:
-    """Monoidal image of a word: Bs(j) -> b_{s_j}, Rw(c) -> (c, e), letters
-    multiplied in word order.
+    """Monoidal image of a word of this block: Bs(j) -> b_{s_j},
+    Rw(c) -> (c, e), letters multiplied in word order.
 
     The image is built by right multiplication, letter by letter:
     (c, x) b_s = (c, H_x H_s + v H_x), one pass over the terms with the
     table of x s, and (c, x) (c', e) = (c c', c'^{-1} x c'), a relabelling.
-    It is invariant under the rewrite rules (the relations hold in the
-    extended algebra), so normalizing first is allowed but not needed.
+    The word's codes are read as they stand: Bs j is ``right[j - 1]`` and
+    Rw ~k the chamber number k.  It is invariant under the rewrite rules
+    (the relations hold in the extended algebra), so normalizing first is
+    allowed but not needed.
     """
+    if word.ambient is not idat:
+        raise ValueError("word of another block")
     t = idat.tables
     length = t.length
     terms = {(0, 0): {0: 1}}
-    for letter in word.letters:
-        if isinstance(letter, BsLetter):
-            j = letter.simple_index - 1
-            if not 0 <= j < idat.rank:
-                raise ValueError(
-                    f"integral simple index {j + 1} out of range")
-            row, out = t.right[j], {}
+    for code in word.codes:
+        if code > 0:
+            row, out = t.right[code - 1], {}
             for (c, x), p in terms.items():
                 xs = row[x]
                 # H_x H_s = H_{xs}, or H_{xs} + (v^{-1} - v) H_x when xs < x
@@ -519,9 +519,9 @@ def bs_character(idat: IntegralDatum, word: BimoduleWord) -> HeckeElement:
                         q[e + k] = q.get(e + k, 0) + m
             terms = out
         else:
-            d = t.twist(letter.twist)
-            conj, mul = t.conj[d], t.chamber_mul
-            terms = {(mul[c][d], conj[x]): p for (c, x), p in terms.items()}
+            conj, mul = t.conj[~code], t.chamber_mul
+            terms = {(mul[c][~code], conj[x]): p
+                     for (c, x), p in terms.items()}
     return HeckeElement._of(idat, terms)
 
 

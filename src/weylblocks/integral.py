@@ -113,6 +113,14 @@ class IntegralDatum:
                            for b in simples) for a in self.integral_simples)
 
     @cached_property
+    def chamber_mul(self) -> tuple[tuple[int, ...], ...]:
+        """[a][b] is the number of the product of chamber elements a and b,
+        the chamber numbered in ``chamber.sorted_elements`` order."""
+        chamber = self.chamber.sorted_elements
+        number = {c: k for k, c in enumerate(chamber)}
+        return tuple(tuple(number[a * b] for b in chamber) for a in chamber)
+
+    @cached_property
     def w_ext(self) -> tuple[WeylElement, ...]:
         """W_ext sorted by the full (length, reduced word) key, on request."""
         return tuple(sorted((c * u for c in self.chamber.elements
@@ -178,8 +186,7 @@ class BlockTables:
         self.chamber = idat.chamber.sorted_elements
         self.chamber_index = {c.root_perm: i
                               for i, c in enumerate(self.chamber)}
-        self.chamber_mul = [[self.chamber_index[(a * b).root_perm]
-                             for b in self.chamber] for a in self.chamber]
+        self.chamber_mul = idat.chamber_mul
         self._inverses = inverses = [c.inverse() for c in self.chamber]
         # (j, u) with x = s_{j+1} u, for x = 1, 2, ... in order
         steps = [(j, left[j][x]) for x, j in enumerate(self.descent) if x]

@@ -93,16 +93,13 @@ def parse_element(datum: CartanDatum, data) -> WeylElement:
 
 
 def letters_to_json(word: BimoduleWord) -> list[str]:
+    """Read off the codes: Bs j names the j-th integral simple reflection,
+    Rw ~k the chamber element number k."""
     idat = word.ambient
-    datum = idat.datum
-    out = []
-    for letter in word.letters:
-        if isinstance(letter, BsLetter):
-            refl = idat.simple_reflections[letter.simple_index - 1]
-            out.append("B:" + element_to_str(datum, refl))
-        else:
-            out.append("R:" + element_to_str(datum, letter.twist))
-    return out
+    datum, chamber = idat.datum, idat.chamber.sorted_elements
+    return ["B:" + element_to_str(datum, idat.simple_reflections[x - 1])
+            if x > 0 else "R:" + element_to_str(datum, chamber[~x])
+            for x in word.codes]
 
 
 def parse_letters(idat: IntegralDatum, items) -> list[Letter]:

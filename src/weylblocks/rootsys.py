@@ -448,12 +448,6 @@ class CartanDatum:
         d = |det C|, built on first use by ``_integer_inverse``."""
         return _integer_inverse(self.cartan_matrix)
 
-    def root_coords(self, weight: Weight) -> Weight:
-        """Coordinates of a weight in the simple-root basis."""
-        rows, d = self.inverse_cartan
-        nums, den = _numerators(weight)
-        return _weight(_mat_nums(rows, nums), d * den)
-
     def reflection(self, root: Root) -> WeylElement:
         """The reflection s_alpha as a WeylElement."""
         key = ("refl", root.index)

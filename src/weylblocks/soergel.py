@@ -12,8 +12,16 @@ concatenation).  The rewrite rules
 
 push all twists into a single leading letter; the resulting normal form is
 unique, preserves the Bs letter count, the grading, and the one-sided rank
-2^(#Bs).  Singular parabolic-chain words and the translation-product objects
-with their predicted images live here too, as does the stratified index of
+2^(#Bs).
+
+A word is stored as integer codes on its block's chamber numbering: Bs(j)
+is j, and Rw(c) is ~k for c number k in ``idat.chamber.sorted_elements``
+(so Rw(e) is -1).  The rules run on code tuples through the block's
+``Alphabet``, its chamber product and conjugation tables; letter objects
+are built only by ``make_word`` and ``BimoduleWord.letters``.
+
+Singular parabolic-chain words and the translation-product objects with
+their predicted images live here too, as does the stratified index of
 indecomposable classes by chamber element and double coset.
 """
 
@@ -24,7 +32,7 @@ from fractions import Fraction as Q
 
 from .coxeter import DEFAULT_GROUP_BOUND, dot_stabilizer, double_cosets, \
     parabolic_order, sort_key
-from .integral import IntegralDatum, integral_datum, tau, _is_lattice, \
+from .integral import IntegralDatum, integral_datum, _is_lattice, \
     _wsub, dominant_dot_rep, find_regular_dominant, find_subgeneric, \
     lattice_mover
 from .rootsys import CartanDatum, FiniteAbelianElement, Weight, WeylElement, \
@@ -50,42 +58,87 @@ class RwLetter:
 Letter = BsLetter | RwLetter
 
 
+class Alphabet:
+    """One block's letters on integers, built from the chamber alone.
+
+    ``letter[code]`` is the interned letter of a code, ``number[c]`` the
+    chamber number of c, ``mul[a][b]`` the number of the product of
+    chamber elements a and b, and ``conj[k][j]`` the j' with
+    c s_j c^{-1} = s_{j'} for c number k (``conj[k][0]`` is unused).
+    """
+
+    def __init__(self, idat: IntegralDatum):
+        chamber = idat.chamber.sorted_elements
+        self.number = {c: k for k, c in enumerate(chamber)}
+        self.letter = {j: BsLetter(j) for j in range(1, idat.rank + 1)}
+        self.letter.update((~k, RwLetter(c)) for k, c in enumerate(chamber))
+        self.mul = idat.chamber_mul
+        self.conj = [[0] + [idat.conjugate_simple(c, j)
+                            for j in range(1, idat.rank + 1)]
+                     for c in chamber]
+
+
+def alphabet(idat: IntegralDatum) -> Alphabet:
+    if "alphabet" not in idat._memo:
+        idat._memo["alphabet"] = Alphabet(idat)
+    return idat._memo["alphabet"]
+
+
 @dataclass(frozen=True)
 class BimoduleWord:
     ambient: IntegralDatum = field(compare=False, repr=False)
-    letters: tuple[Letter, ...] = ()
+    codes: tuple[int, ...] = ()
     shift: FiniteAbelianElement = None
 
     @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(map(alphabet(self.ambient).letter.__getitem__,
+                         self.codes))
+
+    @property
     def bs_count(self) -> int:
-        return sum(1 for l in self.letters if isinstance(l, BsLetter))
+        return sum(1 for x in self.codes if x > 0)
 
 
 def make_word(idat: IntegralDatum, letters,
               shift: FiniteAbelianElement | None = None) -> BimoduleWord:
     """Validated word: Bs indices within the simple system, twists in the
     chamber subgroup."""
-    letters = tuple(letters)
+    number = alphabet(idat).number
+    codes = []
     for l in letters:
         if isinstance(l, BsLetter):
             if not 1 <= l.simple_index <= idat.rank:
                 raise ValueError(f"Bs index {l.simple_index} out of range")
+            codes.append(l.simple_index)
         elif isinstance(l, RwLetter):
-            if l.twist not in idat.chamber.elements:
+            if l.twist not in number:
                 raise ValueError("twist is not a chamber element")
+            codes.append(~number[l.twist])
         else:
             raise TypeError(f"not a letter: {l!r}")
+    return word_of_codes(idat, codes, shift)
+
+
+def word_of_codes(idat: IntegralDatum, codes,
+                  shift: FiniteAbelianElement | None = None) -> BimoduleWord:
+    """Validated word from its codes: j in 1..rank for Bs(j), ~k for the
+    twist number k of the chamber."""
+    codes = tuple(codes)
+    for x in codes:
+        if not (1 <= x <= idat.rank or -idat.chamber.order <= x <= -1):
+            raise ValueError(f"letter code {x} out of range")
     if shift is None:
         shift = torsion_group(idat.datum).zero
-    return BimoduleWord(idat, letters, shift)
+    return BimoduleWord(idat, codes, shift)
 
 
 def grading(word: BimoduleWord) -> FiniteAbelianElement:
     """Sum of tau over the twists, plus the word's shift."""
-    out = word.shift
-    for l in word.letters:
-        if isinstance(l, RwLetter):
-            out = out + tau(word.ambient, l.twist)
+    out, taus = word.shift, word.ambient.chamber_tau
+    for x in word.codes:
+        if x < 0:
+            out = out + taus[~x]
     return out
 
 
@@ -93,18 +146,31 @@ def grading(word: BimoduleWord) -> FiniteAbelianElement:
 # rewriting
 # ---------------------------------------------------------------------------
 
+def _sites(codes: tuple) -> list[int]:
+    """The positions p where a rewrite applies: a Rw(e) at p, or a twist
+    at p + 1."""
+    n = len(codes)
+    return [p for p in range(n)
+            if codes[p] == -1 or (p + 1 < n and codes[p + 1] < 0)]
+
+
+def _rewrite(codes: tuple, p: int, alpha: Alphabet) -> tuple | None:
+    """The codes with the rule at p applied (drop, fuse or swap), checked
+    on the letters at p and p + 1 only; None when no rule applies there."""
+    a = codes[p]
+    if a == -1:
+        return codes[:p] + codes[p + 1:]
+    b = codes[p + 1] if p + 1 < len(codes) else 0
+    if b >= 0:
+        return None
+    if a < 0:
+        return codes[:p] + (~alpha.mul[~b][~a],) + codes[p + 2:]
+    return codes[:p] + (b, alpha.conj[~b][a]) + codes[p + 2:]
+
+
 def rewrite_sites(word: BimoduleWord) -> tuple[int, ...]:
     """Positions where one rewrite applies (drop, fuse or swap at p)."""
-    return tuple(_sites(word.letters))
-
-
-def _sites(ls, start: int = 0, stop: int | None = None):
-    """The positions p in [start, stop) where a rewrite applies."""
-    for p in range(start, len(ls) if stop is None else stop):
-        l = ls[p]
-        if (isinstance(l, RwLetter) and l.twist.is_identity) or \
-                (p + 1 < len(ls) and isinstance(ls[p + 1], RwLetter)):
-            yield p
+    return tuple(_sites(word.codes))
 
 
 def rewrite_step(word: BimoduleWord, site: int | None = None) -> BimoduleWord:
@@ -113,45 +179,51 @@ def rewrite_step(word: BimoduleWord, site: int | None = None) -> BimoduleWord:
     A requested site is checked on its own letters, not by listing every
     site; a word without sites comes back unchanged.
     """
-    ls = list(word.letters)
+    codes = word.codes
     if site is None:
-        p = next(_sites(ls), None)
-    elif 0 <= site < len(ls):
-        p = next(_sites(ls, site, site + 1), None)
-    else:
-        p = None
-    if p is None:
-        if site is None or not rewrite_sites(word):
+        sites = _sites(codes)
+        if not sites:
+            return word
+        site = sites[0]
+    out = _rewrite(codes, site, alphabet(word.ambient)) \
+        if 0 <= site < len(codes) else None
+    if out is None:
+        if not _sites(codes):
             return word
         raise ValueError(f"no rewrite applies at position {site}")
-    idat = word.ambient
-    l = ls[p]
-    if isinstance(l, RwLetter) and l.twist.is_identity:
-        del ls[p]
-    elif isinstance(l, RwLetter):
-        nxt = ls[p + 1]
-        ls[p: p + 2] = [RwLetter(nxt.twist * l.twist)]
-    else:
-        c = ls[p + 1].twist
-        ls[p: p + 2] = [RwLetter(c),
-                        BsLetter(idat.conjugate_simple(c, l.simple_index))]
-    return BimoduleWord(idat, tuple(ls), word.shift)
+    return BimoduleWord(word.ambient, out, word.shift)
+
+
+def _walk(word: BimoduleWord, pick, cap: int, overrun: str) -> BimoduleWord:
+    """Rewrites at the site ``pick(sites)`` until none applies, on the
+    codes, building one word at the end; AssertionError(overrun) once cap
+    steps have not reached the normal form."""
+    alpha, codes = alphabet(word.ambient), word.codes
+    for _ in range(cap):
+        sites = _sites(codes)
+        if not sites:
+            return word if codes is word.codes else \
+                BimoduleWord(word.ambient, codes, word.shift)
+        codes = _rewrite(codes, pick(sites), alpha)
+    raise AssertionError(overrun)
 
 
 def normalize(word: BimoduleWord) -> BimoduleWord:
     """Unique normal form: at most one leading twist, then Bs letters only.
 
-    Applies leftmost rewrites until the word comes back unchanged; the step
-    count is bounded by (len + 1)^2, which the loop asserts.
+    Applies leftmost rewrites until none applies; the step count is bounded
+    by (len + 1)^2, which the loop asserts.
     """
-    cap = (len(word.letters) + 1) ** 2
-    out = word
-    for _ in range(cap):
-        nxt = rewrite_step(out)
-        if nxt is out:
-            return out
-        out = nxt
-    raise AssertionError("rewriting did not terminate within the bound")
+    return _walk(word, lambda sites: sites[0], (len(word.codes) + 1) ** 2,
+                 "rewriting did not terminate within the bound")
+
+
+def random_rewrite(word: BimoduleWord, rng, cap: int = 400) -> BimoduleWord:
+    """Rewrites at random sites until none applies: each step draws
+    ``rng.randrange(len(sites))`` over the ascending sites.  More than
+    ``cap`` steps raise AssertionError."""
+    return _walk(word, lambda sites: sites[rng.randrange(len(sites))], cap,
+                 "random rewriting exceeded the step cap")
 
 
 def rank_left(obj) -> int:

@@ -29,7 +29,10 @@
   letter by letter, and the decomposition into the twisted KL basis.
 * Dominant characters by the flat-box Freudenthal recursion: every weight
   down to half depth in a mixed-radix array, stabilizer orders by group
-  enumeration.
+  enumeration; simple-root coordinates in Fractions over the integer
+  inverse Cartan matrix.
+* The word rewrite rules on letter objects, conjugating by WeylElement
+  products; random words and random rewriting walks drawn on letters.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from weylblocks.integral import _solve_single_diophantine
 from weylblocks.rootsys import GroupBoundExceeded, WeightClass, \
     _dominant_dot_key, _integer_solver, _numerators, _rho_shifted, \
     _to_dominant, dot_action, weyl_order
-from weylblocks.soergel import BsLetter
+from weylblocks.soergel import BsLetter, RwLetter, make_word
 
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})
 Q_VAR = LaurentPoly({1: 1})
@@ -443,6 +446,66 @@ def reference_decompose_graded(idat, cache, terms: dict) -> dict:
     return out
 
 
+def reference_sites(letters) -> tuple:
+    """Rewrite sites on letter objects: a Rw(e), or any letter before a
+    twist."""
+    return tuple(p for p, l in enumerate(letters)
+                 if (isinstance(l, RwLetter) and l.twist.is_identity)
+                 or (p + 1 < len(letters)
+                     and isinstance(letters[p + 1], RwLetter)))
+
+
+def reference_step(idat, letters, p) -> tuple:
+    """The rule at site p: drop Rw(e), fuse Rw(c) Rw(c') into Rw(c'c), or
+    swap Bs(t) Rw(c) into Rw(c) Bs(c t c^{-1}), the conjugate found among
+    the simple reflections by products."""
+    ls = list(letters)
+    l = ls[p]
+    if isinstance(l, RwLetter) and l.twist.is_identity:
+        del ls[p]
+    elif isinstance(l, RwLetter):
+        ls[p: p + 2] = [RwLetter(ls[p + 1].twist * l.twist)]
+    else:
+        c, simples = ls[p + 1].twist, idat.simple_reflections
+        s = simples[l.simple_index - 1]
+        ls[p: p + 2] = [RwLetter(c),
+                        BsLetter(simples.index(c * s * c.inverse()) + 1)]
+    return tuple(ls)
+
+
+def reference_normalize(idat, letters) -> tuple:
+    """Leftmost rewrites on letters until no site is left."""
+    while sites := reference_sites(letters):
+        letters = reference_step(idat, letters, sites[0])
+    return letters
+
+
+def reference_random_word(idat, rng, max_len=8):
+    """A random word drawn as letters: a Bs letter when rng.randrange(5) < 3
+    (and the block has simples), else a twist from the sorted chamber."""
+    letters = []
+    for _ in range(rng.randrange(max_len + 1)):
+        if idat.rank and rng.randrange(5) < 3:
+            letters.append(BsLetter(rng.randrange(1, idat.rank + 1)))
+        else:
+            pool = idat.chamber.sorted_elements
+            letters.append(RwLetter(pool[rng.randrange(len(pool))]))
+    return make_word(idat, letters)
+
+
+def reference_random_rewrite(word, rng, cap=400):
+    """Rewrites on letters at rng.randrange(len(sites)) over the ascending
+    sites, a fresh site list per step, until none applies."""
+    idat, letters = word.ambient, word.letters
+    for _ in range(cap):
+        sites = reference_sites(letters)
+        if not sites:
+            return make_word(idat, letters, word.shift)
+        letters = reference_step(idat, letters,
+                                 sites[rng.randrange(len(sites))])
+    raise AssertionError("random rewriting exceeded the step cap")
+
+
 def reference_kl_columns(idat) -> list:
     """Every KL column in full, by b_w = b_s b_{sw} - sum mu(z, sw) b_z over
     all x <= w: entry w maps the number of x (``int_elements()`` order) to
@@ -482,6 +545,14 @@ def reference_kl_columns(idat) -> list:
                 col[x] = tuple(q)
         cols.append(col)
     return cols
+
+
+def root_coords(datum, weight) -> tuple:
+    """Coordinates of a weight in the simple-root basis: the integer rows
+    of the inverse Cartan matrix over d, applied in Fractions."""
+    rows, d = datum.inverse_cartan
+    return tuple(sum(r * Q(x) for r, x in zip(row, weight)) / d
+                 for row in rows)
 
 
 def flat_box_character_scales(datum):
@@ -532,7 +603,7 @@ def flat_box_dominant_character(datum, highest) -> dict:
     # subtraction with no digit borrowing
     lowest = tuple(-x for x in linear_dominant_rep(
         datum, tuple(-Q(x) for x in t)))
-    caps = [int(x) for x in datum.root_coords(
+    caps = [int(x) for x in root_coords(datum,
         tuple(Q(ti) - li for ti, li in zip(t, lowest)))]
     offs = [max(r[0][i] for r in roots) for i in rng_n]
     radix = [caps[i] + offs[i] + 1 for i in rng_n]

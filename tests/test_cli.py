@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -8,7 +9,9 @@ from fractions import Fraction as Q
 import pytest
 
 import weylblocks
-from weylblocks.cli import default_corpus_path, main, run_corpus
+from weylblocks import build_root_system, integral_datum, random_rewrite
+from weylblocks.cli import DEFAULT_SEED, _random_word, default_corpus_path, \
+    load_corpus, main, run_corpus
 from weylblocks.jsonio import (
     SchemaError,
     letters_to_json,
@@ -19,6 +22,9 @@ from weylblocks.jsonio import (
     parse_word_str,
     word_to_str,
 )
+
+from oracles import reference_random_rewrite, reference_random_word
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -232,6 +238,13 @@ def test_run_timings_per_check(tmp_path, capsys):
                          "--timings", "--out", str(out))
     assert code == 0
     timed = json.loads(out.read_text())
+    # the summary totals each check's milliseconds over the entries
+    totals = timed["summary"].pop("check_ms")
+    assert set(totals) == set(timed["entries"][0]["checks"])
+    for name, total in totals.items():
+        assert total == pytest.approx(sum(
+            row["checks"][name]["elapsed_ms"] for row in timed["entries"]),
+            abs=1e-3)
     for row in timed["entries"]:
         assert row.pop("elapsed_ms") >= 0
         for res in row["checks"].values():
@@ -240,6 +253,29 @@ def test_run_timings_per_check(tmp_path, capsys):
     # stripped of its timings, the report is the default one
     plain, _ = run_corpus(str(path), seed=7)
     assert timed == plain
+
+
+def test_random_words_and_rewrites_keep_their_draws():
+    """The code walks draw as the letter walks did: same words, same
+    results, same generator state after each, on the rewriter and
+    hecke_block seeds of every corpus entry."""
+    with open(default_corpus_path(), encoding="utf-8") as fh:
+        entries = load_corpus(json.load(fh))
+    assert len(entries) == 48
+    for entry in entries:
+        idat = integral_datum(build_root_system(entry.type_label), entry.lam)
+        for name, words, max_len, walks in (("rewriter", 40, 8, 2),
+                                            ("hecke_block", 6, 6, 1)):
+            seed = f"{DEFAULT_SEED}:{entry.index}:{name}"
+            new, old = random.Random(seed), random.Random(seed)
+            for _ in range(words):
+                word = _random_word(idat, new, max_len)
+                assert word == reference_random_word(idat, old, max_len)
+                assert new.getstate() == old.getstate()
+                for _ in range(walks):
+                    assert random_rewrite(word, new) == \
+                        reference_random_rewrite(word, old)
+                    assert new.getstate() == old.getstate()
 
 
 def test_default_corpus_is_packaged_and_synced():

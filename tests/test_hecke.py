@@ -108,6 +108,10 @@ def test_bs_character_examples(a1):
     assert bs_character(idat, make_word(idat, [BsLetter(1)])) == b
     two = bs_character(idat, make_word(idat, [BsLetter(1), BsLetter(1)]))
     assert two == b.scale(V + V_INV)
+    # codes are read on their own block's numbering only
+    other = integral_datum(a1, w(Q(1, 2)))
+    with pytest.raises(ValueError):
+        bs_character(other, make_word(idat, [BsLetter(1)]))
 
 
 def test_character_invariant_under_rewriting(a3_block):

@@ -17,6 +17,7 @@ from weylblocks import (
     make_word,
     normalize,
     p_object_spec,
+    random_rewrite,
     rank_left,
     rewrite_sites,
     rewrite_step,
@@ -25,6 +26,7 @@ from weylblocks import (
 from weylblocks.coxeter import parabolic_order
 
 from conftest import w
+from oracles import reference_normalize, reference_sites, reference_step
 
 
 def block_a3(a3_block):
@@ -136,6 +138,41 @@ def test_confluence_and_invariants(label, lam):
         twists = [i for i, l in enumerate(nf.letters)
                   if isinstance(l, RwLetter)]
         assert twists in ([], [0])
+
+
+@pytest.mark.parametrize("label,lam,order,rank", [
+    ("D4", (Q(1, 2), 0, Q(1, 2), Q(1, 2)), 4, 4),
+    ("A3", (0, Q(1, 2), 0), 2, 2),
+    ("A2", (Q(1, 3), Q(1, 3)), 3, 0),
+])
+def test_code_rules_match_letter_rules(label, lam, order, rank):
+    idat = integral_datum(build_root_system(label), tuple(map(Q, lam)))
+    assert (idat.chamber.order, idat.rank) == (order, rank)
+    rng = random.Random(f"codes:{label}")
+    for _ in range(200):
+        word = _random_word(idat, rng)
+        letters = word.letters
+        assert make_word(idat, letters) == word
+        sites = reference_sites(letters)
+        assert rewrite_sites(word) == sites
+        for p in sites:
+            assert rewrite_step(word, p).letters == \
+                reference_step(idat, letters, p)
+        assert normalize(word).letters == reference_normalize(idat, letters)
+
+
+def test_word_calculus_leaves_the_w_int_tables_unbuilt():
+    # a datum of its own, so no other test has built this block's tables
+    datum = build_root_system.__wrapped__("D4")
+    idat = integral_datum(datum, (Q(1, 2), Q(0), Q(1, 2), Q(1, 2)))
+    c = idat.chamber.sorted_elements[-1]
+    word = make_word(idat, [BsLetter(1), RwLetter(c), BsLetter(2),
+                            RwLetter(c)])
+    nf = normalize(word)
+    assert nf == random_rewrite(word, random.Random("tables"))
+    assert grading(nf) == grading(word) and rank_left(nf) == 4
+    assert rewrite_step(word, 0).letters[0] == RwLetter(c)
+    assert "tables" not in vars(idat)
 
 
 def test_twist_conjugation_permutes_alphabet(a3_block):
