@@ -20,8 +20,8 @@ from math import lcm
 
 from .integral import _wadd, _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
-    _check_rank, _dominant_dot_key, _in_root_lattice, _mat_nums, \
-    _numerators, _reflect, _rho_shifted, _to_dominant, _weight, \
+    _check_rank, _dominant_dot_key, _in_root_lattice, _is_lattice, \
+    _mat_nums, _numerators, _reflect, _rho_shifted, _to_dominant, _weight, \
     classify_weight, dot_action, weyl_order
 
 WeightMultiset = dict  # Weight -> positive multiplicity
@@ -58,7 +58,7 @@ def linear_orbit(datum: CartanDatum, v: Weight) -> set[Weight]:
 def _check_dominant_integral(datum: CartanDatum, highest: Weight) -> Weight:
     _check_rank(datum, highest)
     w = tuple(Q(c) for c in highest)
-    if any(c.denominator != 1 for c in w):
+    if not _is_lattice(w):
         raise ValueError(f"highest weight {w} is not integral")
     if any(c < 0 for c in w):
         raise ValueError(f"highest weight {w} is not dominant")
@@ -382,7 +382,7 @@ def translate_verma(datum: CartanDatum, lam: Weight, mu: Weight,
             raise ValueError(f"{name} = {x} is not dominant")
         walls.append({root.index for root in cls.singular_roots})
     diff = _wsub(mu, lam)
-    if any(c.denominator != 1 for c in diff):
+    if not _is_lattice(diff):
         raise ValueError("mu - lam is not a lattice weight; the orbits are "
                          "not compatible")
     # numerators over lam's denominator, which mu shares since mu - lam is

@@ -39,6 +39,7 @@ from .jsonio import SchemaError
 from .rootsys import (
     GroupBoundExceeded,
     UnknownTypeError,
+    _is_lattice,
     _mat_nums,
     _numerators,
     _rho_shifted,
@@ -348,7 +349,7 @@ def _check_integral_consistency(datum, idat, entry, rng):
 def _check_subgeneric(datum, idat, entry, rng):
     nu = find_regular_dominant(idat)
     cls = classify_weight(datum, nu)
-    diff_ok = all((a - b).denominator == 1 for a, b in zip(nu, entry.lam))
+    diff_ok = _is_lattice(a - b for a, b in zip(nu, entry.lam))
     if not (cls.dominant and cls.regular and diff_ok):
         return "fail", f"regular dominant certificate {nu} invalid"
     for j in range(1, idat.rank + 1):
@@ -388,7 +389,7 @@ def _check_translate_verma(datum, idat, entry, rng):
     if not (classify_weight(datum, lam).dominant
             and classify_weight(datum, mu).dominant):
         return "skip", "pair not dominant as given"
-    if any((a - b).denominator != 1 for a, b in zip(mu, lam)):
+    if not _is_lattice(a - b for a, b in zip(mu, lam)):
         return "skip", "mu - lambda not a lattice weight"
     stab_lam = dot_stabilizer(datum, lam).elements
     stab_mu = dot_stabilizer(datum, mu).elements

@@ -15,11 +15,12 @@ Decomposition into the twisted KL basis {(c, e) b_x} is exact; the exposed
 multiplicities are the values at v = 1 (the completed, ungraded contract),
 with the graded coefficients available separately.
 
-Internally the block's one numbering, ``idat.tables``, is used: an element
-stores its terms under (chamber number, W_int number), and products,
-characters, KL expansions and decompositions run on those numbers with
-multiplication and conjugation read from integer tables; WeylElement and
-LaurentPoly appear only at the API edge.
+Internally the block's numbering is used, C's from the integral datum and
+W_int's from ``idat.tables``: an element stores its terms under (chamber
+number, W_int number), and products, characters, KL expansions and
+decompositions run on those numbers with multiplication and conjugation
+read from integer tables; WeylElement and LaurentPoly appear only at the
+API edge.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ class HeckeElement:
     @property
     def terms(self) -> dict:
         """{(c, x): LaurentPoly}, built on request."""
-        t = self.idat.tables
-        return {(t.chamber[c], t.elements[x]): LaurentPoly(p)
+        chamber, t = self.idat.chamber.sorted_elements, self.idat.tables
+        return {(chamber[c], t.elements[x]): LaurentPoly(p)
                 for (c, x), p in self._ints.items()}
 
     def __eq__(self, other):
@@ -161,9 +162,8 @@ class HeckeElement:
         return f"HeckeElement(terms={self.terms!r})"
 
     def coeff(self, c: WeylElement, x: WeylElement) -> LaurentPoly:
-        t = self.idat.tables
-        p = self._ints.get((t.chamber_index.get(c.root_perm),
-                            t.index.get(x.root_perm)))
+        p = self._ints.get((self.idat.chamber_number.get(c.root_perm),
+                            self.idat.tables.index.get(x.root_perm)))
         return ZERO if p is None else LaurentPoly(p)
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
@@ -186,7 +186,7 @@ class HeckeElement:
         out: dict = {}
         for c1, xs in _by_twist(self._ints).items():
             for c2, ys in theirs.items():
-                c, conj = t.chamber_mul[c1][c2], t.conj[c2]
+                c, conj = self.idat.chamber_mul[c1][c2], t.conj[c2]
                 for x, p in xs.items():
                     # H_{c2^{-1} x c2} times the whole combination ys
                     prod = ys
@@ -519,7 +519,7 @@ def bs_character(idat: IntegralDatum, word: BimoduleWord) -> HeckeElement:
                         q[e + k] = q.get(e + k, 0) + m
             terms = out
         else:
-            conj, mul = t.conj[~code], t.chamber_mul
+            conj, mul = t.conj[~code], idat.chamber_mul
             terms = {(mul[c][~code], conj[x]): p
                      for (c, x), p in terms.items()}
     return HeckeElement._of(idat, terms)
@@ -530,10 +530,10 @@ def _decompose(cache: KLCache, h: HeckeElement) -> dict:
     dict}, twists in root-permutation order, then x descending."""
     if h.idat is not cache.idat:
         raise ValueError("element of another block")
-    t = cache._t
+    chamber = cache.idat.chamber.sorted_elements
     out: dict = {}
     for c, f in sorted(_by_twist(h._ints).items(),
-                       key=lambda kv: t.chamber[kv[0]].root_perm):
+                       key=lambda kv: chamber[kv[0]].root_perm):
         f = {x: dict(p) for x, p in f.items()}
         while f:
             x = max(f)  # the largest element by the integral sort key
@@ -555,8 +555,8 @@ def decompose_graded(idat: IntegralDatum, h: HeckeElement,
                      cache: KLCache | None = None) -> dict:
     """Exact change of basis into {(c, e) b_x}: label -> LaurentPoly."""
     cache = cache or kl_cache(idat)
-    t = cache._t
-    return {(t.chamber[c], t.elements[x]): LaurentPoly(g)
+    chamber, elements = idat.chamber.sorted_elements, cache._t.elements
+    return {(chamber[c], elements[x]): LaurentPoly(g)
             for (c, x), g in _decompose(cache, h).items()}
 
 
@@ -570,12 +570,12 @@ def decompose(idat: IntegralDatum, h: HeckeElement,
     an upstream bug.
     """
     cache = cache or kl_cache(idat)
-    t = cache._t
+    chamber, elements = idat.chamber.sorted_elements, cache._t.elements
     out = {}
     for (c, x), g in _decompose(cache, h).items():
         if min(g.values()) < 0:
             raise ValueError(
                 f"negative coefficient {LaurentPoly(g).format()} in the "
                 "KL-basis decomposition")
-        out[t.chamber[c], t.elements[x]] = sum(g.values())
+        out[chamber[c], elements[x]] = sum(g.values())
     return out

@@ -14,9 +14,10 @@ modulo the weight lattice, so a breadth-first search over the orbit of that
 class gives |W_ext| = |W| / |orbit| before any group is built, and the
 bound is enforced there.  C is closed from the Schreier generators of that
 stabilizer, each reduced into C (Schreier's lemma; Seress, *Permutation
-Group Algorithms*, 2003, 4.1).  The block is numbered once, c u by (c, u)
-(``BlockTables``), tau(c u) = tau(c) is stored per chamber element, and
-W_ext sorted by the full (length, reduced word) key is built on request.
+Group Algorithms*, 2003, 4.1).  C is numbered once, with its product, its
+action on the integral simples and tau(c u) = tau(c) stored per number; the
+block numbers c u by (c, u) (``BlockTables``), and W_ext sorted by the full
+(length, reduced word) key is built on request.
 The same orbit search, stopped at a target class, finds one t moving mu
 into lam + (weight lattice); the shortest such element is a coset minimum.
 
@@ -52,6 +53,7 @@ from .rootsys import (
     _check_rank,
     _integer_inverse,
     _integer_solver,
+    _is_lattice,
     _mat_nums,
     _numerators,
     _reflect,
@@ -64,10 +66,6 @@ from .rootsys import (
     torsion_group,
     weyl_order,
 )
-
-def _is_lattice(coords) -> bool:
-    return all(x.denominator == 1 for x in coords)
-
 
 def _wsub(a: Weight, b: Weight) -> Weight:
     return tuple(x - y for x, y in zip(a, b))
@@ -83,7 +81,8 @@ class IntegralDatum:
 
     All members are frozen at construction; the structural identities
     (kernel of tau, semidirect decomposition, chamber action on the simple
-    roots) are verified once while building.
+    roots) are verified once while building.  The chamber is numbered in
+    ``chamber.sorted_elements`` order, so the identity is 0.
     """
 
     datum: CartanDatum = field(repr=False)
@@ -94,7 +93,10 @@ class IntegralDatum:
     system: CoxeterSystem                  # W_int over the integral simples
     w_int: SubgroupHandle
     chamber: SubgroupHandle
-    chamber_tau: tuple = field(repr=False)  # per chamber.sorted_elements
+    chamber_tau: tuple = field(repr=False)     # per chamber number
+    chamber_number: dict = field(repr=False)   # root_perm -> number
+    chamber_mul: tuple = field(repr=False)     # [a][b]: number of a b
+    chamber_conj: tuple = field(repr=False)    # c s_j c^-1 = s_{[k][j]}
     _memo: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -111,14 +113,6 @@ class IntegralDatum:
                    for r in self.integral_simples]
         return tuple(tuple(sum(map(int.__mul__, rows[a.index], b))
                            for b in simples) for a in self.integral_simples)
-
-    @cached_property
-    def chamber_mul(self) -> tuple[tuple[int, ...], ...]:
-        """[a][b] is the number of the product of chamber elements a and b,
-        the chamber numbered in ``chamber.sorted_elements`` order."""
-        chamber = self.chamber.sorted_elements
-        number = {c: k for k, c in enumerate(chamber)}
-        return tuple(tuple(number[a * b] for b in chamber) for a in chamber)
 
     @cached_property
     def w_ext(self) -> tuple[WeylElement, ...]:
@@ -143,15 +137,10 @@ class IntegralDatum:
 
     def conjugate_simple(self, c: WeylElement, j: int) -> int:
         """Index j' with c s_j c^{-1} = s_{j'}, for chamber elements c."""
-        img_index = c.root_perm[self.integral_simples[j - 1].index]
-        table = self._memo.get("simple_by_root")
-        if table is None:
-            table = self._memo["simple_by_root"] = {
-                r.index: pos + 1
-                for pos, r in enumerate(self.integral_simples)}
-        if img_index not in table:
-            raise ValueError("conjugation does not preserve the simple system")
-        return table[img_index]
+        k = self.chamber_number.get(c.root_perm)
+        if k is None:
+            raise ValueError("not a chamber element")
+        return self.chamber_conj[k][j]
 
 
 class BlockTables:
@@ -164,14 +153,15 @@ class BlockTables:
     spells the lex-minimal reduced word.  ``dmask[x]`` is the left descent
     set of x as a bitmask, bit j set iff s_{j+1} x < x.
 
-    The chamber is numbered in ``sorted_elements`` order (identity 0), with
-    ``chamber_mul[a][b]`` the number of the product.  ``right[j][x]`` is the
-    index of x s_{j+1} and ``conj[c][x]`` the index of c^{-1} x c; both
-    follow x = s_i u with u = left[i][x] one step shorter: x s = s_i (u s),
-    and c^{-1} x c = s_{i'} (c^{-1} u c) where c^{-1} s_i c = s_{i'}.
+    The chamber is numbered on the datum (``chamber_number``,
+    ``chamber_mul``, ``chamber_conj``).  ``right[j][x]`` is the index of
+    x s_{j+1} and ``conj[c][x]`` the index of c^{-1} x c; both follow
+    x = s_i u with u = left[i][x] one step shorter: x s = s_i (u s), and
+    c^{-1} x c = s_{i'} (c^{-1} u c) where c^{-1} s_i c = s_{i'}.
     """
 
     def __init__(self, idat: IntegralDatum):
+        self._idat = idat
         enum = idat.system.enumeration()
         self.elements = enum.elements
         self.index = {w.root_perm: i for i, w in enumerate(self.elements)}
@@ -183,11 +173,6 @@ class BlockTables:
             dmask = [m | 1 << j if self.length[sx] < lx else m
                      for m, sx, lx in zip(dmask, row, self.length)]
         self.dmask = dmask
-        self.chamber = idat.chamber.sorted_elements
-        self.chamber_index = {c.root_perm: i
-                              for i, c in enumerate(self.chamber)}
-        self.chamber_mul = idat.chamber_mul
-        self._inverses = inverses = [c.inverse() for c in self.chamber]
         # (j, u) with x = s_{j+1} u, for x = 1, 2, ... in order
         steps = [(j, left[j][x]) for x, j in enumerate(self.descent) if x]
         self.right = []
@@ -197,9 +182,9 @@ class BlockTables:
                 r.append(left[j][r[u]])
             self.right.append(r)
         self.conj = []
-        for ci in inverses:
-            rename = [left[idat.conjugate_simple(ci, j) - 1]
-                      for j in range(1, idat.rank + 1)]
+        for row in idat.chamber_mul:  # row.index(0) numbers c^{-1}
+            rename = [left[j - 1]
+                      for j in idat.chamber_conj[row.index(0)][1:]]
             r = [0]
             for j, u in steps:
                 r.append(rename[j][r[u]])
@@ -208,12 +193,13 @@ class BlockTables:
     def label(self, w: WeylElement) -> tuple[int, int]:
         """(chamber number, W_int number) of w = c u, ValueError outside
         W_ext: one lookup on C or W_int, else a product per chamber element."""
-        perm = w.root_perm
-        if perm in self.chamber_index:
-            return self.chamber_index[perm], 0
-        for c, inverse in enumerate(self._inverses):
-            x = self.index.get(
-                itemgetter(*perm)(inverse.root_perm) if c else perm)
+        perm, idat = w.root_perm, self._idat
+        if perm in idat.chamber_number:
+            return idat.chamber_number[perm], 0
+        chamber = idat.chamber.sorted_elements
+        for c, row in enumerate(idat.chamber_mul):
+            x = self.index.get(itemgetter(*perm)(
+                chamber[row.index(0)].root_perm) if c else perm)
             if x is not None:
                 return c, x
         raise ValueError("element does not move lam by a lattice weight")
@@ -225,7 +211,7 @@ class BlockTables:
         return hit
 
     def twist(self, c: WeylElement) -> int:
-        hit = self.chamber_index.get(c.root_perm)
+        hit = self._idat.chamber_number.get(c.root_perm)
         if hit is None:
             raise ValueError("twist is not a chamber element")
         return hit
@@ -390,14 +376,23 @@ def integral_datum(datum: CartanDatum, lam: Weight,
     if chamber.order * w_int.order * len(orbit) != weyl_order(datum):
         raise AssertionError("|C| * |W_int| * |orbit of lam mod the weight "
                              "lattice| != |W|")
+    elements = chamber.sorted_elements
     tau_of = _tau_of(datum, lam)
-    chamber_tau = tuple(tau_of(map(c.root_perm.index, range(datum.rank)))
-                        for c in chamber.sorted_elements)
-
+    number = {c.root_perm: k for k, c in enumerate(elements)}
+    # -1 and 0 mark a product outside C and a non-simple image, which
+    # _validate rejects
+    position = {r.index: j for j, r in enumerate(simples, 1)}
     idat = IntegralDatum(
         datum=datum, lam=lam, integral_roots=int_roots,
         integral_positive=int_pos, integral_simples=simples,
-        system=system, w_int=w_int, chamber=chamber, chamber_tau=chamber_tau)
+        system=system, w_int=w_int, chamber=chamber,
+        chamber_tau=tuple(tau_of(map(c.root_perm.index, range(datum.rank)))
+                          for c in elements),
+        chamber_number=number,
+        chamber_mul=tuple(tuple(number.get((a * b).root_perm, -1)
+                                for b in elements) for a in elements),
+        chamber_conj=tuple((0, *(position.get(c.root_perm[r.index], 0)
+                                 for r in simples)) for c in elements))
     _validate(idat)
     datum._memo[key] = idat
     return idat
@@ -445,13 +440,17 @@ def _validate(idat: IntegralDatum) -> None:
             # w^{-1}(alpha_i) = u^{-1}(c^{-1}(alpha_i))
             if tau_of(map(u.root_perm.index, heads)) != t:
                 raise AssertionError("tau(c u) differs from tau(c)")
-    # the chamber is abelian and permutes the integral simples
-    for c in idat.chamber.elements:
-        for cc in idat.chamber.elements:
-            if c * cc != cc * c:
-                raise AssertionError("chamber subgroup is not abelian")
-        for j in range(1, idat.rank + 1):
-            idat.conjugate_simple(c, j)  # raises if not a simple
+    # the chamber is an abelian group permuting the integral simples: each
+    # row of its tables is a permutation
+    mul = idat.chamber_mul
+    if mul != tuple(zip(*mul)):
+        raise AssertionError("chamber subgroup is not abelian")
+    if any(sorted(row) != list(range(len(mul))) for row in mul):
+        raise AssertionError("chamber products fall outside C or repeat")
+    if any(sorted(row) != list(range(idat.rank + 1))
+           for row in idat.chamber_conj):
+        raise AssertionError(
+            "a chamber element does not permute the integral simples")
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +467,7 @@ def chamber_decompose(idat: IntegralDatum,
     """The unique (c, u) with w = c u, c in the chamber, u in W_int, read
     off the block's numbering; raises ValueError outside W_ext."""
     c, u = idat.tables.label(w)
-    return idat.tables.chamber[c], idat.tables.elements[u]
+    return idat.chamber.sorted_elements[c], idat.tables.elements[u]
 
 
 def lambda_sharp(idat: IntegralDatum) -> Weight:

@@ -97,6 +97,11 @@ def _weight(nums, den: int) -> Weight:
     return tuple(Q(x, den) for x in nums)
 
 
+def _is_lattice(coords) -> bool:
+    """True iff every coordinate is an integer."""
+    return all(x.denominator == 1 for x in coords)
+
+
 def _mat_nums(m, nums) -> list[int]:
     return [sum(map(int.__mul__, row, nums)) for row in m]
 
@@ -437,11 +442,6 @@ class CartanDatum:
     def zero_weight(self) -> Weight:
         return (Q(0),) * self.rank
 
-    def weight(self, *coords) -> Weight:
-        if len(coords) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates")
-        return tuple(Q(c) for c in coords)
-
     @cached_property
     def inverse_cartan(self) -> tuple[IntMatrix, int]:
         """The inverse Cartan matrix as (rows, d): integer rows over
@@ -735,7 +735,7 @@ def weight_lattice_tests(datum: CartanDatum, lam: Weight) -> LatticeMembership:
     weights (None otherwise).
     """
     _check_rank(datum, lam)
-    in_wl = all(x.denominator == 1 for x in lam)
+    in_wl = _is_lattice(lam)
     in_rl = _in_root_lattice(datum, *_numerators(lam))
     cls = torsion_group(datum).class_of(lam) if in_wl else None
     return LatticeMembership(in_wl, in_rl, cls)
@@ -744,7 +744,7 @@ def weight_lattice_tests(datum: CartanDatum, lam: Weight) -> LatticeMembership:
 def lattice_class(datum: CartanDatum, lam: Weight) -> FiniteAbelianElement:
     """Torsion class of a lattice weight; raises for non-lattice input."""
     _check_rank(datum, lam)
-    if any(x.denominator != 1 for x in lam):
+    if not _is_lattice(lam):
         raise ValueError(f"{lam} is not in the weight lattice")
     return torsion_group(datum).class_of(lam)
 

@@ -16,9 +16,9 @@ unique, preserves the Bs letter count, the grading, and the one-sided rank
 
 A word is stored as integer codes on its block's chamber numbering: Bs(j)
 is j, and Rw(c) is ~k for c number k in ``idat.chamber.sorted_elements``
-(so Rw(e) is -1).  The rules run on code tuples through the block's
-``Alphabet``, its chamber product and conjugation tables; letter objects
-are built only by ``make_word`` and ``BimoduleWord.letters``.
+(so Rw(e) is -1).  The rules run on code tuples through the datum's
+chamber tables, ``chamber_mul`` and ``chamber_conj``; letter objects are
+converted only by ``make_word`` and ``BimoduleWord.letters``.
 
 Singular parabolic-chain words and the translation-product objects with
 their predicted images live here too, as does the stratified index of
@@ -32,11 +32,11 @@ from fractions import Fraction as Q
 
 from .coxeter import DEFAULT_GROUP_BOUND, dot_stabilizer, double_cosets, \
     parabolic_order, sort_key
-from .integral import IntegralDatum, integral_datum, _is_lattice, \
-    _wsub, dominant_dot_rep, find_regular_dominant, find_subgeneric, \
-    lattice_mover
+from .integral import IntegralDatum, integral_datum, _wsub, \
+    dominant_dot_rep, find_regular_dominant, find_subgeneric, lattice_mover
 from .rootsys import CartanDatum, FiniteAbelianElement, Weight, WeylElement, \
-    _check_rank, classify_weight, dot_action, lattice_class, torsion_group
+    _check_rank, _is_lattice, classify_weight, dot_action, lattice_class, \
+    torsion_group
 
 
 @dataclass(frozen=True)
@@ -58,32 +58,6 @@ class RwLetter:
 Letter = BsLetter | RwLetter
 
 
-class Alphabet:
-    """One block's letters on integers, built from the chamber alone.
-
-    ``letter[code]`` is the interned letter of a code, ``number[c]`` the
-    chamber number of c, ``mul[a][b]`` the number of the product of
-    chamber elements a and b, and ``conj[k][j]`` the j' with
-    c s_j c^{-1} = s_{j'} for c number k (``conj[k][0]`` is unused).
-    """
-
-    def __init__(self, idat: IntegralDatum):
-        chamber = idat.chamber.sorted_elements
-        self.number = {c: k for k, c in enumerate(chamber)}
-        self.letter = {j: BsLetter(j) for j in range(1, idat.rank + 1)}
-        self.letter.update((~k, RwLetter(c)) for k, c in enumerate(chamber))
-        self.mul = idat.chamber_mul
-        self.conj = [[0] + [idat.conjugate_simple(c, j)
-                            for j in range(1, idat.rank + 1)]
-                     for c in chamber]
-
-
-def alphabet(idat: IntegralDatum) -> Alphabet:
-    if "alphabet" not in idat._memo:
-        idat._memo["alphabet"] = Alphabet(idat)
-    return idat._memo["alphabet"]
-
-
 @dataclass(frozen=True)
 class BimoduleWord:
     ambient: IntegralDatum = field(compare=False, repr=False)
@@ -92,8 +66,9 @@ class BimoduleWord:
 
     @property
     def letters(self) -> tuple[Letter, ...]:
-        return tuple(map(alphabet(self.ambient).letter.__getitem__,
-                         self.codes))
+        chamber = self.ambient.chamber.sorted_elements
+        return tuple(BsLetter(x) if x > 0 else RwLetter(chamber[~x])
+                     for x in self.codes)
 
     @property
     def bs_count(self) -> int:
@@ -104,7 +79,7 @@ def make_word(idat: IntegralDatum, letters,
               shift: FiniteAbelianElement | None = None) -> BimoduleWord:
     """Validated word: Bs indices within the simple system, twists in the
     chamber subgroup."""
-    number = alphabet(idat).number
+    number = idat.chamber_number
     codes = []
     for l in letters:
         if isinstance(l, BsLetter):
@@ -112,9 +87,10 @@ def make_word(idat: IntegralDatum, letters,
                 raise ValueError(f"Bs index {l.simple_index} out of range")
             codes.append(l.simple_index)
         elif isinstance(l, RwLetter):
-            if l.twist not in number:
+            k = number.get(getattr(l.twist, "root_perm", None))
+            if k is None:
                 raise ValueError("twist is not a chamber element")
-            codes.append(~number[l.twist])
+            codes.append(~k)
         else:
             raise TypeError(f"not a letter: {l!r}")
     return word_of_codes(idat, codes, shift)
@@ -154,7 +130,7 @@ def _sites(codes: tuple) -> list[int]:
             if codes[p] == -1 or (p + 1 < n and codes[p + 1] < 0)]
 
 
-def _rewrite(codes: tuple, p: int, alpha: Alphabet) -> tuple | None:
+def _rewrite(codes: tuple, p: int, idat: IntegralDatum) -> tuple | None:
     """The codes with the rule at p applied (drop, fuse or swap), checked
     on the letters at p and p + 1 only; None when no rule applies there."""
     a = codes[p]
@@ -164,8 +140,8 @@ def _rewrite(codes: tuple, p: int, alpha: Alphabet) -> tuple | None:
     if b >= 0:
         return None
     if a < 0:
-        return codes[:p] + (~alpha.mul[~b][~a],) + codes[p + 2:]
-    return codes[:p] + (b, alpha.conj[~b][a]) + codes[p + 2:]
+        return codes[:p] + (~idat.chamber_mul[~b][~a],) + codes[p + 2:]
+    return codes[:p] + (b, idat.chamber_conj[~b][a]) + codes[p + 2:]
 
 
 def rewrite_sites(word: BimoduleWord) -> tuple[int, ...]:
@@ -185,7 +161,7 @@ def rewrite_step(word: BimoduleWord, site: int | None = None) -> BimoduleWord:
         if not sites:
             return word
         site = sites[0]
-    out = _rewrite(codes, site, alphabet(word.ambient)) \
+    out = _rewrite(codes, site, word.ambient) \
         if 0 <= site < len(codes) else None
     if out is None:
         if not _sites(codes):
@@ -198,13 +174,13 @@ def _walk(word: BimoduleWord, pick, cap: int, overrun: str) -> BimoduleWord:
     """Rewrites at the site ``pick(sites)`` until none applies, on the
     codes, building one word at the end; AssertionError(overrun) once cap
     steps have not reached the normal form."""
-    alpha, codes = alphabet(word.ambient), word.codes
+    codes = word.codes
     for _ in range(cap):
         sites = _sites(codes)
         if not sites:
             return word if codes is word.codes else \
                 BimoduleWord(word.ambient, codes, word.shift)
-        codes = _rewrite(codes, pick(sites), alpha)
+        codes = _rewrite(codes, pick(sites), word.ambient)
     raise AssertionError(overrun)
 
 

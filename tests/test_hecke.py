@@ -455,14 +455,14 @@ def test_hecke_block_check_fails_on_a_broken_block(a3, a3_block,
 
 def test_tables_match_weyl_element_products(a3_block):
     idat = a3_block
-    t = idat.tables
+    t, chamber = idat.tables, idat.chamber.sorted_elements
     for x, u in enumerate(t.elements):
         for j, s in enumerate(idat.simple_reflections):
             assert t.elements[t.right[j][x]] == u * s
-        for c, g in enumerate(t.chamber):
+        for c, g in enumerate(chamber):
             assert t.elements[t.conj[c][x]] == g.inverse() * u * g
             assert t.label(g * u) == (c, x)
-    assert t.chamber[0].is_identity
-    for a, g in enumerate(t.chamber):
-        for b, h in enumerate(t.chamber):
-            assert t.chamber[t.chamber_mul[a][b]] == g * h
+    assert chamber[0].is_identity
+    for a, g in enumerate(chamber):
+        for b, h in enumerate(chamber):
+            assert chamber[idat.chamber_mul[a][b]] == g * h

@@ -663,3 +663,58 @@ def test_cold_mover_and_xi_build_no_w_ext():
     assert dominant_dot_weight(datum, lam) == lam
     assert "w_ext" not in idat.__dict__
     assert len(coxeter_system(datum)._words) < 100
+
+
+def _d4_four_block():
+    """The D4 block at (1/2, 0, 1/2, 1/2): C is a Klein four-group."""
+    idat = integral_datum(build_root_system("D4"),
+                          (Q(1, 2), Q(0), Q(1, 2), Q(1, 2)))
+    assert idat.chamber.order == 4
+    return idat
+
+
+def _with_entry(rows, a, b, value):
+    return tuple(row[:b] + (value,) + row[b + 1:] if k == a else row
+                 for k, row in enumerate(rows))
+
+
+def test_validate_rejects_tampered_chamber_tables():
+    idat = _d4_four_block()
+    _validate(idat)
+    mul = idat.chamber_mul
+    assert mul[1][2] == mul[2][1] != 0
+    outside = _with_entry(_with_entry(mul, 1, 2, -1), 2, 1, -1)
+    repeated = _with_entry(idat.chamber_conj, 1, 1, idat.chamber_conj[1][2])
+    for change, message in [
+            ({"chamber_mul": _with_entry(mul, 1, 2, 0)}, "not abelian"),
+            ({"chamber_mul": outside}, "outside C"),
+            ({"chamber_conj": repeated}, "permute the integral simples")]:
+        with pytest.raises(AssertionError, match=message):
+            _validate(dataclasses.replace(idat, **change, _memo={}))
+
+
+@pytest.mark.parametrize("label, lam, order, rank", [
+    ("D4", (Q(1, 2), 0, Q(1, 2), Q(1, 2)), 4, 4),
+    ("A3", (0, Q(1, 2), 0), 2, 2),
+    ("A2", (Q(1, 3), Q(1, 3)), 3, 0),
+])
+def test_chamber_tables_match_products(label, lam, order, rank):
+    datum = build_root_system(label)
+    idat = integral_datum(datum, lam)
+    chamber = idat.chamber.sorted_elements
+    assert (idat.chamber.order, idat.rank) == (order, rank)
+    assert idat.chamber_number == {c.root_perm: k
+                                   for k, c in enumerate(chamber)}
+    simples = idat.simple_reflections
+    for a, g in enumerate(chamber):
+        for b, h in enumerate(chamber):
+            assert chamber[idat.chamber_mul[a][b]] == g * h
+        assert len(idat.chamber_conj[a]) == rank + 1
+        for j, s in enumerate(simples, 1):
+            image = idat.chamber_conj[a][j]
+            assert g * s * g.inverse() == simples[image - 1]
+            assert idat.conjugate_simple(g, j) == image
+    stranger = next(s for s in datum.simple_reflections
+                    if s not in idat.chamber.elements)
+    with pytest.raises(ValueError, match="not a chamber element"):
+        idat.conjugate_simple(stranger, 1)
