@@ -86,6 +86,7 @@ from .cat_o import (
     irrep_weight_multiset,
     linked,
     translate_verma,
+    verma_translator,
     weyl_dimension,
     zero_weight_multiplicity,
 )

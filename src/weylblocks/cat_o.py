@@ -14,11 +14,12 @@ both readings.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import lcm
 
-from .integral import _wadd, _wsub
+from .integral import _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
     _check_rank, _dominant_dot_key, _in_root_lattice, _is_lattice, \
     _mat_nums, _numerators, _reflect, _rho_shifted, _to_dominant, _weight, \
@@ -361,7 +362,14 @@ def _quadratic(form, x) -> int:
 def translate_verma(datum: CartanDatum, lam: Weight, mu: Weight,
                     w: WeylElement) -> VermaCombination:
     """Image of the Verma symbol D(w . lam) under translation to the orbit
-    of mu, at the level of Verma classes.
+    of mu, at the level of Verma classes: ``verma_translator`` for one w."""
+    return verma_translator(datum, lam, mu)(w)
+
+
+def verma_translator(datum: CartanDatum, lam: Weight, mu: Weight
+                     ) -> Callable[[WeylElement], VermaCombination]:
+    """Translation of Verma symbols D(w . lam) to the orbit of mu, as a
+    function of w; what depends on (lam, mu) alone is done once, here.
 
     Tensors by the character of L(mu - lam) and keeps the shifts landing in
     the dot orbit of mu: those whose dominant representative is mu's.  When
@@ -372,6 +380,10 @@ def translate_verma(datum: CartanDatum, lam: Weight, mu: Weight,
     stabilizer of a reflection group is generated by the reflections it
     contains (Steinberg), so Stab(lam) <= Stab(mu) iff every positive root
     singular for lam is singular for mu.
+
+    ValueError is raised here when lam or mu is not dominant or mu - lam
+    is not a lattice weight, and by the returned function when w is not in
+    the integral Weyl group of lam.
     """
     lam = tuple(Q(c) for c in lam)
     mu = tuple(Q(c) for c in mu)
@@ -381,6 +393,7 @@ def translate_verma(datum: CartanDatum, lam: Weight, mu: Weight,
         if not cls.dominant:
             raise ValueError(f"{name} = {x} is not dominant")
         walls.append({root.index for root in cls.singular_roots})
+    nested = walls[0] <= walls[1]
     diff = _wsub(mu, lam)
     if not _is_lattice(diff):
         raise ValueError("mu - lam is not a lattice weight; the orbits are "
@@ -388,36 +401,47 @@ def translate_verma(datum: CartanDatum, lam: Weight, mu: Weight,
     # numerators over lam's denominator, which mu shares since mu - lam is
     # a lattice weight: w . lam - lam = w(lam + rho) - (lam + rho)
     shifted, den = _rho_shifted(lam)
-    start = _mat_nums(w.weight_matrix, shifted)  # w . lam + rho
-    if not _in_root_lattice(
-            datum, [a - b for a, b in zip(start, shifted)], den):
-        raise ValueError("w is not in the integral Weyl group of lam")
-    w_lam = _weight([x - den for x in start], den)
-
-    highest = linear_dominant_rep(datum, diff)
-    charset = irrep_weight_multiset(datum, highest)
-    # candidates compare as numerators of cand + rho; one off mu's orbit
-    # by its invariant norm needs no walk to the dominant chamber
+    step = [den * c.numerator for c in diff]  # mu + rho = lam + rho + step
+    mu_shifted = list(map(int.__add__, shifted, step))
+    charset = irrep_weight_multiset(datum, linear_dominant_rep(datum, diff))
+    # candidates compare as numerators of cand + rho.  With start =
+    # w(lam + rho) and d = den nu, W-invariance of the form gives
+    # (start + d, start + d) = (lam + rho, lam + rho) + 2 (start, G d)
+    # + (d, d), so a candidate is on mu's norm iff 2 (start, G d) equals
+    # the gap below, one dot product per weight; only those are walked to
+    # the dominant chamber
     target, _ = _dominant_dot_key(datum, mu)
     form = _invariant_form(datum)
-    norm = _quadratic(form, target)
-    cartan = datum.cartan_matrix
-    terms: dict[Weight, int] = {}
-    selected: list[Weight] = []
+    base = _quadratic(form, target) - _quadratic(form, shifted)
+    shifts = []
     for nu, m in charset.items():
-        cand = [x + den * c.numerator for x, c in zip(start, nu)]
-        if _quadratic(form, cand) == norm and \
-                tuple(_to_dominant(cartan, cand)) == target:
-            terms[_wadd(w_lam, nu)] = m
-            selected.append(nu)
+        d = [den * c.numerator for c in nu]
+        shifts.append((m, d, _mat_nums(form, d), base - _quadratic(form, d)))
+    cartan = datum.cartan_matrix
 
-    out = VermaCombination(datum, terms)
-    if walls[0] <= walls[1]:
-        expected = {dot_action(datum, w, mu): 1}
-        extremal = w.act(diff)
-        if terms != expected or selected != [extremal] \
-                or charset[extremal] != 1:
+    def translate(w: WeylElement) -> VermaCombination:
+        matrix = w.weight_matrix
+        start = _mat_nums(matrix, shifted)  # w . lam + rho
+        if not _in_root_lattice(
+                datum, [a - b for a, b in zip(start, shifted)], den):
+            raise ValueError("w is not in the integral Weyl group of lam")
+        terms: dict[Weight, int] = {}
+        selected = []  # (cand, d, m) per kept shift
+        for m, d, gd, gap in shifts:
+            if 2 * sum(map(int.__mul__, start, gd)) == gap:
+                cand = list(map(int.__add__, start, d))
+                if tuple(_to_dominant(cartan, cand)) == target:
+                    terms[_weight([x - den for x in cand], den)] = m
+                    selected.append((cand, d, m))
+
+        out = VermaCombination(datum, terms)
+        # nested walls: the one term is w . mu with multiplicity 1, from the
+        # extremal shift w(mu - lam), on numerators
+        if nested and selected != [(_mat_nums(matrix, mu_shifted),
+                                    _mat_nums(matrix, step), 1)]:
             raise AssertionError(
                 "translation identity failed: expected exactly "
                 f"D({dot_action(datum, w, mu)}), got {out}")
-    return out
+        return out
+
+    return translate

@@ -4,8 +4,9 @@ Enumeration by one layered search over the simple reflections, which meets
 the elements already in (length, lex-minimal reduced word) order; lengths
 and reduced words through the root permutation
 (``length(w) = #{alpha > 0 : w(alpha) < 0}``), Bruhat order by the lifting
-property, reflection subgroups, dot-action stabilizers, and double-coset
-decompositions.
+property, reflection subgroups, dot-action stabilizers, double-coset
+decompositions, and a numbering of W through the transversals of its
+parabolic chain, which draws elements without enumerating W.
 
 Elements are canonically keyed by their root permutation.  One
 ``CoxeterSystem`` class serves both the full group and the integral Weyl
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import prod
 from operator import itemgetter
 
 from .rootsys import (
@@ -27,6 +29,7 @@ from .rootsys import (
     GroupBoundExceeded,
     Weight,
     WeylElement,
+    _reflect,
     classify_weight,
     weyl_order,
 )
@@ -273,6 +276,59 @@ def generate_group(datum: CartanDatum,
         raise AssertionError(f"enumerated {len(out)} elements, expected "
                              f"{expected} for {datum.type_label}")
     return out
+
+
+def parabolic_transversals(datum: CartanDatum
+                           ) -> tuple[tuple[WeylElement, ...], ...]:
+    """X_1, ..., X_n with W_k = X_k W_{k-1} for the parabolic chain
+    W_k = <s_1, ..., s_k>, memoized on the datum; W is never enumerated.
+
+    The stabilizer of the fundamental weight omega_k in W_k is W_{k-1}, so
+    X_k is read off the W_k-orbit of omega_k by a breadth-first walk that
+    reaches each point y = s_i x as the element s_i t(x) (Bjorner-Brenti,
+    *Combinatorics of Coxeter Groups*, GTM 231, ch. 2).  Every w in W is
+    x_n ... x_1, x_k in X_k, in exactly one way, so the orbit sizes
+    multiply to |W|, which is asserted.
+    """
+    out = datum._memo.get("parabolic_transversals")
+    if out is None:
+        cartan, simples = datum.cartan_matrix, datum.simple_reflections
+        chain = []
+        for k in range(datum.rank):
+            start = tuple(int(i == k) for i in range(datum.rank))
+            orbit = {start: datum.identity}
+            frontier = [start]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for i in range(k + 1):
+                        if x[i]:  # s_i fixes x when x_i = 0
+                            y = tuple(_reflect(cartan, x, i))
+                            if y not in orbit:
+                                orbit[y] = simples[i] * orbit[x]
+                                nxt.append(y)
+                frontier = nxt
+            chain.append(tuple(orbit.values()))
+        if prod(map(len, chain)) != weyl_order(datum):
+            raise AssertionError("parabolic orbit sizes do not multiply "
+                                 f"to |W| for {datum.type_label}")
+        out = datum._memo["parabolic_transversals"] = tuple(chain)
+    return out
+
+
+def weyl_element_at(datum: CartanDatum, index: int) -> WeylElement:
+    """The element of W numbered ``index`` in 0..|W|-1 without enumerating
+    W: x_n ... x_1 with x_k the i_k-th element of ``parabolic_transversals``
+    X_k, where index = i_1 + |X_1| (i_2 + |X_2| (i_3 + ...))."""
+    perm, rest = datum.identity.root_perm, index
+    for layer in parabolic_transversals(datum):
+        rest, i = divmod(rest, len(layer))
+        if i:  # x = layer[i], and layer[0] is the identity: perm of x w
+            perm = itemgetter(*perm)(layer[i].root_perm)
+    if rest:  # index < 0 or index >= |W|, the product of the layer sizes
+        raise ValueError(f"element index {index} out of range "
+                         f"0..{weyl_order(datum) - 1}")
+    return WeylElement(perm, datum)
 
 
 def parabolic_order(datum: CartanDatum, root_indices) -> int:

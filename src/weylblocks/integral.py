@@ -136,10 +136,14 @@ class IntegralDatum:
         return self.system.elements()
 
     def conjugate_simple(self, c: WeylElement, j: int) -> int:
-        """Index j' with c s_j c^{-1} = s_{j'}, for chamber elements c."""
+        """Index j' with c s_j c^{-1} = s_{j'}, for chamber elements c and
+        1 <= j <= rank."""
         k = self.chamber_number.get(c.root_perm)
         if k is None:
             raise ValueError("not a chamber element")
+        if not 1 <= j <= self.rank:
+            raise ValueError(f"integral simple index {j} out of range "
+                             f"1..{self.rank}")
         return self.chamber_conj[k][j]
 
 

@@ -13,6 +13,7 @@ from weylblocks import (
     irrep_weight_multiset,
     linked,
     translate_verma,
+    verma_translator,
     weyl_dimension,
     zero_weight_multiplicity,
 )
@@ -366,6 +367,38 @@ def test_translate_verma_does_not_enumerate_the_group():
     assert translate_verma(datum, lam, mu, datum.identity).terms == {mu: 1}
     system = datum._memo.get("coxeter")
     assert system is None or system._enumeration is None
+
+
+@pytest.mark.parametrize("label,lam,mu", [
+    p for p in _corpus_pairs(True) if p.values[0] in ("A3", "B3", "G2", "A4")
+] + UNNESTED_PAIRS + [
+    pytest.param("G2", w(-1, 0), w(0, -1), id="G2-unnested"),
+])
+def test_verma_translator_matches_translate_verma(label, lam, mu):
+    """One translator per pair gives translate_verma's image, and the
+    walk-only selection's terms, at every w in W_int; on the unnested
+    pairs no identity is asserted."""
+    datum = build_root_system(label)
+    translate = verma_translator(datum, lam, mu)
+    for u in integral_datum(datum, lam).int_elements():
+        combo = translate(u)
+        assert combo == translate_verma(datum, lam, mu, u)
+        assert combo.terms == walk_only_translation(datum, lam, mu, u)
+
+
+def test_verma_translator_raises_where_the_error_is(a1):
+    """The pair's errors when the translator is built, with no w at hand;
+    a w outside W_int only when it is translated."""
+    for lam, mu, message in [(w(-2), w(-1), "lam = .* is not dominant"),
+                             (w(0), w(-2), "mu = .* is not dominant"),
+                             (w(0), w(Q(-1, 2)), "not a lattice weight")]:
+        with pytest.raises(ValueError, match=message):
+            verma_translator(a1, lam, mu)
+    e, s = a1.identity, a1.simple_reflections[0]
+    translate = verma_translator(a1, w(Q(1, 2)), w(Q(-1, 2)))  # W_int = {e}
+    with pytest.raises(ValueError, match="integral Weyl group"):
+        translate(s)
+    assert translate(e).terms == {w(Q(-1, 2)): 1}
 
 
 @pytest.mark.parametrize("label,lam,mu", _corpus_pairs(True) + UNNESTED_PAIRS)

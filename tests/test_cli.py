@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,9 +10,12 @@ from fractions import Fraction as Q
 import pytest
 
 import weylblocks
-from weylblocks import build_root_system, integral_datum, random_rewrite
-from weylblocks.cli import DEFAULT_SEED, _random_word, default_corpus_path, \
+from weylblocks import build_root_system, cli, coxeter, integral_datum, \
+    random_rewrite
+from weylblocks.cli import DEFAULT_SEED, CorpusEntry, _check_semidirect, \
+    _check_tau_homomorphism, _random_word, default_corpus_path, \
     load_corpus, main, run_corpus
+from weylblocks.coxeter import CoxeterSystem, trivial_subgroup
 from weylblocks.jsonio import (
     SchemaError,
     letters_to_json,
@@ -343,3 +347,74 @@ def test_python_m_weylblocks_runs_the_cli():
         for module in ("weylblocks", "weylblocks.cli")]
     assert json.loads(reports[0])["summary"]["all_passed"]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("label, lam, tampered, where", [
+    # negated: still a homomorphism with kernel W_int, which additivity
+    # and the kernel test alone would pass
+    ("A2", (Q(1, 3), Q(1, 3)), lambda t: tuple(-x for x in t), "s1*s2"),
+    ("A3", (0, Q(1, 2), 0), lambda t: t[::-1], "e"),  # nonzero at e
+])
+def test_tau_check_fails_a_tampered_tau_table(label, lam, tampered, where):
+    """A block built valid whose chamber_tau is overwritten afterwards,
+    not re-validated: tau recomputed from the action disagrees with the
+    table, and the witness names the first element where it does."""
+    datum = build_root_system(label)
+    lam = tuple(Q(x) for x in lam)
+    idat = integral_datum(datum, lam)
+    entry = CorpusEntry(0, label, lam, None, ())
+    assert _check_tau_homomorphism(datum, idat, entry, None) == \
+        ("pass", None)
+    bad = dataclasses.replace(idat, chamber_tau=tampered(idat.chamber_tau),
+                              _memo={})
+    assert _check_tau_homomorphism(datum, bad, entry, None) == \
+        ("fail", f"tau table disagrees with the action at {where}")
+
+
+def test_semidirect_count_is_recomputed(a3, a3_block):
+    """With the chamber replaced by the trivial group, |C| |W_int| is no
+    longer |W| / |orbit of lam mod P|; W_ext built from that chamber would
+    still have |C| |W_int| elements."""
+    entry = CorpusEntry(0, "A3", a3_block.lam, None, ())
+    assert _check_semidirect(a3, a3_block, entry, None) == ("pass", None)
+    bad = dataclasses.replace(a3_block, chamber=trivial_subgroup(a3),
+                              _memo={})
+    assert len(bad.w_ext) == bad.chamber.order * bad.w_int.order
+    assert _check_semidirect(a3, bad, entry, None) == \
+        ("fail", "|C|*|W_int| != |W| / |orbit of lam mod P|")
+
+
+def test_e6_checks_pass_with_w_forbidden(tmp_path, monkeypatch):
+    """A one-entry corpus, E6 at lam = mu = (1/2, 0, ..., 0), |W| = 51,840
+    and |W_int| = 1920: tau, the semidirect count, the integral-system
+    draws and the Verma translation pass with every way to enumerate W
+    made to raise, and the sorted W_ext is never built."""
+    path = tmp_path / "e6.json"
+    half = "1/2,0,0,0,0,0"
+    path.write_text(json.dumps({"entries": [
+        {"type": "E6", "lambda": half, "mu": half, "tags": ["translate"]}]}))
+    (entry,) = load_corpus(json.loads(path.read_text()))
+
+    def no_w(*args, **kwargs):
+        raise AssertionError("the whole Weyl group was enumerated")
+
+    enumeration = CoxeterSystem.enumeration
+
+    def w_int_only(system, *args, **kwargs):
+        if system is system.datum._memo.get("coxeter"):
+            no_w()
+        return enumeration(system, *args, **kwargs)
+
+    assert not hasattr(cli, "generate_group")
+    for module in (coxeter, weylblocks):
+        monkeypatch.setattr(module, "generate_group", no_w)
+    monkeypatch.setattr(CoxeterSystem, "enumeration", w_int_only)
+    datum = build_root_system.__wrapped__("E6")  # cold: nothing memoized
+    idat = integral_datum(datum, entry.lam)
+    assert (idat.chamber.order, idat.w_int.order) == (1, 1920)
+    checks = dict(cli.CHECKS)
+    for name in ("tau_homomorphism", "semidirect", "integral_consistency",
+                 "translate_verma"):
+        rng = random.Random(f"{DEFAULT_SEED}:0:{name}")
+        assert checks[name](datum, idat, entry, rng) == ("pass", None), name
+    assert "w_ext" not in idat.__dict__

@@ -20,10 +20,12 @@ from weylblocks.coxeter import (
     coxeter_system,
     length,
     parabolic_order,
+    parabolic_transversals,
     sort_key,
     trivial_subgroup,
+    weyl_element_at,
 )
-from weylblocks.rootsys import WEYL_ORDER, GroupBoundExceeded
+from weylblocks.rootsys import WEYL_ORDER, GroupBoundExceeded, weyl_order
 
 from conftest import check_enumeration, w
 from oracles import (
@@ -198,3 +200,36 @@ def test_parabolic_order_matches_closure(label):
     for subset in subsets:
         gens = [datum.simple_reflections[i] for i in subset]
         assert parabolic_order(datum, subset) == len(closure(datum, gens))
+
+
+@pytest.mark.parametrize("label", ["A1xA1", "A3", "B3", "C3", "G2", "D4",
+                                   "F4", "D5"])
+def test_weyl_element_at_numbers_the_whole_group(label):
+    """x_n ... x_1 over the parabolic transversals meets every element of
+    W exactly once, and each x in X_k is the shortest of its coset
+    x W_{k-1}: no s_1..s_{k-1} is a right descent."""
+    datum = build_root_system(label)
+    group = generate_group(datum)
+    drawn = [weyl_element_at(datum, i) for i in range(len(group))]
+    assert len(set(drawn)) == len(group) and set(drawn) == set(group)
+    system = coxeter_system(datum)
+    for k, layer in enumerate(parabolic_transversals(datum), 1):
+        assert layer[0].is_identity
+        for x in layer:
+            assert all(system.length(x * datum.simple_reflections[i])
+                       > system.length(x) for i in range(k - 1))
+
+
+def test_parabolic_chain_of_e8_lists_no_group():
+    """The E8 chain from a datum with empty caches: its orbit sizes, and
+    draws at both ends of the numbering, with W never enumerated."""
+    datum = build_root_system.__wrapped__("E8")
+    assert tuple(map(len, parabolic_transversals(datum))) == \
+        (2, 2, 3, 10, 16, 27, 56, 240)
+    assert weyl_element_at(datum, 0).is_identity
+    longest = weyl_element_at(datum, weyl_order(datum) - 1)
+    assert length(datum, longest) == datum.num_positive
+    for index in (-1, weyl_order(datum)):
+        with pytest.raises(ValueError, match="out of range"):
+            weyl_element_at(datum, index)
+    assert coxeter_system(datum)._enumeration is None

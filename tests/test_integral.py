@@ -29,7 +29,7 @@ from weylblocks.coxeter import (
     reduced_word,
 )
 import weylblocks
-from weylblocks import cli, coxeter, hecke, integral, soergel
+from weylblocks import coxeter, hecke, integral, soergel
 from weylblocks.cli import default_corpus_path, load_corpus
 from weylblocks.coxeter import CoxeterSystem
 from weylblocks.integral import IntegralDatum, _is_lattice, _validate, _wsub, \
@@ -508,7 +508,7 @@ def test_block_pipelines_never_enumerate_w(monkeypatch, label, lam, mu):
             no_w()
         return enumeration(system, *args, **kwargs)
 
-    for module in (coxeter, cli, weylblocks):
+    for module in (coxeter, weylblocks):
         monkeypatch.setattr(module, "generate_group", no_w)
     monkeypatch.setattr(CoxeterSystem, "enumeration", w_int_only)
     datum = build_root_system.__wrapped__(label)
@@ -718,3 +718,18 @@ def test_chamber_tables_match_products(label, lam, order, rank):
                     if s not in idat.chamber.elements)
     with pytest.raises(ValueError, match="not a chamber element"):
         idat.conjugate_simple(stranger, 1)
+
+
+@pytest.mark.parametrize("label, lam", [
+    ("D4", (Q(1, 2), 0, Q(1, 2), Q(1, 2))),
+    ("A3", (0, Q(1, 2), 0)),
+    ("A2", (Q(1, 3), Q(1, 3))),
+])
+def test_conjugate_simple_rejects_an_index_out_of_range(label, lam):
+    """j = 0 would read the table's padding and j > rank its end: both
+    are refused, for every chamber element, on blocks of rank 4, 2 and 0."""
+    idat = integral_datum(build_root_system(label), lam)
+    for c in idat.chamber.sorted_elements:
+        for j in (0, -1, idat.rank + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                idat.conjugate_simple(c, j)
