@@ -465,7 +465,14 @@ def _check_rewriter(datum, idat, entry, rng, words=40):
 
 
 def _check_hecke_block(datum, idat, entry, rng, words=6):
-    cache = hecke.kl_cache(idat)  # construction validates the KL table
+    cache = hecke.kl_cache(idat)
+    e, elements = datum.identity, idat.int_elements()
+    # a column is validated when it is built: read every column while the
+    # whole table fits under the cap; past it the sample's reads build and
+    # validate theirs, and a read over the cap fails the check
+    if len(elements) <= hecke.KL_COLUMN_CAP:
+        for w in elements:
+            hecke.kl_polynomial(cache, e, w)
     vpv = hecke.V + hecke.V_INV
     gens = [hecke.kl_generator(idat, j) for j in range(1, idat.rank + 1)]
     for j, b in enumerate(gens, 1):
@@ -478,10 +485,8 @@ def _check_hecke_block(datum, idat, entry, rng, words=6):
             return "fail", (f"character not rewrite-invariant for "
                             f"{jsonio.letters_to_json(word)}")
     # nonnegativity of b_s b_w in the KL basis, sampled for large blocks
-    elements = idat.int_elements()
     sample = elements if len(elements) <= 48 else \
         [elements[rng.randrange(len(elements))] for _ in range(16)]
-    e = datum.identity
     for w in sample:
         b_w = cache.kl_basis_element(e, w)
         for j, b in enumerate(gens, 1):

@@ -26,10 +26,9 @@ API edge.
 from __future__ import annotations
 
 from itertools import compress
-from operator import itemgetter
 
 from .integral import BlockTables, IntegralDatum
-from .rootsys import WeylElement
+from .rootsys import GroupBoundExceeded, WeylElement
 from .soergel import BimoduleWord
 
 
@@ -258,21 +257,31 @@ def _by_twist(ints: dict) -> dict:
 # Kazhdan-Lusztig basis
 # ---------------------------------------------------------------------------
 
-def _lower_ideals(t: BlockTables) -> list[bytes]:
-    """Bruhat lower ideals as bitmaps: byte x of entry w is 1 iff x <= w.
+# A read that would build more KL columns than this raises
+# GroupBoundExceeded and builds none.  Every column a read needs lies in the
+# Bruhat ideal of the column read, so the unbuilt part of that ideal bounds
+# the work.  Building every column of a 2000-element ideal took 0.5-1.1 s
+# on W(F4), W(B5), W(A6) and W(E6) (2 vCPUs, CPython 3.11), about as long
+# as the whole table of E6 at (1/2,0,...,0), 1920 columns, which fits.
+KL_COLUMN_CAP = 2000
 
-    Lifting property: for w = s u > u, {x <= w} = {x <= u} | s{x <= u}.
-    """
-    n = len(t.elements)
-    flips = [itemgetter(*row) for row in t.left] if n > 1 else []
-    ideals = [bytes([1]) + bytes(n - 1)]
-    for w in range(1, n):
-        j = t.descent[w]
-        below = ideals[t.left[j][w]]
-        moved = bytes(flips[j](below))
-        ideals.append((int.from_bytes(below, "little") |
-                       int.from_bytes(moved, "little")).to_bytes(n, "little"))
-    return ideals
+_UNPACK = bytes.maketrans(b"01", b"\0\1")
+_PACK = bytes.maketrans(b"\0\1", b"01")
+
+
+def _flags(bits: int, n: int = 0) -> bytes:
+    """Byte x is bit x of ``bits``, padded with zeros to at least n bytes."""
+    return format(bits, "b")[::-1].encode().translate(_UNPACK).ljust(n, b"\0")
+
+
+def _members(bits: int):
+    """The x with bit x of ``bits`` set, ascending."""
+    return compress(range(bits.bit_length()), _flags(bits))
+
+
+def _pack(flags: bytes) -> int:
+    """The int whose bit x is byte x of ``flags`` (each 0 or 1)."""
+    return int(flags[::-1].translate(_PACK), 2)
 
 
 def _add_into(q: list[int], p: tuple[int, ...], k: int = 0,
@@ -285,158 +294,261 @@ def _add_into(q: list[int], p: tuple[int, ...], k: int = 0,
         q[e] += m * c
 
 
-def _reduction(t: BlockTables, mask: int) -> tuple:
-    """(top, up, extremal, tops) for I = mask: x' = top[x] is the top of the
-    coset W_I x and up[x] = l(x') - l(x); bit x of the int extremal is set
-    iff x = x'; tops maps a bitmap b to (b[top[x]] for every x), or is None
-    when I is empty.  Built from x = n - 1 down to 0 over the left table."""
-    n, dmask, left = len(t.elements), t.dmask, t.left
-    top, up, ext = list(range(n)), [0] * n, bytearray(n)
-    for x in range(n - 1, -1, -1):
-        missing = mask & ~dmask[x]
-        if missing:  # s_{j+1} x > x for the lowest such j
-            y = left[(missing & -missing).bit_length() - 1][x]
-            top[x], up[x] = top[y], up[y] + 1
+class _Tops(dict):
+    """x -> x', the top of the coset W_I x for one descent set I = mask,
+    found on the first lookup of x by walking up: while some s_{j+1} in I
+    has s_{j+1} x > x, x moves to s_{j+1} x for the lowest such j.  Every
+    element on the walk is memoized."""
+
+    __slots__ = ("_left", "_dmask", "_mask")
+
+    def __init__(self, t: BlockTables, mask: int):
+        super().__init__()
+        self._left, self._dmask, self._mask = t.left, t.dmask, mask
+
+    def __missing__(self, x: int) -> int:
+        walk = [x]
+        while missing := self._mask & ~self._dmask[x]:
+            x = self._left[(missing & -missing).bit_length() - 1][x]
+            top = self.get(x)
+            if top is not None:
+                break
+            walk.append(x)
         else:
-            ext[x] = 1
-    return top, up, int.from_bytes(ext, "little"), \
-        itemgetter(*top) if mask else None
+            top = x
+        for y in walk:
+            self[y] = top
+        return top
 
 
 class KLCache:
     """Expansions b_w = sum_x h_{x,w} H_x for the integral Coxeter system,
-    stored on the extremal pairs.
+    built column by column on first read and stored on the extremal pairs.
 
     For a left descent s of w and x < sx, h_{x,w} = v h_{sx,w}.  So with
     I = D_L(w) the column of w is determined by its extremal entries, the
     x <= w with I contained in D_L(x), which are the tops of the cosets
     W_I x; every other entry is h_{x,w} = v^k h_{x',w} with x' the top of
-    W_I x and k = l(x') - l(x); ``_reductions[I]`` tabulates x -> (x', k),
-    one table per descent set.  Column w maps the index of each extremal x
-    to the coefficients of h_{x,w}, entry e being the coefficient of v^e.
+    W_I x and k = l(x') - l(x).  ``_tops(I)`` maps x -> x', one memo per
+    descent set, filled as entries are read.  Column w maps the index of
+    each extremal x to the coefficients of h_{x,w}, entry e being the
+    coefficient of v^e; ``_cols[w]`` is None until it is built.
 
-    Built bottom-up through b_w = b_s b_u - sum mu(z, u) b_z with u = sw < w,
-    computing only the extremal entries of each column and reading the
-    entries of u and z through their own reductions; the candidates are the
-    lower-ideal bitmap of w masked by the extremal set of I.  The bitmaps
-    (``_ideals``) and the reductions stay on the cache, and every read
-    (``expansion``, ``kl_basis_element``, ``kl_polynomial``, decompositions)
-    rebuilds entries from them.
+    Column w is built through b_w = b_s b_u - sum mu(z, u) b_z with
+    u = sw < w, computing only its extremal entries and reading the entries
+    of u and z through their own coset tops.  u and those z lie below w, so
+    a read first builds the columns they need that are not yet built,
+    bottom-up from an explicit stack.  The candidates are the lower ideal
+    of w masked by the extremal set of I.  The ideal is an int of n bits,
+    bit x set iff x <= w, grown from the ideal of sw by the lifting
+    property; it stays on the cache (``_ideals``) with the column, and
+    every read (``expansion``, ``kl_basis_element``, ``kl_polynomial``,
+    decompositions) rebuilds entries from them.
 
-    On construction every pair x <= w is covered: each stored entry is
-    checked to be unitriangular, supported on the Bruhat interval below w,
-    with coefficients in v Z_{>=0}[v] of degree at most l(w) - l(x) below
-    the top term; the stored support must be exactly the
-    extremal part of the lower ideal (a byte count), and the ideal must
-    hold x exactly when it holds x' (one permutation of its bitmap), so it
-    is stable under every s in D_L(w) and x <= w iff x' <= w.  An unstored
-    entry is v^k (k >= 1) times a checked one, so it inherits the zero
-    constant term, nonnegativity and the degree bound.  A failure aborts
-    with the offending pair.  Safe for concurrent readers once built.
+    Before a read builds anything, it counts the unbuilt columns in the
+    ideal of w, where every column it needs lies, and raises
+    GroupBoundExceeded, building none, when there are more than
+    ``KL_COLUMN_CAP``.
+
+    Each column is checked as it is built, so every pair x <= w of a built
+    column is covered: each stored entry is checked to be unitriangular,
+    supported on the Bruhat interval below w, with coefficients in
+    v Z_{>=0}[v] of degree at most l(w) - l(x) below the top term; the
+    stored support must be exactly the extremal part of the lower ideal (a
+    bit count), and the ideal must be stable under every s in D_L(w), so it
+    is a union of cosets W_I x and x <= w iff x' <= w.  An unstored entry
+    is v^k (k >= 1) times a checked one, so it inherits the zero constant
+    term, nonnegativity and the degree bound.  A failure raises
+    AssertionError naming the offending pair, and the column is not stored.
     """
 
     def __init__(self, idat: IntegralDatum):
         self.idat = idat
         self._t = t = idat.tables
-        n, length, left, dmask = len(t.elements), t.length, t.left, t.dmask
-        self._ideals = ideals = _lower_ideals(t)
-        self._reductions = reductions = {
-            mask: _reduction(t, mask) for mask in set(dmask)}
-        positions = range(n)
-        self._cols = cols = [{0: (1,)}]
-        for w in range(1, n):
-            row = left[t.descent[w]]
-            u = row[w]
-            col_u = cols[u]
-            top_u, up_u = reductions[dmask[u]][:2]
+        n = len(t.elements)
+        # bit x of _descents[j] is set iff s_{j+1} x < x
+        self._descents = [_pack(bytes(m >> j & 1 for m in t.dmask))
+                          for j in range(len(t.left))]
+        self._memos: dict[int, _Tops] = {}
+        self._exts: dict[int, int] = {}
+        self._ideals: list = [1] + [None] * (n - 1)
+        self._cols: list = [{0: (1,)}] + [None] * (n - 1)
+        self._built = 1  # bit w set iff column w is built
+
+    def _name(self, w: int) -> tuple[int, ...]:
+        return self.idat.system.reduced_word(self._t.elements[w])
+
+    def _tops(self, mask: int) -> _Tops:
+        tops = self._memos.get(mask)
+        if tops is None:
+            tops = self._memos[mask] = _Tops(self._t, mask)
+        return tops
+
+    def _extremal(self, mask: int) -> int:
+        """Bit x set iff D_L(x) contains I = mask."""
+        ext = self._exts.get(mask)
+        if ext is None:
+            ext = (1 << len(self._t.elements)) - 1
+            for j, d in enumerate(self._descents):
+                if mask >> j & 1:
+                    ext &= d
+            self._exts[mask] = ext
+        return ext
+
+    def _ideal(self, w: int) -> int:
+        """The lower ideal of w: for w = s u > u with s the first left
+        descent, {x <= w} = {x <= u} | s{x <= u}, walked down to an ideal
+        already known and back up.  Its members are numbered at most w."""
+        t, ideals = self._t, self._ideals
+        chain = []
+        while ideals[w] is None:
+            chain.append(w)
+            w = t.left[t.descent[w]][w]
+        ideal = ideals[w]
+        for v in reversed(chain):
+            row, flags = t.left[t.descent[v]], bytearray(v + 1)
+            for x in _members(ideal):
+                flags[x] = flags[row[x]] = 1
+            ideal = ideals[v] = _pack(flags)
+        return ideal
+
+    def _col(self, w: int) -> dict:
+        """Column w, built first with every column it needs if not yet."""
+        col = self._cols[w]
+        if col is None:
+            self._build(w)
+            col = self._cols[w]
+        return col
+
+    def _build(self, w: int) -> None:
+        """Column w and the unbuilt columns it needs, each checked, once
+        their count is known to be within the cap."""
+        todo = (self._ideal(w) & ~self._built).bit_count()
+        if todo > KL_COLUMN_CAP:
+            raise GroupBoundExceeded(
+                f"the KL column of {self._name(w)} needs up to {todo} "
+                f"columns built, more than the cap of {KL_COLUMN_CAP}")
+        t, cols = self._t, self._cols
+        stack = [w]
+        while stack:
+            v = stack[-1]
+            if cols[v] is not None:
+                stack.pop()
+                continue
+            row = t.left[t.descent[v]]
+            u = row[v]
+            if cols[u] is None:
+                stack.append(u)
+                continue
             # z < u with mu(z, u) != 0 and sz < z: an extremal entry of u,
             # or z = s'u for s' in D_L(u), where h_{z,u} = v
-            mus = [(p[1], z) for z, p in col_u.items() if len(p) > 1 and p[1]]
-            mus += [(1, r[u]) for j, r in enumerate(left) if dmask[u] >> j & 1]
-            mus = [(-m, cols[z], *reductions[dmask[z]][:2]) for m, z in mus
-                   if length[row[z]] < length[z]]
-            ext = reductions[dmask[w]][2]
-            col = {}
-            for x in compress(positions, (int.from_bytes(ideals[w], "little")
-                                          & ext).to_bytes(n, "little")):
-                # b_s b_u at x, where sx < x: h_{sx,u} + v^{-1} h_{x,u},
-                # and sx <= u by the lifting property
-                y = row[x]
-                q = [0] * up_u[y]
-                q += col_u.get(top_u[y], ())
-                p = col_u.get(top_u[x])
-                if p is not None:  # x != u, so p has no constant term
-                    k = up_u[x]
-                    if k:
-                        _add_into(q, p, k - 1)
-                    else:
-                        _add_into(q, p[1:])
-                for m, col_z, top_z, up_z in mus:
-                    p = col_z.get(top_z[x])
-                    if p is not None:
-                        _add_into(q, p, up_z[x], m)
-                while q and not q[-1]:
-                    q.pop()
-                if q:
-                    col[x] = tuple(q)
-            cols.append(col)
-        self._validate()
+            mus = [(p[1], z) for z, p in cols[u].items()
+                   if len(p) > 1 and p[1]]
+            mus += [(1, r[u]) for j, r in enumerate(t.left)
+                    if t.dmask[u] >> j & 1]
+            mus = [(m, z) for m, z in mus if t.length[row[z]] < t.length[z]]
+            unbuilt = [z for _, z in mus if cols[z] is None]
+            if unbuilt:
+                stack += unbuilt
+                continue
+            stack.pop()
+            ideal = self._ideal(v)
+            col = self._new_column(v, row, mus, ideal)
+            self._check_column(v, col, ideal)
+            cols[v] = col
+            self._built |= 1 << v
 
-    def _validate(self) -> None:
-        t = self._t
-        n, length, dmask = len(t.elements), t.length, t.dmask
-        positions = range(n)
+    def _new_column(self, w: int, row: list[int], mus: list,
+                    ideal: int) -> dict:
+        """The extremal entries of b_w = b_s b_u - sum mu(z, u) b_z, for
+        u = row[w] and the (mu(z, u), z) in ``mus``, all built, with
+        ``ideal`` the lower ideal of w."""
+        t, cols, length = self._t, self._cols, self._t.length
+        u = row[w]
+        col_u, top_u = cols[u], self._tops(t.dmask[u])
+        terms = [(-m, cols[z], self._tops(t.dmask[z])) for m, z in mus]
+        cands = ideal & self._extremal(t.dmask[w])
+        col = {}
+        for x in _members(cands):
+            # b_s b_u at x, where sx < x: h_{sx,u} + v^{-1} h_{x,u},
+            # and sx <= u by the lifting property
+            y = row[x]
+            ty = top_u[y]
+            q = [0] * (length[ty] - length[y])
+            q += col_u.get(ty, ())
+            tx = top_u[x]
+            p = col_u.get(tx)
+            if p is not None:  # x != u, so p has no constant term
+                k = length[tx] - length[x]
+                if k:
+                    _add_into(q, p, k - 1)
+                else:
+                    _add_into(q, p[1:])
+            for m, col_z, top_z in terms:
+                tz = top_z[x]
+                p = col_z.get(tz)
+                if p is not None:
+                    _add_into(q, p, length[tz] - length[x], m)
+            while q and not q[-1]:
+                q.pop()
+            if q:
+                col[x] = tuple(q)
+        return col
 
-        def name(x):
-            return self.idat.system.reduced_word(t.elements[x])
-
-        for w, (col, ideal) in enumerate(zip(self._cols, self._ideals)):
-            if col.get(w) != (1,):
-                raise AssertionError(
-                    f"KL expansion of {name(w)} is not unitriangular")
-            top, _, ext, tops = self._reductions[dmask[w]]
-            if tops and bytes(tops(ideal)) != ideal:  # x <= w iff x' <= w
-                x = next(x for x in positions if ideal[x] != ideal[top[x]])
+    def _check_column(self, w: int, col: dict, ideal: int) -> None:
+        """Every check of the class docstring on column w and its ideal."""
+        t, name = self._t, self._name
+        n, length, mask = len(t.elements), t.length, t.dmask[w]
+        if col.get(w) != (1,):
+            raise AssertionError(
+                f"KL expansion of {name(w)} is not unitriangular")
+        flags = _flags(ideal, n)
+        below = list(compress(range(ideal.bit_length()), flags))
+        for j, row in enumerate(t.left):  # x <= w iff x' <= w
+            if mask >> j & 1 and not all(
+                    map(flags.__getitem__, map(row.__getitem__, below))):
+                x = next(x for x in below if not flags[row[x]])
                 raise AssertionError(
                     f"Bruhat lower ideal of {name(w)} is not a union of "
-                    f"cosets of its left descents: {name(x)} and "
-                    f"{name(top[x])} differ")
-            lw = length[w]
-            for x, p in col.items():
-                if x == w:
-                    continue
-                if not ideal[x]:
-                    raise AssertionError(
-                        f"KL support violates the Bruhat bound at "
-                        f"{name(x)} <= {name(w)}")
-                if top[x] != x:
-                    raise AssertionError(
-                        f"KL entry stored off the extremal pairs at "
-                        f"({name(x)}, {name(w)})")
-                if not p or p[0] or len(p) - 1 > lw - length[x]:
-                    raise AssertionError(
-                        f"KL degree bound fails for ({name(x)}, {name(w)})")
-                if min(p) < 0:
-                    raise AssertionError(
-                        f"negative KL coefficient at ({name(x)}, {name(w)}):"
-                        f" {LaurentPoly(dict(enumerate(p))).format()}")
-            support = int.from_bytes(ideal, "little") & ext
-            if len(col) != support.bit_count():
-                x = next(x for x in compress(positions, support.to_bytes(
-                    n, "little")) if x not in col)
+                    f"cosets of its left descents: {name(row[x])} and "
+                    f"{name(x)} differ")
+        lw = length[w]
+        for x, p in col.items():
+            if x == w:
+                continue
+            if not flags[x]:
                 raise AssertionError(
-                    f"KL support misses the extremal pair "
+                    f"KL support violates the Bruhat bound at "
+                    f"{name(x)} <= {name(w)}")
+            if t.dmask[x] & mask != mask:
+                raise AssertionError(
+                    f"KL entry stored off the extremal pairs at "
                     f"({name(x)}, {name(w)})")
+            if not p or p[0] or len(p) - 1 > lw - length[x]:
+                raise AssertionError(
+                    f"KL degree bound fails for ({name(x)}, {name(w)})")
+            if min(p) < 0:
+                raise AssertionError(
+                    f"negative KL coefficient at ({name(x)}, {name(w)}):"
+                    f" {LaurentPoly(dict(enumerate(p))).format()}")
+        support = ideal & self._extremal(mask)
+        if len(col) != support.bit_count():
+            x = next(x for x in _members(support) if x not in col)
+            raise AssertionError(
+                f"KL support misses the extremal pair "
+                f"({name(x)}, {name(w)})")
 
     def _column(self, w: int):
         """(x, k, p) with h_{x,w} = v^k p for every x <= w, p the stored
         entry at the top of x's coset."""
-        col = self._cols[w]
-        top, up = self._reductions[self._t.dmask[w]][:2]
-        for x in compress(range(len(top)), self._ideals[w]):
-            p = col.get(top[x])
+        col = self._col(w)
+        ideal, length = self._ideals[w], self._t.length
+        tops = self._tops(self._t.dmask[w])
+        for x in _members(ideal):
+            top = tops[x]
+            p = col.get(top)
             if p is not None:
-                yield x, up[x], p
+                yield x, length[top] - length[x], p
 
     def expansion(self, w: WeylElement) -> dict:
         """{x: h_{x,w}}, rebuilt on request from the extremal entries."""
@@ -463,21 +575,22 @@ def kl_polynomial(cache: KLCache, x: WeylElement,
     """P_{x,w} as a polynomial in q = v^2.
 
     Zero unless x <= w; P_{w,w} = 1; read off from h_{x,w}(v) =
-    v^{l(w)-l(x)} P_{x,w}(v^{-2}).
+    v^{l(w)-l(x)} P_{x,w}(v^{-2}).  Builds the column of w when x < w,
+    so raises GroupBoundExceeded past ``KL_COLUMN_CAP``.
     """
     t = cache._t
     ix, iw = t.of(x), t.of(w)
     if ix == iw:
         return ONE
-    if not cache._ideals[iw][ix]:
+    if not cache._ideal(iw) >> ix & 1:
         return ZERO
-    top, up = cache._reductions[t.dmask[iw]][:2]
-    h = cache._cols[iw].get(top[ix])
+    top = cache._tops(t.dmask[iw])[ix]
+    h = cache._col(iw).get(top)
     if h is None:
         return ZERO
     gap = t.length[iw] - t.length[ix]
     out = {}
-    for e, coef in enumerate(h, up[ix]):
+    for e, coef in enumerate(h, t.length[top] - t.length[ix]):
         if coef:
             if (gap - e) % 2:
                 raise AssertionError("KL parity violation")
@@ -567,7 +680,8 @@ def decompose(idat: IntegralDatum, h: HeckeElement,
 
     Raises ValueError when some coefficient has a negative entry - the input
     was not a nonnegative combination of the twisted KL basis, which signals
-    an upstream bug.
+    an upstream bug - and GroupBoundExceeded when a KL column it reads is
+    past ``KL_COLUMN_CAP``.
     """
     cache = cache or kl_cache(idat)
     chamber, elements = idat.chamber.sorted_elements, cache._t.elements

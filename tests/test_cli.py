@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -347,6 +348,62 @@ def test_python_m_weylblocks_runs_the_cli():
         for module in ("weylblocks", "weylblocks.cli")]
     assert json.loads(reports[0])["summary"]["all_passed"]
     assert reports[0] == reports[1]
+
+
+# E7 at (0,...,0,1/4): W_int = W(E6), 51,840 elements.  The child asks
+# `hecke kl` for P_{e,w0} with w0 the longest element of W_int, which must
+# fail at the KL column cap with nothing built, then `hecke decompose` on a
+# short word.
+E7_CHILD = """
+import json, sys
+from fractions import Fraction as Q
+from weylblocks import build_root_system, cli, hecke, integral_datum, jsonio
+
+idat = integral_datum(build_root_system("E7"), (Q(0),) * 6 + (Q(1, 4),))
+cache = hecke.kl_cache(idat)
+w0 = jsonio.element_to_str(idat.datum, idat.tables.elements[-1])
+block = ["--type", "E7", "--lambda", "0,0,0,0,0,0,1/4"]
+kl = cli.main(["hecke", "kl", *block, "--x", "e", "--w", w0])
+built = cache._built.bit_count()
+decompose = cli.main(["hecke", "decompose", *block, "--word", sys.argv[1]])
+print(json.dumps({"kl": kl, "built": built, "decompose": decompose}),
+      file=sys.stderr)
+"""
+
+
+def _limit_address_space():
+    # the child alone: a return to n^2 bytes of Bruhat ideals (2.7 GB on
+    # W(E6)) fails the test instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+def test_e7_hecke_answers_short_words_and_caps_long_ones(capsys):
+    src = str(pathlib.Path(weylblocks.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    word = ["B:s1", "B:s3", "B:s4", "B:s1", "B:s3"]
+    child = subprocess.run(
+        [sys.executable, "-c", E7_CHILD, json.dumps(word)],
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=_limit_address_space)
+    assert child.returncode == 0, child.stderr
+    *errors, summary = child.stderr.strip().splitlines()
+    assert json.loads(summary) == {"kl": 2, "built": 1, "decompose": 0}
+    assert len(errors) == 1 and "more than the cap of 2000" in errors[0]
+    # s1, s3, s4 span a standard A3, whose KL polynomials are those of A3
+    # itself; relabelling 1, 2, 3 -> 1, 3, 4 keeps words lex-minimal, so the
+    # E7 terms are the A3 terms relabelled
+    code, out, _ = run_cli(capsys, "hecke", "decompose", "--type", "A3",
+                           "--lambda", "0,0,0", "--word", json.dumps(
+                               ["B:s1", "B:s2", "B:s3", "B:s1", "B:s2"]))
+    assert code == 0
+    relabel = {1: 1, 2: 3, 3: 4}
+    expect = sorted((tuple(relabel[j] for j in t["x"]), t["mult"],
+                     json.dumps(t["poly"])) for t in json.loads(out)["terms"])
+    terms = json.loads(child.stdout)["terms"]
+    assert all(t["c"] == [] for t in terms)
+    assert sorted((tuple(t["x"]), t["mult"], json.dumps(t["poly"]))
+                  for t in terms) == expect
 
 
 @pytest.mark.parametrize("label, lam, tampered, where", [

@@ -21,8 +21,9 @@ from weylblocks import (
     make_word,
     normalize,
 )
-from weylblocks.cli import _check_hecke_block, default_corpus_path, \
-    load_corpus
+from weylblocks import hecke
+from weylblocks.cli import DEFAULT_SEED, _check_hecke_block, \
+    default_corpus_path, load_corpus, run_entry
 from weylblocks.hecke import (
     ONE,
     V,
@@ -30,12 +31,12 @@ from weylblocks.hecke import (
     ZERO,
     HeckeElement,
     KLCache,
-    _lower_ideals,
     group_like,
     identity_element,
     standard_basis,
 )
 from weylblocks.integral import BlockTables
+from weylblocks.rootsys import GroupBoundExceeded
 
 from conftest import w
 from oracles import (
@@ -47,8 +48,8 @@ from oracles import (
 )
 
 with open(default_corpus_path(), encoding="utf-8") as _fh:
-    CORPUS_BLOCKS = sorted({(e.type_label, e.lam)
-                            for e in load_corpus(json.load(_fh))})
+    CORPUS_ENTRIES = load_corpus(json.load(_fh))
+CORPUS_BLOCKS = sorted({(e.type_label, e.lam) for e in CORPUS_ENTRIES})
 # every corpus twist is an involution; this block's chamber is Z/3 acting on
 # W_int = (Z/2)^3, so conjugating by c and by c^{-1} differ
 REFERENCE_BLOCKS = CORPUS_BLOCKS + [("A5", w(0, Q(2, 3), 0, Q(2, 3), 0))]
@@ -185,12 +186,13 @@ def test_kl_table_matches_r_inversion_oracle(label, lam):
 def test_lower_ideals_match_bruhat_order(label, lam):
     idat = integral_datum(build_root_system(label), lam)
     t = idat.tables
-    ideals = _lower_ideals(t)
-    assert len(ideals) == len(t.elements)
-    for u, ideal in zip(t.elements, ideals):
-        assert len(ideal) == len(t.elements)
-        for x, bit in zip(t.elements, ideal):
-            assert bit == idat.system.bruhat_leq(x, u), (label, x, u)
+    cache = KLCache(idat)
+    for i, u in enumerate(t.elements):
+        ideal = cache._ideal(i)
+        assert ideal < 1 << (i + 1)  # members are numbered at most i
+        for x, v in enumerate(t.elements):
+            assert ideal >> x & 1 == idat.system.bruhat_leq(v, u), \
+                (label, v, u)
 
 
 @pytest.mark.parametrize("label,lam", CORPUS_BLOCKS + LARGE_BLOCKS,
@@ -228,7 +230,7 @@ def test_descent_masks_match_is_left_descent(label, lam):
             if idat.system.is_left_descent(u, j + 1)), (label, u)
 
 
-def test_validation_catches_each_fault(a3):
+def test_validation_catches_each_fault(a3, monkeypatch):
     idat = integral_datum(a3, w(0, 0, 0))
     t = idat.tables
     word = idat.system.reduced_word
@@ -239,34 +241,41 @@ def test_validation_catches_each_fault(a3):
     assert t.length[w3412] == 4 and t.dmask[w3412] == 0b010
     # D_L(w3412) = {s2}: e is not extremal, s2 tops its coset {e, s2}
     cache = KLCache(idat)
-    assert 0 not in cache._cols[w3412]
-    assert cache._cols[w3412][s2] == (0, 1, 0, 1)  # v + v^3
     assert cache.expansion(t.elements[w3412])[t.elements[0]] == \
         LaurentPoly({2: 1, 4: 1})
+    assert 0 not in cache._cols[w3412]
+    assert cache._cols[w3412][s2] == (0, 1, 0, 1)  # v + v^3
 
-    def drop_diagonal(cache):
-        del cache._cols[w3412][w3412]
+    # each fault is injected into the freshly built column, or its ideal,
+    # just before the column's check
+    def drop_diagonal(col, ideal):
+        del col[w3412]
+        return ideal
 
-    def outside_interval(cache):  # s1 s3 is extremal for s1 s2
-        cache._cols[s1s2][s1s3] = (0, 1)
+    def outside_interval(col, ideal):  # s1 s3 is extremal for s1 s2
+        col[s1s3] = (0, 1)
+        return ideal
 
-    def above_degree_bound(cache):
-        cache._cols[w3412][s2] = (0, 1, 0, 1, 1)
+    def above_degree_bound(col, ideal):
+        col[s2] = (0, 1, 0, 1, 1)
+        return ideal
 
-    def negative_coefficient(cache):
-        cache._cols[w3412][s2] = (0, -1, 0, 1)
+    def negative_coefficient(col, ideal):
+        col[s2] = (0, -1, 0, 1)
+        return ideal
 
-    def dropped_extremal_entry(cache):
-        del cache._cols[w3412][s2]
+    def dropped_extremal_entry(col, ideal):
+        del col[s2]
+        return ideal
 
-    def off_the_extremal_pairs(cache):
-        cache._cols[w3412][0] = (0, 0, 1, 0, 1)
+    def off_the_extremal_pairs(col, ideal):
+        col[0] = (0, 0, 1, 0, 1)
+        return ideal
 
-    def unstable_ideal(cache):  # s2 <= w3412 kept, e <= w3412 dropped
-        ideal = bytearray(cache._ideals[w3412])
-        ideal[0] = 0
-        cache._ideals[w3412] = bytes(ideal)
+    def unstable_ideal(col, ideal):  # s2 <= w3412 kept, e <= w3412 dropped
+        return ideal & ~1
 
+    check = KLCache._check_column
     for corrupt, what, x, u in [
             (drop_diagonal, "not unitriangular", None, w3412),
             (outside_interval, "Bruhat bound", s1s3, s1s2),
@@ -275,10 +284,16 @@ def test_validation_catches_each_fault(a3):
             (dropped_extremal_entry, "misses the extremal pair", s2, w3412),
             (off_the_extremal_pairs, "off the extremal pairs", 0, w3412),
             (unstable_ideal, "not a union of cosets", 0, w3412)]:
+        def corrupted(self, v, col, ideal, corrupt=corrupt, u=u):
+            if v == u:
+                ideal = corrupt(col, ideal)
+            check(self, v, col, ideal)
+
+        monkeypatch.setattr(KLCache, "_check_column", corrupted)
         cache = KLCache(idat)
-        corrupt(cache)
         with pytest.raises(AssertionError) as err:
-            cache._validate()
+            cache.expansion(t.elements[u])
+        assert cache._cols[u] is None  # a failed column is not stored
         msg = str(err.value)
         assert what in msg and str(word(t.elements[u])) in msg, msg
         if x is not None:
@@ -290,12 +305,80 @@ def test_e6_half_block_builds_validated_table():
     e6 = build_root_system("E6")
     idat = integral_datum(e6, (Q(1, 2),) + (Q(0),) * 5)
     assert len(idat.int_elements()) == 1920
+    cache = KLCache(idat)
     started = time.perf_counter()
-    cache = KLCache(idat)  # validates every column
-    assert time.perf_counter() - started < 20
-    assert sum(map(len, cache._cols)) == 97460
+    # reading every column builds and validates every column
     assert sum(len(cache.expansion(u)) for u in idat.int_elements()) == \
         745377
+    assert time.perf_counter() - started < 20
+    assert sum(map(len, cache._cols)) == 97460
+
+
+def test_short_word_decompose_builds_only_its_closure():
+    idat = integral_datum(build_root_system("D4"), w(0, 0, 0, 0))
+    t, length = idat.tables, idat.tables.length
+    assert len(t.elements) == 192
+    full = KLCache(idat)
+    for u in t.elements:
+        full.expansion(u)
+
+    def needs(v):
+        """u = s v for the first left descent s of v, and the z < u with
+        mu(z, u) != 0 and s z < z, read off the full table."""
+        row = t.left[t.descent[v]]
+        u = row[v]
+        yield u
+        for z, x in enumerate(t.elements):
+            gap = length[u] - length[z]
+            if gap > 0 and gap % 2 and length[row[z]] < length[z] and \
+                    kl_polynomial(full, x, t.elements[u]).coeff(gap // 2):
+                yield z
+
+    rng = random.Random("closure")
+    for _ in range(6):
+        word = make_word(idat, [BsLetter(rng.randrange(1, 5))
+                                for _ in range(rng.randint(3, 5))])
+        image = bs_character(idat, word)
+        cache = KLCache(idat)
+        graded = decompose_graded(idat, image, cache)
+        assert graded == decompose_graded(idat, image, full)
+        read = {t.of(x) for _, x in graded}  # one column per label
+        closure, todo = {0}, list(read)
+        while todo:
+            v = todo.pop()
+            if v not in closure:
+                closure.add(v)
+                todo.extend(needs(v))
+        built = {v for v, col in enumerate(cache._cols) if col is not None}
+        assert read <= built <= closure
+        assert cache._built.bit_count() == len(built) <= len(closure) < 192
+
+
+def test_read_over_the_cap_builds_nothing(monkeypatch):
+    idat = integral_datum(build_root_system("D4"), w(0, 0, 0, 0))
+    t = idat.tables
+    w0 = t.elements[-1]
+    expect = kl_polynomial(KLCache(idat), t.elements[0], w0)
+    monkeypatch.setattr(hecke, "KL_COLUMN_CAP", 40)
+    cache = KLCache(idat)
+    with pytest.raises(GroupBoundExceeded, match="191 columns built, more "
+                                                 "than the cap of 40"):
+        kl_polynomial(cache, t.elements[0], w0)
+    assert cache._built == 1
+    assert kl_polynomial(cache, w0, w0) == ONE  # no column needed
+    # columns read bottom-up fit one by one under the cap
+    for u in t.elements:
+        cache.expansion(u)
+    assert kl_polynomial(cache, t.elements[0], w0) == expect
+    # past the cap, the corpus's hecke_block check validates the columns
+    # its sample reads, and an over-cap read fails it with the cap's message
+    monkeypatch.setitem(idat._memo, "kl_cache", KLCache(idat))
+    entry = next(e for e in CORPUS_ENTRIES
+                 if e.type_label == "D4" and e.lam == w(0, 0, 0, 0))
+    checks, _ = run_entry(entry, DEFAULT_SEED, 10 ** 6)
+    assert checks["hecke_block"]["status"] == "fail"
+    assert "GroupBoundExceeded" in checks["hecke_block"]["witness"]
+    assert "cap of 40" in checks["hecke_block"]["witness"]
 
 
 def test_kl_unitriangular_and_positive(b2):
@@ -438,6 +521,8 @@ def test_hecke_block_check_fails_on_a_broken_block(a3, a3_block,
     idat = integral_datum(a3, w(0, 0, 0))
     cache = KLCache(idat)
     t = idat.tables
+    for u in t.elements:  # every column built and validated first
+        cache.expansion(u)
     s1s2 = t.of(from_word(a3, (1, 2)))
     del cache._cols[s1s2][t.of(from_word(a3, (1,)))]
     assert len(cache.expansion(t.elements[s1s2])) == 2
