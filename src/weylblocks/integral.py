@@ -41,7 +41,6 @@ from .coxeter import (
     SubgroupHandle,
     closure,
     coxeter_system,
-    dot_stabilizer,
 )
 from .rootsys import (
     CartanDatum,
@@ -155,7 +154,8 @@ class BlockTables:
     ``left[j][x]`` is the index of s_{j+1} x and ``descent[x]`` the smallest
     j with s_{j+1} x < x (-1 for the identity), so following descents
     spells the lex-minimal reduced word.  ``dmask[x]`` is the left descent
-    set of x as a bitmask, bit j set iff s_{j+1} x < x.
+    set of x as a bitmask, bit j set iff s_{j+1} x < x, and ``rmask[x]``
+    the right descent set, bit j set iff x s_{j+1} < x.
 
     The chamber is numbered on the datum (``chamber_number``,
     ``chamber_mul``, ``chamber_conj``).  ``right[j][x]`` is the index of
@@ -172,11 +172,7 @@ class BlockTables:
         self.length = enum.length
         self.left = left = enum.left
         self.descent = enum.descent
-        dmask = [0] * len(self.elements)
-        for j, row in enumerate(left):
-            dmask = [m | 1 << j if self.length[sx] < lx else m
-                     for m, sx, lx in zip(dmask, row, self.length)]
-        self.dmask = dmask
+        self.dmask = self._descent_masks(left)
         # (j, u) with x = s_{j+1} u, for x = 1, 2, ... in order
         steps = [(j, left[j][x]) for x, j in enumerate(self.descent) if x]
         self.right = []
@@ -185,6 +181,7 @@ class BlockTables:
             for j, u in steps:
                 r.append(left[j][r[u]])
             self.right.append(r)
+        self.rmask = self._descent_masks(self.right)
         self.conj = []
         for row in idat.chamber_mul:  # row.index(0) numbers c^{-1}
             rename = [left[j - 1]
@@ -193,6 +190,14 @@ class BlockTables:
             for j, u in steps:
                 r.append(rename[j][r[u]])
             self.conj.append(r)
+
+    def _descent_masks(self, rows) -> list[int]:
+        """Per x, the bitmask of the j with rows[j][x] shorter than x."""
+        masks = [0] * len(self.elements)
+        for j, row in enumerate(rows):
+            masks = [m | 1 << j if self.length[sx] < lx else m
+                     for m, sx, lx in zip(masks, row, self.length)]
+        return masks
 
     def label(self, w: WeylElement) -> tuple[int, int]:
         """(chamber number, W_int number) of w = c u, ValueError outside
@@ -675,8 +680,9 @@ def enumerate_Xi(datum: CartanDatum, mu: Weight, lam: Weight,
              for c in idat.chamber.elements]
     orbit = {tuple(pairings[u.root_perm.index(h)] for h in hs)
              for hs in heads for u in idat.int_elements()}
-    matrices = [g.weight_matrix
-                for g in dot_stabilizer(datum, lam_dom).generators]
+    # the dot stabilizer of lam_dom is generated by its wall reflections
+    matrices = [datum.reflection(a).weight_matrix
+                for a in classify_weight(datum, lam_dom).singular_roots]
     positive_rows = datum.coroot_rows[:datum.num_positive]
 
     def antidominant(y) -> bool:  # as classify_weight decides it

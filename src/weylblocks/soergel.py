@@ -208,18 +208,24 @@ def rank_left(obj) -> int:
     Regular words: 2 per Bs letter, 1 per twist.  Singular chains: the
     product of the gluing-to-factor index ratios, times the order of the
     parabolic subgroup on the left (the chain denotes the restriction of an
-    ambient word with full rings at both ends).
+    ambient word with full rings at both ends).  A chain that fails
+    ``validate_singular_word`` raises ValueError.
     """
     if isinstance(obj, BimoduleWord):
         return 2 ** normalize(obj).bs_count
     if isinstance(obj, SingularWord):
+        if not validate_singular_word(obj):
+            raise ValueError("not a valid singular word "
+                             "(see validate_singular_word)")
         idat = obj.ambient
         num = den = 1
         for p in range(1, len(obj.chain), 2):
             num *= _parabolic_order(idat, obj.chain[p])
             den *= _parabolic_order(idat, obj.chain[p - 1])
         total = _parabolic_order(idat, obj.mu_subset) * Q(num, den)
-        assert total.denominator == 1
+        if total.denominator != 1:
+            raise AssertionError(f"rank {total} of a valid chain is not "
+                                 "an integer")
         return int(total)
     raise TypeError(f"cannot take a rank of {obj!r}")
 
@@ -357,12 +363,21 @@ def build_P_object(spec: PObjectSpec) -> tuple[tuple, BimoduleWord]:
 def indecomposable_index(datum: CartanDatum, mu: Weight, lam: Weight,
                          bound: int = DEFAULT_GROUP_BOUND):
     """Labels (c, double-coset representative) for the indecomposable
-    classes of the block of the dominant pair (mu, lam).
+    classes of the block of the dominant pair (mu, lam), sorted by the
+    (length, reduced word) keys of c, then of the representative.
 
     For each chamber element c, one label per double coset of the stabilizer
-    of c.mu against the stabilizer of lam inside the integral Weyl group;
-    the total is checked against the one-shot double-coset count in the
-    extended group, which is computed independently.
+    of c.mu against the stabilizer of lam inside the integral Weyl group.
+    Both are standard parabolic subgroups of W_int: lam lies on the walls
+    of the integral simples in J, mu's dominant representative mu_d on
+    those in I, and c s_j c^{-1} = s_{conj[c][j]} (``chamber_conj``)
+    carries I to the walls of c.mu_d.  So the representatives, each the
+    shortest element of its double coset, are the x with no left descent
+    in conj[c](I) and no right descent in J (Geck-Pfeiffer, *Characters of
+    Finite Coxeter Groups and Iwahori-Hecke Algebras*, 2.1), read off
+    ``tables.dmask`` and ``tables.rmask``; no subgroup is closed per c.
+    The total is checked against an independent count: the generic
+    ``double_cosets`` of the two stabilizers over the sorted W_ext.
     """
     mu = tuple(Q(x) for x in mu)
     lam = tuple(Q(x) for x in lam)
@@ -375,21 +390,27 @@ def indecomposable_index(datum: CartanDatum, mu: Weight, lam: Weight,
     if mover is None:
         raise ValueError("mu and lam are not compatible")
     _, mu_d = dominant_dot_rep(idat, dot_action(datum, mover, mu))
-
-    # count the whole block first: its sort memoizes words under W_ext's
-    # own permutations, so the per-chamber sorts below add no fresh copies
-    stab_lam = dot_stabilizer(datum, lam)
     total = double_cosets(datum, frozenset(idat.w_ext),
-                          dot_stabilizer(datum, mu_d), stab_lam).count
+                          dot_stabilizer(datum, mu_d),
+                          dot_stabilizer(datum, lam)).count
+
+    def walls(x):  # the integral simples j (1-based) with x on their wall
+        on = {a.index for a in classify_weight(datum, x).singular_roots}
+        return [j for j, a in enumerate(idat.integral_simples, 1)
+                if a.index in on]
+
+    walls_mu = walls(mu_d)
+    right = sum(1 << j - 1 for j in walls(lam))
+    t = idat.tables
+    masks = list(zip(t.elements, t.dmask, t.rmask))
     labels = []
-    for c in idat.chamber.sorted_elements:
-        c_mu = dot_action(datum, c, mu_d)
-        stab_c_mu = dot_stabilizer(datum, c_mu)
-        dec = double_cosets(datum, idat.w_int.elements, stab_c_mu, stab_lam)
-        labels.extend((c, rep) for rep, _ in dec.cosets)
+    for c, conj in zip(idat.chamber.sorted_elements, idat.chamber_conj):
+        left = sum(1 << conj[j] - 1 for j in walls_mu)
+        labels.extend((c, x) for x, dl, dr in masks
+                      if not (dl & left or dr & right))
     if len(labels) != total:
         raise AssertionError(
             f"stratified label count {len(labels)} disagrees with the "
             f"double-coset count {total}")
-    labels.sort(key=lambda t: (sort_key(datum, t[0]), sort_key(datum, t[1])))
+    labels.sort(key=lambda p: (sort_key(datum, p[0]), sort_key(datum, p[1])))
     return tuple(labels)

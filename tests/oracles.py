@@ -14,6 +14,9 @@
   the whole Weyl group in generate_group order; the proper pairs of an
   orbit intersection from that scan in Fraction arithmetic; double cosets
   by a (length, word) key on every element.
+* The stratified index of indecomposable classes chamber element by
+  chamber element: the closed dot stabilizer of c.mu and a generic
+  double-coset count over W_int for each c.
 * Group enumeration by closure under products, sorted afterwards by
   (length, reduced word) through a fresh Coxeter system that computes each
   length as an inversion count and each word by greedy descents.
@@ -43,10 +46,11 @@ from math import lcm
 
 from weylblocks.cat_o import _check_dominant_integral, \
     irrep_weight_multiset, linear_dominant_rep, weyl_dimension
-from weylblocks.coxeter import CoxeterSystem, closure, generate_group, \
-    parabolic_order, reduced_word
+from weylblocks.coxeter import CoxeterSystem, closure, dot_stabilizer, \
+    double_cosets, generate_group, parabolic_order, reduced_word, sort_key
 from weylblocks.hecke import ONE, V, V_INV, ZERO, LaurentPoly
-from weylblocks.integral import _solve_single_diophantine
+from weylblocks.integral import _solve_single_diophantine, \
+    dominant_dot_rep, integral_datum, lattice_mover
 from weylblocks.rootsys import GroupBoundExceeded, WeightClass, \
     _dominant_dot_key, _integer_solver, _numerators, _rho_shifted, \
     _to_dominant, dot_action, weyl_order
@@ -262,6 +266,24 @@ def sorted_double_cosets(datum, ambient, h, k) -> tuple:
         left |= members
         out.append((min(members, key=key), members))
     return tuple(sorted(out, key=lambda c: key(c[0])))
+
+
+def per_chamber_index(datum, mu, lam) -> tuple:
+    """indecomposable_index's labels for a dominant compatible pair, each
+    chamber element c paired with the representatives of a generic
+    double-coset decomposition of W_int under the closed stabilizers of
+    c.mu_d and lam, sorted by the (length, word) keys of c and then x."""
+    idat = integral_datum(datum, lam)
+    mover = lattice_mover(datum, mu, lam)
+    _, mu_d = dominant_dot_rep(idat, dot_action(datum, mover, mu))
+    stab_lam = dot_stabilizer(datum, lam)
+    labels = []
+    for c in idat.chamber.sorted_elements:
+        stab = dot_stabilizer(datum, dot_action(datum, c, mu_d))
+        dec = double_cosets(datum, idat.w_int.elements, stab, stab_lam)
+        labels.extend((c, rep) for rep, _ in dec.cosets)
+    labels.sort(key=lambda p: (sort_key(datum, p[0]), sort_key(datum, p[1])))
+    return tuple(labels)
 
 
 def fresh_system(datum, simple_root_indices, positive_root_indices):

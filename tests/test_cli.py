@@ -7,12 +7,13 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 
 import weylblocks
 from weylblocks import build_root_system, cli, coxeter, integral_datum, \
-    random_rewrite
+    random_rewrite, soergel
 from weylblocks.cli import DEFAULT_SEED, CorpusEntry, _check_semidirect, \
     _check_tau_homomorphism, _random_word, default_corpus_path, \
     load_corpus, main, run_corpus
@@ -439,6 +440,32 @@ def test_semidirect_count_is_recomputed(a3, a3_block):
     assert len(bad.w_ext) == bad.chamber.order * bad.w_int.order
     assert _check_semidirect(a3, bad, entry, None) == \
         ("fail", "|C|*|W_int| != |W| / |orbit of lam mod P|")
+
+
+def test_xi_count_check_fails_on_either_count(monkeypatch):
+    """The check compares |Xi| with the index's labels, and the index
+    asserts its labels against the double-coset count over W_ext: an
+    off-by-one count from either side fails the check."""
+    entry = CorpusEntry(0, "A3", (Q(0), Q(1, 2), Q(0)),
+                        (Q(0), Q(-1, 2), Q(0)), ())
+    datum = build_root_system("A3")
+    idat = integral_datum(datum, entry.lam)
+    rng = random.Random(0)
+    assert cli._check_xi_counts(datum, idat, entry, rng) == ("pass", None)
+    double_cosets, enumerate_xi = soergel.double_cosets, cli.enumerate_Xi
+    monkeypatch.setattr(cli, "enumerate_Xi",
+                        lambda *args: enumerate_xi(*args)[1:])
+    status, witness = cli._check_xi_counts(datum, idat, entry, rng)
+    assert status == "fail" and witness.startswith("counts disagree: Xi=")
+    monkeypatch.setattr(cli, "enumerate_Xi", enumerate_xi)
+    monkeypatch.setattr(soergel, "double_cosets", lambda *args:
+                        SimpleNamespace(count=double_cosets(*args).count + 1))
+    with pytest.raises(AssertionError, match="disagrees with the "
+                                             "double-coset count"):
+        cli._check_xi_counts(datum, idat, entry, rng)
+    checks, _ = cli.run_entry(entry, DEFAULT_SEED, 10 ** 6)
+    assert checks["xi_triple_count"]["status"] == "fail"
+    assert checks["xi_triple_count"]["witness"].startswith("AssertionError")
 
 
 def test_e6_checks_pass_with_w_forbidden(tmp_path, monkeypatch):

@@ -370,15 +370,15 @@ def test_read_over_the_cap_builds_nothing(monkeypatch):
     for u in t.elements:
         cache.expansion(u)
     assert kl_polynomial(cache, t.elements[0], w0) == expect
-    # past the cap, the corpus's hecke_block check validates the columns
-    # its sample reads, and an over-cap read fails it with the cap's message
-    monkeypatch.setitem(idat._memo, "kl_cache", KLCache(idat))
+    # past the cap, the corpus's hecke_block check draws its sample from
+    # the first cap/2 elements, so every column it reads fits under the cap
+    fresh = KLCache(idat)
+    monkeypatch.setitem(idat._memo, "kl_cache", fresh)
     entry = next(e for e in CORPUS_ENTRIES
                  if e.type_label == "D4" and e.lam == w(0, 0, 0, 0))
     checks, _ = run_entry(entry, DEFAULT_SEED, 10 ** 6)
-    assert checks["hecke_block"]["status"] == "fail"
-    assert "GroupBoundExceeded" in checks["hecke_block"]["witness"]
-    assert "cap of 40" in checks["hecke_block"]["witness"]
+    assert checks["hecke_block"] == {"status": "pass"}
+    assert 0 < fresh._built.bit_count() < len(t.elements)
 
 
 def test_kl_unitriangular_and_positive(b2):

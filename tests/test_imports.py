@@ -1,5 +1,5 @@
 """Every import of the package sits at module level, where it runs once,
-and every definition in it is used somewhere."""
+is read in its module, and every definition in it is used somewhere."""
 
 import ast
 import pathlib
@@ -22,6 +22,25 @@ def test_no_imports_inside_functions():
                                                   ast.ImportFrom)))
     assert len(modules) >= 10
     assert not found, sorted(found)
+
+
+def test_every_import_is_read():
+    """Every name a module of the package imports at module level is read
+    in that module; the package's ``__init__`` re-exports are exempt."""
+    root = pathlib.Path(weylblocks.__file__).parent
+    unread = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for top in tree.body
+                    if isinstance(top, (ast.Import, ast.ImportFrom))
+                    and getattr(top, "module", None) != "__future__"
+                    for alias in top.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unread.extend(f"{path.name}:{name}" for name in imported - read)
+    assert not unread, sorted(unread)
 
 
 def _read(node) -> set:

@@ -40,9 +40,9 @@ from weylblocks.rootsys import GroupBoundExceeded, dominant_dot_weight, \
 from conftest import check_enumeration, w
 from oracles import closure_sorted_w_int, fraction_act, \
     fraction_dominant_dot_rep, fraction_enumerate_Xi, fraction_inverse, \
-    fresh_system, mat_vec, scan_chamber, scan_chamber_decompose, \
-    scan_find_regular_dominant, scan_find_subgeneric, scan_lattice_movers, \
-    sorted_double_cosets
+    fresh_system, mat_vec, per_chamber_index, scan_chamber, \
+    scan_chamber_decompose, scan_find_regular_dominant, scan_find_subgeneric, \
+    scan_lattice_movers, sorted_double_cosets
 
 
 def test_integral_datum_full_block(a2):
@@ -392,6 +392,7 @@ BLOCK_WEIGHTS = [("D4", "0,0,0,0", "0,-1,0,0"),
                  ("F4", "0,0,0,1/2", "0,-1,0,1/2"),
                  ("D5", "1/2,0,0,0,0", "1/2,-1,0,0,0")]
 B5_BLOCK = ("B5", "1/2,0,0,0,0", "1/2,-1,0,0,0")
+E6_PAIR = ("E6", "1/2,0,0,0,0,0", "1/2,-1,0,0,0,0")  # 960 labels
 
 
 def _weight(text):
@@ -441,6 +442,47 @@ def test_blocks_match_whole_group_scans(label, lam, mu):
     h, k = dot_stabilizer(datum, mu), dot_stabilizer(datum, lam)
     assert double_cosets(datum, frozenset(idat.w_ext), h, k).cosets == \
         sorted_double_cosets(datum, idat.w_ext, h, k)
+
+
+@pytest.mark.parametrize("label, lam, mu", [
+    p for p in _corpus_and_block_weights() if p.values[2] is not None]
+    + [pytest.param(E6_PAIR[0], _weight(E6_PAIR[1]), _weight(E6_PAIR[2]),
+                    id="pair-E6")])
+def test_index_matches_per_chamber_cosets(label, lam, mu):
+    """indecomposable_index from descent masks against the closed
+    stabilizer of c.mu and a generic double-coset count over W_int per
+    chamber element, on the dominant pair that the xi_triple_count check
+    builds: the same labels in the same order."""
+    datum = build_root_system(label)
+    lam_dom = dominant_dot_weight(datum, lam)
+    mover = lattice_mover(datum, mu, lam_dom)
+    if mover is None:
+        return
+    idat = integral_datum(datum, lam_dom)
+    _, mu_dom = dominant_dot_rep(idat, dot_action(datum, mover, mu))
+    labels = soergel.indecomposable_index(datum, mu_dom, lam_dom)
+    assert labels == per_chamber_index(datum, mu_dom, lam_dom)
+    assert len(labels) == len(enumerate_Xi(datum, mu, lam))
+
+
+def test_index_and_xi_close_no_stabilizer_per_chamber(monkeypatch):
+    """On the D4 block at (1/2, 0, 1/2, 1/2), with |C| = 4 and the datum
+    built: Xi closes no stabilizer, and the index closes only the two of
+    its independent total, none per chamber element."""
+    idat = _d4_four_block()
+    datum, lam = idat.datum, idat.lam
+    closed = []
+    closure = coxeter.closure
+
+    def counted(*args, **kwargs):
+        closed.append(args)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(coxeter, "closure", counted)
+    pairs = enumerate_Xi(datum, lam, lam)
+    assert not closed
+    assert len(soergel.indecomposable_index(datum, lam, lam)) == len(pairs)
+    assert len(closed) == 2
 
 
 @pytest.mark.parametrize("label, lam, mu", _corpus_and_block_weights())

@@ -212,6 +212,17 @@ def test_singular_word_validation(a3_block, a2):
     assert not validate_singular_word(lead_wrong)
 
 
+def test_rank_of_an_invalid_chain_raises(a3):
+    """({1,2}, {1}, {}) is no containment pattern: its index ratio 2/6 is
+    no rank, and the chain is refused before it is computed."""
+    idat = integral_datum(a3, w(0, 0, 0))
+    sw = SingularWord(idat, (frozenset({1, 2}), frozenset({1}), frozenset()),
+                      a3.identity, frozenset(), frozenset())
+    assert not validate_singular_word(sw)
+    with pytest.raises(ValueError, match="not a valid singular word"):
+        rank_left(sw)
+
+
 def test_singular_rank(a3_block):
     idat, _ = block_a3(a3_block)
     e = idat.datum.identity
