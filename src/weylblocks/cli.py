@@ -271,7 +271,7 @@ def _check_tau_homomorphism(datum, idat, entry, rng):
     # tau(w) = w(lam) - lam mod the root lattice, recomputed from the action
     # on numerators for every w = c u and compared with the datum's table;
     # an element is keyed by its images of the simple roots, which
-    # determine it, so a product's key is rank lookups
+    # determine it, so a product's key is one translate of rank bytes
     nums, den = _numerators(idat.lam)
     class_of, rank = torsion_group(datum).class_of, datum.rank
     taus, elements = {}, {}
@@ -300,7 +300,7 @@ def _check_tau_homomorphism(datum, idat, entry, rng):
         ps, ts = s.root_perm, taus[s.root_perm[:rank]]
         plus = {t: t + ts for t in classes}
         for key_b, tb in taus.items():
-            got = taus.get(tuple(map(ps.__getitem__, key_b)))
+            got = taus.get(key_b.translate(ps))
             if got != plus[tb]:
                 what = "product outside C W_int" if got is None \
                     else "tau not additive"

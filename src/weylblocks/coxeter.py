@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
-from operator import itemgetter
 
 from .rootsys import (
     CartanDatum,
@@ -70,23 +69,23 @@ def _layered_search(datum: CartanDatum, simple_indices, reflections,
     n, rank = datum.num_positive, datum.rank
     ident = datum.identity.root_perm
     k = len(simple_indices)
-    # u -> u s_j on an inverse permutation u, whole and on the key entries
-    steps = [(j, s.root_perm, itemgetter(*s.root_perm),
-              itemgetter(*s.root_perm[:rank]), i) for j, (s, i)
+    # u -> u s_j on an inverse permutation u is s_j's permutation
+    # translated by u, whole or on the key entries
+    steps = [(j, s.root_perm, s.root_perm[:rank], i) for j, (s, i)
              in enumerate(zip(reflections, simple_indices))]
     inverses, perms = [ident], [ident]
     # an element is keyed by where its inverse sends the datum's simple
     # roots, a basis: the first rank entries of the inverse permutation
-    index = {itemgetter(*range(rank))(ident): 0}
+    index = {ident[:rank]: 0}
     descent, length, nbrs = [-1], [0], [[0] * k]
     layer = range(1)
     while layer:
         start = len(inverses)
-        for j, s, times_s, head, i in steps:
+        for j, s, head, i in steps:
             for x in layer:
                 u = inverses[x]
                 if u[i] < n:  # s_j x > x
-                    key = head(u)
+                    key = head.translate(u)
                     y = index.get(key)
                     if y is None:
                         y = len(inverses)
@@ -94,8 +93,8 @@ def _layered_search(datum: CartanDatum, simple_indices, reflections,
                             raise GroupBoundExceeded(
                                 f"group enumeration exceeds bound {bound}")
                         index[key] = y
-                        inverses.append(times_s(u))
-                        perms.append(itemgetter(*perms[x])(s))
+                        inverses.append(s.translate(u))
+                        perms.append(perms[x].translate(s))
                         descent.append(j)
                         nbrs.append([0] * k)
                     nbrs[x][j] = y
@@ -165,7 +164,7 @@ class CoxeterSystem:
                 1 for i in self.positive_indices if perm[i] >= n)
         return hit
 
-    def _descends(self, perm: tuple[int, ...], j: int) -> bool:
+    def _descends(self, perm: bytes, j: int) -> bool:
         # s_j w < w  iff  w^{-1}(alpha_j) < 0
         return perm.index(self.simple_indices[j - 1]) >= \
             self.datum.num_positive
@@ -174,7 +173,7 @@ class CoxeterSystem:
         """True iff s_j w is shorter than w; j is 1-based."""
         return self._descends(w.root_perm, j)
 
-    def first_left_descent(self, perm: tuple[int, ...]) -> int | None:
+    def first_left_descent(self, perm: bytes) -> int | None:
         """Smallest left descent of the element with this root permutation,
         or None when there is none."""
         return next((j for j in range(1, len(self.simple_indices) + 1)
@@ -196,7 +195,7 @@ class CoxeterSystem:
             if j is None:
                 raise ValueError("element is not in this Coxeter system")
             path.append((perm, j))
-            perm = itemgetter(*perm)(self.simple_reflections[j - 1].root_perm)
+            perm = perm.translate(self.simple_reflections[j - 1].root_perm)
         word = words[perm]
         for perm, j in reversed(path):
             word = (j,) + word
@@ -324,7 +323,7 @@ def weyl_element_at(datum: CartanDatum, index: int) -> WeylElement:
     for layer in parabolic_transversals(datum):
         rest, i = divmod(rest, len(layer))
         if i:  # x = layer[i], and layer[0] is the identity: perm of x w
-            perm = itemgetter(*perm)(layer[i].root_perm)
+            perm = perm.translate(layer[i].root_perm)
     if rest:  # index < 0 or index >= |W|, the product of the layer sizes
         raise ValueError(f"element index {index} out of range "
                          f"0..{weyl_order(datum) - 1}")
@@ -457,7 +456,7 @@ def double_cosets(datum: CartanDatum, ambient, h: SubgroupHandle,
     order = sorted(amb, key=coxeter_system(datum).sort_key)
     position = {w.root_perm: x for x, w in enumerate(order)}
     lefts = [g.root_perm for g in h.generators]
-    rights = [itemgetter(*g.root_perm) for g in k.generators]
+    rights = [g.root_perm for g in k.generators]
     assigned = [False] * len(order)
     blocks = []
     for x, w in enumerate(order):
@@ -468,10 +467,9 @@ def double_cosets(datum: CartanDatum, ambient, h: SubgroupHandle,
         frontier = [w.root_perm]
         while frontier:
             nxt = []
-            for g in frontier:
-                g_of = itemgetter(*g)
-                for u in [g_of(hg) for hg in lefts] + \
-                        [kg(g) for kg in rights]:
+            for g in frontier:  # h g is g translated by h, g k is k by g
+                for u in [g.translate(hg) for hg in lefts] + \
+                        [kg.translate(g) for kg in rights]:
                     y = position.get(u)
                     if y is None:
                         raise ValueError(

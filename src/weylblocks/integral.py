@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 from math import prod
-from operator import itemgetter
 
 from .coxeter import (
     DEFAULT_GROUP_BOUND,
@@ -207,7 +206,7 @@ class BlockTables:
             return idat.chamber_number[perm], 0
         chamber = idat.chamber.sorted_elements
         for c, row in enumerate(idat.chamber_mul):
-            x = self.index.get(itemgetter(*perm)(
+            x = self.index.get(perm.translate(
                 chamber[row.index(0)].root_perm) if c else perm)
             if x is not None:
                 return c, x
@@ -386,7 +385,7 @@ def integral_datum(datum: CartanDatum, lam: Weight,
         raise AssertionError("|C| * |W_int| * |orbit of lam mod the weight "
                              "lattice| != |W|")
     elements = chamber.sorted_elements
-    tau_of = _tau_of(datum, lam)
+    shift, class_of = _tau_shift(datum, lam), torsion_group(datum).class_of
     number = {c.root_perm: k for k, c in enumerate(elements)}
     # -1 and 0 mark a product outside C and a non-simple image, which
     # _validate rejects
@@ -395,7 +394,8 @@ def integral_datum(datum: CartanDatum, lam: Weight,
         datum=datum, lam=lam, integral_roots=int_roots,
         integral_positive=int_pos, integral_simples=simples,
         system=system, w_int=w_int, chamber=chamber,
-        chamber_tau=tuple(tau_of(map(c.root_perm.index, range(datum.rank)))
+        chamber_tau=tuple(class_of(shift(map(c.root_perm.index,
+                                             range(datum.rank))))
                           for c in elements),
         chamber_number=number,
         chamber_mul=tuple(tuple(number.get((a * b).root_perm, -1)
@@ -407,20 +407,20 @@ def integral_datum(datum: CartanDatum, lam: Weight,
     return idat
 
 
-def _tau_of(datum: CartanDatum, lam: Weight):
-    """tau as a function of the indices of the roots w^{-1}(alpha_i):
-    coordinate i of w(lam) is lam's pairing with w^{-1}(alpha_i), taken on
-    numerators over lam's denominator."""
+def _tau_shift(datum: CartanDatum, lam: Weight):
+    """w(lam) - lam as integer coordinates, as a function of the indices
+    of the roots w^{-1}(alpha_i): coordinate i of w(lam) is lam's pairing
+    with w^{-1}(alpha_i), taken on numerators over lam's denominator.  tau
+    is the class of the shift."""
     nums, den = _numerators(lam)
-    pairings, class_of = _mat_nums(datum.coroot_rows, nums), \
-        torsion_group(datum).class_of
+    pairings = _mat_nums(datum.coroot_rows, nums)
 
-    def tau_of(pulled) -> FiniteAbelianElement:
+    def shift(pulled) -> list[int]:
         moved = [pairings[k] - x for k, x in zip(pulled, nums)]
         if any(x % den for x in moved):
             raise AssertionError("w(lam) - lam is not a lattice weight")
-        return class_of([x // den for x in moved])
-    return tau_of
+        return [x // den for x in moved]
+    return shift
 
 
 def _validate(idat: IntegralDatum) -> None:
@@ -438,16 +438,22 @@ def _validate(idat: IntegralDatum) -> None:
             if x is None or min(x) < 0:
                 raise AssertionError(
                     f"integral root {r} does not decompose over the simples")
-    # tau(c u) = tau(c) on C W_int, no product formed; tau(c) = 0 only at
+    # tau(c u) = tau(c) on C W_int, no product formed: c u (lam) - lam is
+    # a lattice weight whose residues match tau(c)'s on every modulus > 1
+    # (a row with modulus 1 is 0 on every vector); tau(c) = 0 only at
     # c = e, so the kernel of tau is W_int and C meets it trivially
-    tau_of = _tau_of(datum, idat.lam)
+    shift, group = _tau_shift(datum, idat.lam), torsion_group(datum)
+    rows = [(row, m) for row, m in zip(group.projector, group.moduli)
+            if m > 1]
     for c, t in zip(idat.chamber.sorted_elements, idat.chamber_tau):
         if t.is_zero != c.is_identity:
             raise AssertionError("kernel of tau differs from W_int")
+        want = [r for r, m in zip(t.residues, t.moduli) if m > 1]
         heads = list(map(c.root_perm.index, range(datum.rank)))
         for u in idat.int_elements():
             # w^{-1}(alpha_i) = u^{-1}(c^{-1}(alpha_i))
-            if tau_of(map(u.root_perm.index, heads)) != t:
+            x = shift(map(u.root_perm.index, heads))
+            if [sum(map(int.__mul__, row, x)) % m for row, m in rows] != want:
                 raise AssertionError("tau(c u) differs from tau(c)")
     # the chamber is an abelian group permuting the integral simples: each
     # row of its tables is a permutation

@@ -7,7 +7,8 @@ coordinates kept as exact rationals:
   pairing with the i-th simple coroot is just coordinate i;
 * roots carry both their simple-root coordinates and the row functional
   ``nu -> <nu, alpha^vee>``;
-* Weyl group elements are stored as permutations of the root list alone;
+* Weyl group elements are stored as permutations of the root list alone,
+  one byte per root, so a datum has at most 256 roots (``MAX_ROOTS``);
   their integer action matrix on fundamental-weight coordinates is read off
   the permutation on first use;
 * the action, the dot action, pairings with coroots and the walk to the
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
-from operator import itemgetter
 
 Weight = tuple[Q, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -357,36 +357,80 @@ class Root:
                         enumerate(self.simple_coords) if c) or "0"
 
 
-@dataclass(frozen=True)
+#: the largest root count a datum may have: a root permutation is one byte
+#: per root, so that products and inverses are ``bytes.translate`` and
+#: ``bytes.maketrans``, which need a 256-entry table
+MAX_ROOTS = 256
+
+#: the identity on 0..255; every root permutation is padded with it past
+#: its datum's roots
+IDENTITY_PERM = bytes(range(MAX_ROOTS))
+
+
 class WeylElement:
     """A Weyl group element, stored as the permutation it induces on the
     root list of its datum.
 
-    The permutation determines the element, so equality and hashing use it
-    alone, products compose permutations and inverses invert one.  The
-    integer action matrix on fundamental-weight coordinates is derived on
-    first use: row i is the coroot row of w^{-1}(alpha_i), because
+    ``root_perm`` is a 256-byte string: entry k is the index of the image
+    of root k for k < 2N, and k itself past the datum's 2N roots.  Bytes
+    compare like tuples of the same ints, so every order keyed by the
+    permutation is the tuple order.  The permutation determines the
+    element, so equality and hashing use it alone, and the bytes cache
+    their own hash.  The product is one ``translate`` and the inverse one
+    ``maketrans``.  Elements are immutable.  The integer action matrix on
+    fundamental-weight coordinates is derived on first use: row i is the
+    coroot row of w^{-1}(alpha_i), because
     <w lam, alpha_i^vee> = <lam, (w^{-1} alpha_i)^vee>.
     """
 
-    root_perm: tuple[int, ...]
-    datum: CartanDatum = field(compare=False, repr=False)
+    __slots__ = ("root_perm", "datum", "_weight_matrix")
+
+    def __init__(self, root_perm: bytes, datum: CartanDatum) -> None:
+        _set_root_perm(self, root_perm)
+        _set_datum(self, datum)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WeylElement is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"WeylElement is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is WeylElement:
+            return self.root_perm == other.root_perm
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.root_perm)
+
+    def __reduce__(self):  # copy and pickle past __setattr__
+        return WeylElement, (self.root_perm, self.datum)
+
+    def __repr__(self) -> str:
+        return (f"WeylElement(root_perm="
+                f"{tuple(self.root_perm[:len(self.datum.roots)])})")
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(itemgetter(*other.root_perm)(self.root_perm),
+        # (self other)(k) = self(other(k))
+        return WeylElement(other.root_perm.translate(self.root_perm),
                            self.datum)
 
     def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.root_perm)
-        for i, p in enumerate(self.root_perm):
-            inv[p] = i
-        return WeylElement(tuple(inv), self.datum)
+        return WeylElement(bytes.maketrans(self.root_perm, IDENTITY_PERM),
+                           self.datum)
 
-    @cached_property
+    @property
     def weight_matrix(self) -> tuple[tuple[int, ...], ...]:
+        try:
+            return self._weight_matrix
+        except AttributeError:
+            pass
         rows, perm = self.datum.coroot_rows, self.root_perm
         # the simple roots lead the root list, so alpha_i has index i
-        return tuple(rows[perm.index(i)] for i in range(self.datum.rank))
+        out = tuple(rows[perm.index(i)] for i in range(self.datum.rank))
+        _set_weight_matrix(self, out)
+        return out
 
     def act(self, weight: Weight) -> Weight:
         """The linear action on fundamental-weight coordinates."""
@@ -395,7 +439,13 @@ class WeylElement:
 
     @property
     def is_identity(self) -> bool:
-        return self.root_perm == self.datum.identity.root_perm
+        return self.root_perm == IDENTITY_PERM
+
+
+# each slot is written once, through its descriptor, past __setattr__
+_set_root_perm = WeylElement.root_perm.__set__
+_set_datum = WeylElement.datum.__set__
+_set_weight_matrix = WeylElement._weight_matrix.__set__
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,7 +526,7 @@ def _reflection_element(datum: CartanDatum, root: Root) -> WeylElement:
             continue
         perm.append(by_coords[tuple(
             b - k * a for b, a in zip(beta.simple_coords, coords))])
-    out = WeylElement(tuple(perm), datum)
+    out = WeylElement(bytes(perm) + IDENTITY_PERM[len(perm):], datum)
     if out.weight_matrix != matrix:
         raise AssertionError(f"reflection in {root} disagrees with the "
                              "matrix read off its root permutation")
@@ -577,6 +627,11 @@ def build_root_system(type_label: str) -> CartanDatum:
     2
     """
     factors = parse_type_label(type_label)
+    expected = sum(POSITIVE_ROOT_COUNT[l](n) for l, n in factors)
+    if 2 * expected > MAX_ROOTS:
+        raise UnknownTypeError(
+            f"{type_label} has {2 * expected} roots; at most {MAX_ROOTS} "
+            "are supported")
     rank = sum(n for _, n in factors)
     cartan = [[0] * rank for _ in range(rank)]
     offset = 0
@@ -612,7 +667,6 @@ def build_root_system(type_label: str) -> CartanDatum:
     if positives[:rank] != [tuple(int(i == j) for j in range(rank))
                             for i in range(rank)]:
         raise AssertionError("simple roots do not lead the root list")
-    expected = sum(POSITIVE_ROOT_COUNT[l](n) for l, n in factors)
     if len(positives) != expected:
         raise AssertionError(
             f"root closure produced {len(positives)} positive roots, "
@@ -656,8 +710,7 @@ def build_root_system(type_label: str) -> CartanDatum:
         _root_index=index_of,
     )
     datum._memo["root_by_coords"] = {c: i for i, c in enumerate(ordered)}
-    object.__setattr__(datum, "identity",
-                       WeylElement(tuple(range(len(roots))), datum))
+    object.__setattr__(datum, "identity", WeylElement(IDENTITY_PERM, datum))
     simples = tuple(_reflection_element(datum, datum.simple_root(i + 1))
                     for i in range(rank))
     object.__setattr__(datum, "simple_reflections", simples)

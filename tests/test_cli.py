@@ -176,6 +176,13 @@ def test_cli_error_paths(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_more_than_256_roots_exit_2(capsys):
+    code, out, err = run_cli(capsys, "integral", "--type", "E8xA4",
+                             "--lambda", ",".join(["0"] * 12))
+    assert code == 2 and out == ""
+    assert "E8xA4 has 260 roots; at most 256 are supported" in err
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     import weylblocks.cli as cli
 

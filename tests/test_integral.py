@@ -672,6 +672,26 @@ def test_validate_rejects_a_tampered_chamber_tau(a3_block):
                                           _memo={}))
 
 
+def test_validate_checks_every_nontrivial_modulus():
+    # D4 at (1/2, 0, 0, 0): P/Q = Z/2 x Z/2 and |C| = 2; each other nonzero
+    # class in tau(c)'s place is caught, (1, 1) for (1, 0) on the second
+    # modulus alone
+    d4 = build_root_system("D4")
+    idat = integral_datum(d4, (Q(1, 2), 0, 0, 0))
+    group = torsion_group(d4)
+    assert [m for m in group.moduli if m > 1] == [2, 2]
+    zero, t = idat.chamber_tau
+    assert zero.is_zero and not t.is_zero
+    others = {group.class_of(v) for v in ([1, 0, 0, 0], [0, 0, 1, 0],
+                                          [0, 0, 0, 1])} - {t}
+    assert len(others) == 2 and not any(o.is_zero for o in others)
+    _validate(idat)
+    for other in others:
+        with pytest.raises(AssertionError, match="differs from tau"):
+            _validate(dataclasses.replace(idat, chamber_tau=(zero, other),
+                                          _memo={}))
+
+
 @pytest.mark.parametrize("label, lam", [
     ("F4", (0, 0, 0, Q(1, 2))),
     ("E8", tuple(Q(x, 5) for x in (1, 2, 3, 4, 1, 2, 3, 4))),

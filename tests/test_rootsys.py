@@ -1,4 +1,6 @@
+import copy as copy_module
 import doctest
+import pickle
 import random
 from fractions import Fraction as Q
 
@@ -22,11 +24,20 @@ from weylblocks import (
     weyl_dimension,
 )
 from weylblocks.cat_o import linear_dominant_rep, linear_orbit
-from weylblocks.coxeter import generate_group, length, reduced_word
+from weylblocks.coxeter import (
+    from_word,
+    generate_group,
+    length,
+    reduced_word,
+    weyl_element_at,
+)
 from weylblocks.integral import lattice_mover
 from weylblocks.rootsys import (
     _RANK_RANGE,
+    IDENTITY_PERM,
+    MAX_ROOTS,
     POSITIVE_ROOT_COUNT,
+    WeylElement,
     dominant_dot_weight,
     smith_normal_form,
     to_dominant_dot,
@@ -380,3 +391,106 @@ def test_dominant_is_not_the_fundamental_chamber(label):
         assert dom != lam
         assert dom == fraction_to_dominant_dot(datum, lam)[1]
         assert all(c + 1 >= 0 for c in dom)
+
+
+# ---------------------------------------------------------------------------
+# the element representation: 256-byte root permutations
+# ---------------------------------------------------------------------------
+
+#: one block per type, with a nontrivial chamber where the type has one
+REPRESENTATION_BLOCKS = [
+    ("A3", (0, Q(1, 2), 0)),
+    ("B4", (0, 0, 0, Q(1, 2))),
+    ("G2", (Q(1, 2), 0)),
+    ("F4", (0, 0, 0, Q(1, 2))),
+    ("E6", (Q(1, 3), 0, 0, 0, 0, Q(1, 3))),
+]
+
+
+def assert_padded_perm(datum, u):
+    """u's permutation is 256 bytes: a permutation of the 2N root indices,
+    then the identity."""
+    perm, n = u.root_perm, len(datum.roots)
+    assert type(perm) is bytes and len(perm) == MAX_ROOTS
+    assert sorted(perm[:n]) == list(range(n))
+    assert perm[n:] == IDENTITY_PERM[n:]
+
+
+@pytest.mark.parametrize("label, lam", REPRESENTATION_BLOCKS)
+def test_every_element_is_a_padded_byte_permutation(label, lam):
+    datum = build_root_system(label)
+    idat = integral_datum(datum, lam)
+    group = generate_group(datum)
+    rng = random.Random(f"perm:{label}")
+    drawn = [weyl_element_at(datum, rng.randrange(len(group)))
+             for _ in range(20)]
+    pairs = [(rng.choice(group), rng.choice(group)) for _ in range(50)]
+    assert idat.chamber.order > 1 or label in ("G2", "F4")
+    for u in (datum.identity, *datum.simple_reflections,
+              *map(datum.reflection, datum.roots), *group,
+              *idat.int_elements(), *idat.chamber.elements, *idat.w_ext,
+              *drawn, *(a * b for a, b in pairs),
+              *(a.inverse() for a, _ in pairs)):
+        assert_padded_perm(datum, u)
+
+
+@pytest.mark.parametrize("label, lam", REPRESENTATION_BLOCKS)
+def test_products_and_inverses_compose_permutations(label, lam):
+    datum = build_root_system(label)
+    group, n = generate_group(datum), len(datum.roots)
+    rng = random.Random(f"compose:{label}")
+    for _ in range(100):
+        a, b = rng.choice(group), rng.choice(group)
+        assert (a * b).root_perm[:n] == \
+            bytes(a.root_perm[i] for i in b.root_perm[:n])
+        assert (a.inverse() * a).is_identity
+        assert a.inverse() * a == datum.identity == a * a.inverse()
+
+
+@pytest.mark.parametrize("label, lam", REPRESENTATION_BLOCKS)
+def test_equal_permutations_built_apart_are_one_element(label, lam):
+    datum = build_root_system(label)
+    group = generate_group(datum)
+    rng = random.Random(f"equal:{label}")
+    for u in rng.sample(group[1:], min(20, len(group) - 1)):
+        again = from_word(datum, reduced_word(datum, u))
+        copy = WeylElement(bytes(bytearray(u.root_perm)), datum)
+        assert copy.root_perm is not u.root_perm
+        for v in (again, copy):
+            assert v is not u
+            assert v == u and hash(v) == hash(u)
+        assert len({u, again, copy}) == 1
+        assert u != u.root_perm  # an element is not its bytes
+
+
+@pytest.mark.parametrize("label, lam", REPRESENTATION_BLOCKS)
+def test_elements_are_immutable_and_repr_shows_the_roots(label, lam):
+    datum = build_root_system(label)
+    u = datum.simple_reflections[-1] * datum.simple_reflections[0]
+    for name, value in (("root_perm", IDENTITY_PERM), ("datum", None),
+                        ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(u, name, value)
+    with pytest.raises(AttributeError):
+        del u.root_perm
+    assert u.weight_matrix == u.weight_matrix  # filled once, read again
+    with pytest.raises(AttributeError):
+        u._weight_matrix = ()
+    n = len(datum.roots)
+    assert repr(u) == f"WeylElement(root_perm={tuple(u.root_perm[:n])})"
+    assert copy_module.copy(u) == u and pickle.loads(pickle.dumps(u)) == u
+
+
+@pytest.mark.parametrize("label, count", [("E8xA4", 260), ("E8xD4", 264)])
+def test_more_than_256_roots_are_refused(label, count):
+    with pytest.raises(UnknownTypeError,
+                       match=f"{label} has {count} roots; at most 256"):
+        build_root_system(label)
+
+
+def test_252_roots_still_build():
+    datum = build_root_system("E8xA3")
+    assert len(datum.roots) == 252
+    u = datum.simple_reflections[0] * datum.simple_reflections[-1]
+    assert_padded_perm(datum, u)
+    assert (u.inverse() * u).is_identity
