@@ -23,7 +23,7 @@ from .integral import _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
     _check_rank, _dominant_dot_key, _in_root_lattice, _is_lattice, \
     _mat_nums, _numerators, _reflect, _rho_shifted, _to_dominant, _weight, \
-    classify_weight, dot_action, weyl_order
+    classify_weight, dot_action, parabolic_order, weyl_order
 
 WeightMultiset = dict  # Weight -> positive multiplicity
 
@@ -100,7 +100,7 @@ class _CharacterTable:
     # coordinates, pairing row)
     roots: tuple
     # per positive root: (fundamental coordinates, pairing row,
-    # D (2 rho - alpha, alpha), height, support as a bit mask)
+    # D (2 rho - alpha, alpha), height)
     positive: tuple
     perms: tuple  # the simple reflections' root permutations
     offsets: tuple  # the largest simple coordinate of a positive root
@@ -116,8 +116,7 @@ def _character_table(datum: CartanDatum) -> _CharacterTable:
              tuple(map(int.__mul__, dd, alpha.simple_coords)))
             for alpha in datum.roots)
         positive = tuple(
-            (f, row, sum(r * (2 - x) for r, x in zip(row, f)), alpha.height,
-             sum(1 << i for i, c in enumerate(alpha.simple_coords) if c))
+            (f, row, sum(r * (2 - x) for r, x in zip(row, f)), alpha.height)
             for (f, row), alpha in zip(roots, datum.positive_roots))
         out = datum._memo["character_table"] = _CharacterTable(
             roots, positive,
@@ -125,20 +124,6 @@ def _character_table(datum: CartanDatum) -> _CharacterTable:
             tuple(map(max, zip(*(a.simple_coords
                                  for a in datum.positive_roots)))))
     return out
-
-
-def _stabilizer_order(datum: CartanDatum, zeros: int) -> int:
-    """Order of the parabolic subgroup on the simple roots in the bit mask
-    ``zeros``, the stabilizer of a dominant weight with those zero
-    coordinates: prod (ht alpha + 1) / ht alpha over its positive roots,
-    the ones supported on ``zeros`` (Macdonald's height formula).  No
-    element is enumerated."""
-    num = den = 1
-    for *_, height, support in _character_table(datum).positive:
-        if support & zeros == support:
-            num *= height + 1
-            den *= height
-    return num // den
 
 
 def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
@@ -251,7 +236,7 @@ def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
                 sums = no_sums
             mult[mu] = m
             gap = gaps[mu]
-            for (f, row, step, height, _), s, memo in zip(
+            for (f, row, step, height), s, memo in zip(
                     positive, sums, below):
                 nu = tuple(map(int.__sub__, mu, f))
                 if min(nu) < 0:
@@ -266,16 +251,17 @@ def dominant_character(datum: CartanDatum, highest: Weight) -> dict:
 
     group_order = weyl_order(datum)
     mass = 0
-    orbit_size: dict[int, int] = {}
+    # |W| / |W_J| per set J of zero coordinates, W_J the stabilizer
+    orbit_size = datum._memo.setdefault("orbit_size", {})
     for mu, m in mult.items():
         if 0 not in mu:  # regular: a free orbit
             mass += m * group_order
             continue
-        zeros = sum(1 << i for i in rng_n if not mu[i])
+        zeros = tuple(i for i in rng_n if not mu[i])
         size = orbit_size.get(zeros)
         if size is None:
             size = orbit_size[zeros] = \
-                group_order // _stabilizer_order(datum, zeros)
+                group_order // parabolic_order(datum.cartan_matrix, zeros)
         mass += m * size
     if mass != _weyl_dimension(datum, t):
         raise AssertionError("Freudenthal mass disagrees with the Weyl "

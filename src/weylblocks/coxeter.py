@@ -169,10 +169,6 @@ class CoxeterSystem:
         return perm.index(self.simple_indices[j - 1]) >= \
             self.datum.num_positive
 
-    def is_left_descent(self, w: WeylElement, j: int) -> bool:
-        """True iff s_j w is shorter than w; j is 1-based."""
-        return self._descends(w.root_perm, j)
-
     def first_left_descent(self, perm: bytes) -> int | None:
         """Smallest left descent of the element with this root permutation,
         or None when there is none."""
@@ -330,21 +326,6 @@ def weyl_element_at(datum: CartanDatum, index: int) -> WeylElement:
     return WeylElement(perm, datum)
 
 
-def parabolic_order(datum: CartanDatum, root_indices) -> int:
-    """Order of the reflection subgroup generated by the roots with these
-    indices, which must be a simple system of its roots (as any subset of a
-    simple system is).  Memoized on the datum, keyed by the index set."""
-    key = frozenset(root_indices)
-    orders = datum._memo.setdefault("parabolic_order", {})
-    out = orders.get(key)
-    if out is None:
-        indices = sorted(key)
-        out = orders[key] = len(_layered_search(
-            datum, indices, [datum.reflection(datum.roots[i])
-                             for i in indices], DEFAULT_GROUP_BOUND).elements)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subgroups
 # ---------------------------------------------------------------------------
@@ -395,10 +376,6 @@ def subgroup(datum: CartanDatum, generators,
              bound: int = DEFAULT_GROUP_BOUND) -> SubgroupHandle:
     gens = tuple(sorted(set(generators), key=lambda w: sort_key(datum, w)))
     return SubgroupHandle(datum, gens, closure(datum, gens, bound))
-
-
-def trivial_subgroup(datum: CartanDatum) -> SubgroupHandle:
-    return SubgroupHandle(datum, (), frozenset({datum.identity}))
 
 
 def dot_stabilizer(datum: CartanDatum, lam: Weight) -> SubgroupHandle:

@@ -3,8 +3,9 @@
 Rationals print reduced with positive denominator ("3", "-1/2"); weights are
 arrays of such strings; group elements print as their lexicographically
 minimal reduced word ("e", "s1", "s2*s1*s3*s2"); word letters print as
-"B:<reflection word>" / "R:<twist word>".  Every document the CLI emits is
-re-parseable by the readers here.
+"B:<reflection word>" / "R:<twist word>"; Laurent polynomials print as
+{exponent: coefficient} maps.  Every weight, element and letter the CLI
+emits is re-parseable by the readers here.
 """
 
 from __future__ import annotations
@@ -129,10 +130,3 @@ def parse_letters(idat: IntegralDatum, items) -> list[Letter]:
 
 def poly_to_json(p: LaurentPoly) -> dict:
     return {str(e): c for e, c in p.items()}
-
-
-def parse_poly(d) -> LaurentPoly:
-    try:
-        return LaurentPoly({int(e): int(c) for e, c in d.items()})
-    except (AttributeError, ValueError) as exc:
-        raise SchemaError(f"malformed polynomial {d!r}: {exc}") from None

@@ -468,7 +468,6 @@ class CartanDatum:
     rho: Weight
     simple_reflections: tuple[WeylElement, ...]
     identity: WeylElement
-    _root_index: dict = field(repr=False)
     _memo: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -478,9 +477,6 @@ class CartanDatum:
     @property
     def positive_roots(self) -> tuple[Root, ...]:
         return self.roots[: self.num_positive]
-
-    def root_index(self, weight: Weight) -> int:
-        return self._root_index[weight]
 
     def simple_root(self, i: int) -> Root:
         """The i-th simple root, 1-based Bourbaki numbering."""
@@ -615,6 +611,49 @@ def _symmetrizer(cartan: list[list[int]]) -> list[Q]:
     return [x for x in d]
 
 
+def _positive_roots(cartan) -> list[tuple[int, ...]]:
+    """The positive roots of a finite-type Cartan matrix in simple-root
+    coordinates, sorted by height and then by descending coordinates: the
+    simple roots closed under the simple reflections."""
+    rank = len(cartan)
+    seen = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for coords in frontier:
+            for i, k in enumerate(_mat_nums(cartan, coords)):
+                img = list(coords)
+                img[i] -= k  # s_i beta = beta - <beta, alpha_i^vee> alpha_i
+                img_t = tuple(img)
+                if img_t not in seen:
+                    seen.add(img_t)
+                    nxt.append(img_t)
+        frontier = nxt
+    return sorted((c for c in seen if sum(c) > 0),
+                  key=lambda c: (sum(c), tuple(-x for x in c)))
+
+
+def parabolic_order(cartan, subset) -> int:
+    """Order of the standard parabolic subgroup on the simple roots with
+    these 0-based indices: prod (ht alpha + 1) / ht alpha over the positive
+    roots of the principal submatrix on ``subset``, heights taken over its
+    own simples (Macdonald's height formula).  No element is enumerated.
+
+    >>> parabolic_order(build_root_system("G2").cartan_matrix, range(2))
+    12
+    >>> parabolic_order(build_root_system("E8").cartan_matrix, range(7))
+    2903040
+    """
+    rows = sorted(set(subset))
+    num = den = 1
+    for coords in _positive_roots([[cartan[i][j] for j in rows]
+                                   for i in rows]):
+        height = sum(coords)
+        num *= height + 1
+        den *= height
+    return num // den
+
+
 @lru_cache(maxsize=None)
 def build_root_system(type_label: str) -> CartanDatum:
     """Construct the Cartan datum for a (product of) finite type(s).
@@ -643,27 +682,7 @@ def build_root_system(type_label: str) -> CartanDatum:
         offset += n
     d = _symmetrizer(cartan)
 
-    # close the simple roots under the simple reflections, in root coordinates
-    def pair_with_simple(coords: tuple[int, ...], i: int) -> int:
-        return sum(cartan[i][j] * coords[j] for j in range(rank))
-
-    seen = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for coords in frontier:
-            for i in range(rank):
-                k = pair_with_simple(coords, i)
-                img = list(coords)
-                img[i] -= k
-                img_t = tuple(img)
-                if img_t not in seen:
-                    seen.add(img_t)
-                    nxt.append(img_t)
-        frontier = nxt
-
-    positives = sorted((c for c in seen if sum(c) > 0),
-                       key=lambda c: (sum(c), tuple(-x for x in c)))
+    positives = _positive_roots(cartan)
     if positives[:rank] != [tuple(int(i == j) for j in range(rank))
                             for i in range(rank)]:
         raise AssertionError("simple roots do not lead the root list")
@@ -687,14 +706,12 @@ def build_root_system(type_label: str) -> CartanDatum:
 
     roots: list[Root] = []
     rows: list[tuple[int, ...]] = []
-    index_of: dict[Weight, int] = {}
     ordered = positives + [tuple(-c for c in p) for p in positives]
     for idx, coords in enumerate(ordered):
-        ints = [pair_with_simple(coords, i) for i in range(rank)]
+        ints = _mat_nums(cartan, coords)
         w = tuple(Q(x) for x in ints)
         rows.append(coroot_row(coords, ints))
         roots.append(Root(idx, coords, w, tuple(Q(x) for x in rows[-1])))
-        index_of[w] = idx
 
     rho = tuple(Q(1) for _ in range(rank))
     datum = CartanDatum(
@@ -707,7 +724,6 @@ def build_root_system(type_label: str) -> CartanDatum:
         rho=rho,
         simple_reflections=(),  # filled below
         identity=None,  # filled below
-        _root_index=index_of,
     )
     datum._memo["root_by_coords"] = {c: i for i, c in enumerate(ordered)}
     object.__setattr__(datum, "identity", WeylElement(IDENTITY_PERM, datum))

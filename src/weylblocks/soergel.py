@@ -31,12 +31,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .coxeter import DEFAULT_GROUP_BOUND, dot_stabilizer, double_cosets, \
-    parabolic_order, sort_key
+    sort_key
 from .integral import IntegralDatum, integral_datum, _wsub, \
     dominant_dot_rep, find_regular_dominant, find_subgeneric, lattice_mover
 from .rootsys import CartanDatum, FiniteAbelianElement, Weight, WeylElement, \
     _check_rank, _is_lattice, classify_weight, dot_action, lattice_class, \
-    torsion_group
+    parabolic_order, torsion_group
 
 
 @dataclass(frozen=True)
@@ -218,11 +218,16 @@ def rank_left(obj) -> int:
             raise ValueError("not a valid singular word "
                              "(see validate_singular_word)")
         idat = obj.ambient
+        orders = idat._memo.setdefault("parabolic_order", {})
+        for subset in {obj.mu_subset, *obj.chain[:-1]}:
+            if subset not in orders:
+                orders[subset] = parabolic_order(idat.cartan_matrix,
+                                                 [j - 1 for j in subset])
         num = den = 1
         for p in range(1, len(obj.chain), 2):
-            num *= _parabolic_order(idat, obj.chain[p])
-            den *= _parabolic_order(idat, obj.chain[p - 1])
-        total = _parabolic_order(idat, obj.mu_subset) * Q(num, den)
+            num *= orders[obj.chain[p]]
+            den *= orders[obj.chain[p - 1]]
+        total = orders[obj.mu_subset] * Q(num, den)
         if total.denominator != 1:
             raise AssertionError(f"rank {total} of a valid chain is not "
                                  "an integer")
@@ -233,12 +238,6 @@ def rank_left(obj) -> int:
 # ---------------------------------------------------------------------------
 # singular parabolic chains
 # ---------------------------------------------------------------------------
-
-def _parabolic_order(idat: IntegralDatum, subset) -> int:
-    """Order of the subgroup generated by the named integral simples."""
-    return parabolic_order(idat.datum, (idat.integral_simples[j - 1].index
-                                        for j in subset))
-
 
 @dataclass(frozen=True)
 class SingularWord:

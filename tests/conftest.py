@@ -2,7 +2,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from weylblocks import build_root_system, integral_datum, weyl_dimension
+from weylblocks import SubgroupHandle, build_root_system, integral_datum, \
+    weyl_dimension
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +35,11 @@ def a3_block(a3):
 def w(*coords):
     """Shorthand for an exact weight."""
     return tuple(Q(c) for c in coords)
+
+
+def trivial_subgroup(datum):
+    """The subgroup {e}."""
+    return SubgroupHandle(datum, (), frozenset({datum.identity}))
 
 
 def dominant_weights_up_to_dim(datum, cap):

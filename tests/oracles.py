@@ -20,6 +20,7 @@
 * Group enumeration by closure under products, sorted afterwards by
   (length, reduced word) through a fresh Coxeter system that computes each
   length as an inversion count and each word by greedy descents.
+* Subgroup orders, parabolic ones included, as the size of that closure.
 * The translation selection by walking every candidate to the dominant
   chamber, with no norm test in front.
 * Bruhat order by exhaustive subword products of one reduced word.
@@ -47,7 +48,7 @@ from math import lcm
 from weylblocks.cat_o import _check_dominant_integral, \
     irrep_weight_multiset, linear_dominant_rep, weyl_dimension
 from weylblocks.coxeter import CoxeterSystem, closure, dot_stabilizer, \
-    double_cosets, generate_group, parabolic_order, reduced_word, sort_key
+    double_cosets, generate_group, reduced_word, sort_key
 from weylblocks.hecke import ONE, V, V_INV, ZERO, LaurentPoly
 from weylblocks.integral import _solve_single_diophantine, \
     dominant_dot_rep, integral_datum, lattice_mover
@@ -299,6 +300,19 @@ def closure_sorted_group(datum) -> tuple:
                         key=system.sort_key))
 
 
+_CLOSURE_ORDERS: dict = {}
+
+
+def closure_order(datum, generators) -> int:
+    """Order of the subgroup generated by these elements, by enumerating
+    its closure; memoized per type label and generator set."""
+    gens = frozenset(generators)
+    key = (datum.type_label, gens)
+    if key not in _CLOSURE_ORDERS:
+        _CLOSURE_ORDERS[key] = len(closure(datum, gens))
+    return _CLOSURE_ORDERS[key]
+
+
 def closure_sorted_w_int(idat) -> tuple:
     """W_int by closure, sorted by a fresh integral (length, word) key."""
     system = fresh_system(idat.datum,
@@ -351,9 +365,9 @@ def r_polynomial_table(idat):
         elif idat.system.length(x) > idat.system.length(w):
             out = ZERO
         else:
-            j = next(j for j in range(1, idat.rank + 1)
-                     if idat.system.is_left_descent(w, j))
-            s = idat.simple_reflections[j - 1]
+            length = idat.system.length
+            s = next(s for s in idat.simple_reflections  # a left descent
+                     if length(s * w) < length(w))
             sx, sw = s * x, s * w
             if idat.system.length(sx) < idat.system.length(x):
                 out = rec(sx, sw)
@@ -719,8 +733,9 @@ def flat_box_dominant_character(datum, highest) -> dict:
             zeros = tuple(map((0).__eq__, f))
             size = orbit_size.get(zeros)
             if size is None:
-                size = group_order // parabolic_order(
-                    datum, (i for i in rng_n if zeros[i]))
+                size = group_order // closure_order(
+                    datum, (datum.simple_reflections[i] for i in rng_n
+                            if zeros[i]))
                 orbit_size[zeros] = size
             mass += m * size
             out[f] = m

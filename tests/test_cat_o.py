@@ -17,16 +17,17 @@ from weylblocks import (
     weyl_dimension,
     zero_weight_multiplicity,
 )
-from weylblocks import cat_o, cli
+from weylblocks import cat_o, cli, coxeter
 from weylblocks.cat_o import linear_dominant_rep, linear_orbit
-from weylblocks.coxeter import dot_stabilizer, parabolic_order
+from weylblocks.coxeter import dot_stabilizer
 from weylblocks.integral import _wsub, integral_datum
 from weylblocks.rootsys import GroupBoundExceeded, _in_root_lattice, \
-    _numerators, _reflect, dominant_dot_weight
+    _numerators, _reflect, dominant_dot_weight, parabolic_order
 
 from conftest import dominant_weights_up_to_dim, w
 from oracles import (
     brute_force_dot_orbit,
+    closure_order,
     flat_box_dominant_character,
     fraction_act,
     fraction_classify_weight,
@@ -63,17 +64,20 @@ def test_dominant_characters(a1, a2, a3):
 
 def test_dominant_character_keeps_no_state_per_weight(a2):
     # 64 distinct highest weights leave the datum's memo as the first call
-    # left it: the same keys, and no memoized table grown; a repeated call
+    # left it: the same keys, and no memoized table grown but the orbit
+    # sizes, one per nonempty set of zero coordinates; a repeated call
     # recomputes an equal character
     tops = [w(a, b) for a in range(8) for b in range(8)]
     first = dominant_character(a2, tops[0])
     size = len(a2._memo)
     keys = set(a2._memo)
-    sizes = {k: len(v) for k, v in a2._memo.items() if isinstance(v, dict)}
+    sizes = {k: len(v) for k, v in a2._memo.items()
+             if isinstance(v, dict) and k != "orbit_size"}
     chars = [dominant_character(a2, top) for top in tops[1:]]
     assert len(a2._memo) == size
     assert set(a2._memo) == keys
     assert {k: len(a2._memo[k]) for k in sizes} == sizes
+    assert set(a2._memo["orbit_size"]) <= {(0,), (1,), (0, 1)}
     assert dominant_character(a2, tops[0]) == first
     assert dominant_character(a2, tops[-1]) == chars[-1]
     assert chars[-1] is not dominant_character(a2, tops[-1])
@@ -120,21 +124,43 @@ def test_e7_adjoint_zero_weight_needs_no_group_enumeration():
     assert system is None or system._enumeration is None
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "C4", "D4", "F4", "G2", "A5",
-                                   "B4", "D5", "E6"])
+# a nonintegral block per type, with integral systems B2xA1 in B3,
+# A1xC2xA1 in C4, B4 in F4, A3 in D4, D5 in E6 and B3xA1 in B4
+NONINTEGRAL_BLOCKS = {
+    "G2": (0, Q(1, 3)), "B3": (Q(1, 2), 0, 0), "C4": (0, Q(1, 2), 0, 0),
+    "F4": (Q(1, 2), 0, 0, 0), "D4": (Q(1, 2), 0, 0, 0),
+    "E6": (Q(1, 2), 0, 0, 0, 0, 0), "B4": (Q(1, 2), -1, 0, 0),
+}
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "C4", "D4", "F4", "G2",
+                                   "A5", "B4", "D5", "E6"])
 def test_stabilizer_order_matches_parabolic_order(label):
-    # the height formula against enumeration, on every standard parabolic
+    # the height formula against enumeration: on every standard parabolic,
+    # and on every subset of the integral simples of a nonintegral block,
+    # read off the integral system's own Cartan matrix
     datum = build_root_system(label)
-    for zeros in range(1 << datum.rank):
-        subset = [i for i in range(datum.rank) if zeros >> i & 1]
-        assert cat_o._stabilizer_order(datum, zeros) == \
-            parabolic_order(datum, subset), subset
+    systems = [(datum.cartan_matrix, datum.simple_reflections)]
+    if label in NONINTEGRAL_BLOCKS:
+        idat = integral_datum(datum, w(*NONINTEGRAL_BLOCKS[label]))
+        systems.append((idat.cartan_matrix, idat.simple_reflections))
+    for cartan, simples in systems:
+        for zeros in range(1 << len(simples)):
+            subset = [i for i in range(len(simples)) if zeros >> i & 1]
+            assert parabolic_order(cartan, subset) == closure_order(
+                datum, (simples[i] for i in subset)), (cartan, subset)
 
 
-def test_stabilizer_order_of_e8():
-    datum = build_root_system("E8")
-    assert cat_o._stabilizer_order(datum, 0) == 1
-    assert cat_o._stabilizer_order(datum, (1 << 8) - 1) == 696_729_600
+def test_stabilizer_order_of_e8(monkeypatch):
+    # no element is enumerated, so W(E7) and W(E8) answer at once
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.setattr(coxeter, "_layered_search", no_enumeration)
+    cartan = build_root_system("E8").cartan_matrix
+    assert parabolic_order(cartan, ()) == 1
+    assert parabolic_order(cartan, range(7)) == 2_903_040
+    assert parabolic_order(cartan, range(8)) == 696_729_600
 
 
 def test_input_validation(a1):

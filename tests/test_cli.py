@@ -17,7 +17,8 @@ from weylblocks import build_root_system, cli, coxeter, integral_datum, \
 from weylblocks.cli import DEFAULT_SEED, CorpusEntry, _check_semidirect, \
     _check_tau_homomorphism, _random_word, default_corpus_path, \
     load_corpus, main, run_corpus
-from weylblocks.coxeter import CoxeterSystem, trivial_subgroup
+from weylblocks.coxeter import CoxeterSystem
+from weylblocks.hecke import LaurentPoly
 from weylblocks.jsonio import (
     SchemaError,
     letters_to_json,
@@ -29,6 +30,7 @@ from weylblocks.jsonio import (
     word_to_str,
 )
 
+from conftest import trivial_subgroup
 from oracles import reference_random_rewrite, reference_random_word
 
 
@@ -321,12 +323,10 @@ def test_emitted_documents_reparse(capsys, a3, a3_block):
                         "--lambda", "0,1/2,0",
                         "--word", json.dumps(["B:s1", "B:s3"]))
     doc = json.loads(out)
-    from weylblocks.jsonio import parse_poly
-
     for term in doc["terms"]:
         parse_element(a3, term["c"])
         parse_element(a3, term["x"])
-        parse_poly(term["poly"])
+        LaurentPoly({int(e): int(c) for e, c in term["poly"].items()})
     _, out, _ = run_cli(capsys, "bimod", "normalize", "--type", "A3",
                         "--lambda", "0,1/2,0",
                         "--word", json.dumps(["B:s3", "R:s2*s1*s3*s2"]))

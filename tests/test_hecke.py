@@ -222,12 +222,13 @@ def test_rebuilt_columns_match_full_recursion(label, lam):
     ("D4", (Q(1, 2), 0, 0, 0)),
 ])
 def test_descent_masks_match_is_left_descent(label, lam):
+    # s is a left descent of u when s u is shorter than u
     idat = integral_datum(build_root_system(label), lam)
-    t = idat.tables
+    t, length = idat.tables, idat.system.length
     for x, u in enumerate(t.elements):
         assert t.dmask[x] == sum(
-            1 << j for j in range(idat.rank)
-            if idat.system.is_left_descent(u, j + 1)), (label, u)
+            1 << j for j, s in enumerate(idat.simple_reflections)
+            if length(s * u) < length(u)), (label, u)
 
 
 def test_validation_catches_each_fault(a3, monkeypatch):

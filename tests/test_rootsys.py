@@ -328,7 +328,8 @@ def test_permutation_action_against_reflection_formula(label):
     # alpha_i in fundamental-weight coordinates: column i of the Cartan matrix
     alpha = [tuple(datum.cartan_matrix[k][i] for k in range(n))
              for i in range(n)]
-    alpha_index = [datum.root_index(tuple(Q(c) for c in a)) for a in alpha]
+    index_of = {r.as_weight: r.index for r in datum.roots}
+    alpha_index = [index_of[tuple(Q(c) for c in a)] for a in alpha]
 
     def by_word(word, x):
         for i in reversed(word):  # s_{i_1} ... s_{i_k} x, rightmost first

@@ -23,10 +23,10 @@ from weylblocks import (
     rewrite_step,
     validate_singular_word,
 )
-from weylblocks.coxeter import parabolic_order
 
 from conftest import w
-from oracles import reference_normalize, reference_sites, reference_step
+from oracles import closure_order, reference_normalize, reference_sites, \
+    reference_step
 
 
 def block_a3(a3_block):
@@ -232,8 +232,7 @@ def test_singular_rank(a3_block):
                       e, frozenset(), frozenset())
     assert validate_singular_word(sw)
     assert rank_left(sw) == 4
-    assert parabolic_order(idat.datum, (r.index for r in
-                                        idat.integral_simples[:2])) == 4
+    assert closure_order(idat.datum, idat.simple_reflections[:2]) == 4
 
 
 def test_p_object_unit(a1):
