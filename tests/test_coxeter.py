@@ -16,13 +16,15 @@ from weylblocks import (
 )
 from weylblocks.coxeter import (
     CoxeterSystem,
+    closure,
     coxeter_system,
     length,
     parabolic_transversals,
     sort_key,
     weyl_element_at,
 )
-from weylblocks.rootsys import WEYL_ORDER, GroupBoundExceeded, weyl_order
+from weylblocks.rootsys import WEYL_ORDER, GroupBoundExceeded, \
+    parabolic_order, weyl_order
 
 from conftest import check_enumeration, trivial_subgroup, w
 from oracles import (
@@ -185,6 +187,21 @@ def test_enumeration_bound():
     with pytest.raises(GroupBoundExceeded):
         system.elements(bound=47)
     assert len(system.elements(bound=48)) == 48
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_parabolic_order_matches_closure(label):
+    # the order read off the Cartan matrix against the closure of the
+    # chosen simple reflections
+    datum = build_root_system(label)
+    rng = random.Random(label)
+    subsets = [(), tuple(range(datum.rank))] + [
+        tuple(rng.sample(range(datum.rank), rng.randint(1, datum.rank)))
+        for _ in range(4)]
+    for subset in subsets:
+        gens = [datum.simple_reflections[i] for i in subset]
+        assert parabolic_order(datum.cartan_matrix, subset) == \
+            len(closure(datum, gens))
 
 
 @pytest.mark.parametrize("label", ["A1xA1", "A3", "B3", "C3", "G2", "D4",
