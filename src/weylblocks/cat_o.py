@@ -22,7 +22,7 @@ from math import lcm
 from .integral import _wsub
 from .rootsys import CartanDatum, GroupBoundExceeded, Weight, WeylElement, \
     _check_rank, _dominant_dot_key, _in_root_lattice, _is_lattice, \
-    _mat_nums, _numerators, _reflect, _rho_shifted, _to_dominant, _weight, \
+    _mat_nums, _numerators, _orbit, _rho_shifted, _to_dominant, _weight, \
     classify_weight, dot_action, parabolic_order, weyl_order
 
 WeightMultiset = dict  # Weight -> positive multiplicity
@@ -36,24 +36,11 @@ def linear_dominant_rep(datum: CartanDatum, v: Weight) -> Weight:
 
 
 def linear_orbit(datum: CartanDatum, v: Weight) -> set[Weight]:
-    """The linear W-orbit of v, closed under the simple reflections in
-    integer numerators."""
+    """The linear W-orbit of v: ``_orbit`` on its integer numerators."""
     _check_rank(datum, v)
     nums, den = _numerators(v)
-    cartan = datum.cartan_matrix
-    seen = {tuple(nums)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in range(len(x)):
-                if x[i]:  # s_i fixes x when x_i = 0
-                    y = tuple(_reflect(cartan, x, i))
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return {_weight(x, den) for x in seen}
+    return {_weight(x, den)
+            for x in _orbit(datum.cartan_matrix, nums, range(datum.rank))}
 
 
 def _check_dominant_integral(datum: CartanDatum, highest: Weight) -> Weight:

@@ -22,11 +22,9 @@ from .coxeter import (
     DEFAULT_GROUP_BOUND,
     double_cosets,
     dot_stabilizer,
-    sort_key,
     weyl_element_at,
 )
 from .integral import (
-    _class_orbit,
     dominant_dot_rep,
     enumerate_Xi,
     find_regular_dominant,
@@ -43,6 +41,7 @@ from .rootsys import (
     _is_lattice,
     _mat_nums,
     _numerators,
+    _orbit,
     _rho_shifted,
     build_root_system,
     classify_weight,
@@ -175,18 +174,15 @@ def cmd_hecke(args) -> int:
     word = soergel.make_word(idat, letters)
     image = hecke.bs_character(idat, word)
     graded = hecke.decompose_graded(idat, image)
-    mults = hecke.decompose(idat, image)
-    terms = []
-    for (c, x), poly in sorted(
-            graded.items(),
-            key=lambda kv: (sort_key(datum, kv[0][0]),
-                            idat.system.sort_key(kv[0][1]))):
-        terms.append({
-            "c": jsonio.element_to_json(datum, c),
-            "x": jsonio.element_to_json(datum, x),
-            "poly": jsonio.poly_to_json(poly),
-            "mult": mults[(c, x)],
-        })
+    number = idat.tables.of  # W_int in idat.system.sort_key order
+    terms = [{"c": jsonio.element_to_json(datum, c),
+              "x": jsonio.element_to_json(datum, x),
+              "poly": jsonio.poly_to_json(poly),
+              "mult": hecke.multiplicity(poly)}
+             for (c, x), poly in sorted(
+                 graded.items(), key=lambda kv: (
+                     idat.chamber_number[kv[0][0].root_perm],
+                     number(kv[0][1])))]
     _emit({"basis": "KL", "terms": terms})
     return 0
 
@@ -321,7 +317,8 @@ def _check_semidirect(datum, idat, entry, rng):
     # |W_ext| = |W| / |orbit of lam mod the weight lattice|, the orbit
     # searched again here: the datum keeps no count of W_ext
     order = weyl_order(datum)
-    orbit = _class_orbit(datum, *_numerators(entry.lam), order)
+    nums, den = _numerators(entry.lam)
+    orbit = _orbit(datum.cartan_matrix, nums, range(datum.rank), den, order)
     if idat.chamber.order * idat.w_int.order * len(orbit) != order:
         return "fail", "|C|*|W_int| != |W| / |orbit of lam mod P|"
     simple_indices = {r.index for r in idat.integral_simples}

@@ -6,7 +6,11 @@ and reduced words through the root permutation
 (``length(w) = #{alpha > 0 : w(alpha) < 0}``), Bruhat order by the lifting
 property, reflection subgroups, dot-action stabilizers, double-coset
 decompositions, and a numbering of W through the transversals of its
-parabolic chain, which draws elements without enumerating W.
+parabolic chain, which draws elements without enumerating W.  Those
+transversals are read off orbits of fundamental weights searched by
+``rootsys._orbit``, the one orbit walk of the library, through
+``_transversal``, which reads group elements off any such search (the
+class orbits of ``integral`` too).
 
 Elements are canonically keyed by their root permutation.  One
 ``CoxeterSystem`` class serves both the full group and the integral Weyl
@@ -28,7 +32,8 @@ from .rootsys import (
     GroupBoundExceeded,
     Weight,
     WeylElement,
-    _reflect,
+    _orbit,
+    _step,
     classify_weight,
     weyl_order,
 )
@@ -273,37 +278,43 @@ def generate_group(datum: CartanDatum,
     return out
 
 
+def _transversal(datum: CartanDatum, orbit: dict, den: int = 0):
+    """t(x): an element of W moving the start of an ``_orbit`` (searched
+    with this ``den``) to its point x, read off the search tree as
+    t(x) = s_i t(s_i x), memoized."""
+    cartan, simples = datum.cartan_matrix, datum.simple_reflections
+    memo = {next(iter(orbit)): datum.identity}
+
+    def t(x):
+        hit = memo.get(x)
+        if hit is None:
+            i = orbit[x]
+            hit = memo[x] = simples[i] * t(_step(cartan, x, i, den))
+        return hit
+
+    return t
+
+
 def parabolic_transversals(datum: CartanDatum
                            ) -> tuple[tuple[WeylElement, ...], ...]:
     """X_1, ..., X_n with W_k = X_k W_{k-1} for the parabolic chain
     W_k = <s_1, ..., s_k>, memoized on the datum; W is never enumerated.
 
     The stabilizer of the fundamental weight omega_k in W_k is W_{k-1}, so
-    X_k is read off the W_k-orbit of omega_k by a breadth-first walk that
-    reaches each point y = s_i x as the element s_i t(x) (Bjorner-Brenti,
+    X_k is read off the W_k-orbit of omega_k (``_orbit``) by the
+    transversal of its search tree, in search order (Bjorner-Brenti,
     *Combinatorics of Coxeter Groups*, GTM 231, ch. 2).  Every w in W is
     x_n ... x_1, x_k in X_k, in exactly one way, so the orbit sizes
     multiply to |W|, which is asserted.
     """
     out = datum._memo.get("parabolic_transversals")
     if out is None:
-        cartan, simples = datum.cartan_matrix, datum.simple_reflections
         chain = []
         for k in range(datum.rank):
-            start = tuple(int(i == k) for i in range(datum.rank))
-            orbit = {start: datum.identity}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for i in range(k + 1):
-                        if x[i]:  # s_i fixes x when x_i = 0
-                            y = tuple(_reflect(cartan, x, i))
-                            if y not in orbit:
-                                orbit[y] = simples[i] * orbit[x]
-                                nxt.append(y)
-                frontier = nxt
-            chain.append(tuple(orbit.values()))
+            orbit = _orbit(datum.cartan_matrix,
+                           [int(i == k) for i in range(datum.rank)],
+                           range(k + 1))
+            chain.append(tuple(map(_transversal(datum, orbit), orbit)))
         if prod(map(len, chain)) != weyl_order(datum):
             raise AssertionError("parabolic orbit sizes do not multiply "
                                  f"to |W| for {datum.type_label}")

@@ -673,23 +673,22 @@ def decompose_graded(idat: IntegralDatum, h: HeckeElement,
             for (c, x), g in _decompose(cache, h).items()}
 
 
+def multiplicity(poly: LaurentPoly) -> int:
+    """A KL-basis coefficient's value at v = 1.  Raises ValueError on a
+    negative entry: the input was not a nonnegative combination of the
+    twisted KL basis, which signals an upstream bug."""
+    if any(x < 0 for x in poly._c.values()):
+        raise ValueError(f"negative coefficient {poly.format()} in the "
+                         "KL-basis decomposition")
+    return poly.at_one()
+
+
 def decompose(idat: IntegralDatum, h: HeckeElement,
               cache: KLCache | None = None) -> dict:
     """Multiset of labels (c, x) with multiplicity the value at v = 1 of the
-    KL-basis coefficient.
-
-    Raises ValueError when some coefficient has a negative entry - the input
-    was not a nonnegative combination of the twisted KL basis, which signals
-    an upstream bug - and GroupBoundExceeded when a KL column it reads is
-    past ``KL_COLUMN_CAP``.
+    KL-basis coefficient (``multiplicity``, which raises ValueError on a
+    negative entry).  Raises GroupBoundExceeded when a KL column it reads
+    is past ``KL_COLUMN_CAP``.
     """
-    cache = cache or kl_cache(idat)
-    chamber, elements = idat.chamber.sorted_elements, cache._t.elements
-    out = {}
-    for (c, x), g in _decompose(cache, h).items():
-        if min(g.values()) < 0:
-            raise ValueError(
-                f"negative coefficient {LaurentPoly(g).format()} in the "
-                "KL-basis decomposition")
-        out[chamber[c], elements[x]] = sum(g.values())
-    return out
+    return {label: multiplicity(poly)
+            for label, poly in decompose_graded(idat, h, cache).items()}

@@ -10,16 +10,18 @@ realized inside W_ext by the abelian chamber subgroup C of elements that
 permute the positive integral roots, giving W_ext = C x| W_int.
 
 W itself is never enumerated.  W_ext is the stabilizer of lam's class
-modulo the weight lattice, so a breadth-first search over the orbit of that
-class gives |W_ext| = |W| / |orbit| before any group is built, and the
-bound is enforced there.  C is closed from the Schreier generators of that
+modulo the weight lattice, so the orbit of that class, searched by the one
+orbit walk ``rootsys._orbit`` on lam's numerators modulo its denominator,
+gives |W_ext| = |W| / |orbit| before any group is built, and the bound is
+enforced there.  C is closed from the Schreier generators of that
 stabilizer, each reduced into C (Schreier's lemma; Seress, *Permutation
 Group Algorithms*, 2003, 4.1).  C is numbered once, with its product, its
 action on the integral simples and tau(c u) = tau(c) stored per number; the
 block numbers c u by (c, u) (``BlockTables``), and W_ext sorted by the full
 (length, reduced word) key is built on request.
 The same orbit search, stopped at a target class, finds one t moving mu
-into lam + (weight lattice); the shortest such element is a coset minimum.
+into lam + (weight lattice), read off its search tree by
+``coxeter._transversal``; the shortest such element is a coset minimum.
 
 This module also hosts the constructive certificates around that picture:
 regular dominant and subgeneric weights in lam + (weight lattice), the
@@ -38,6 +40,7 @@ from .coxeter import (
     DEFAULT_GROUP_BOUND,
     CoxeterSystem,
     SubgroupHandle,
+    _transversal,
     closure,
     coxeter_system,
 )
@@ -54,8 +57,9 @@ from .rootsys import (
     _is_lattice,
     _mat_nums,
     _numerators,
-    _reflect,
+    _orbit,
     _rho_shifted,
+    _step,
     _to_dominant,
     _weight,
     classify_weight,
@@ -225,53 +229,6 @@ class BlockTables:
         return hit
 
 
-def _class_orbit(datum: CartanDatum, nums, den: int, bound: int,
-                 stop=None) -> dict:
-    """The orbit of the weight nums / den modulo the weight lattice under W.
-
-    A class is the tuple of numerators mod den; W acts on classes, and the
-    orbit is searched breadth first over the simple reflections.  Returns
-    {class: i} in search order, where s_i is the reflection that first
-    reached the class (-1 for the weight's own), so each class's parent is
-    s_i of it.  Stops early once ``stop`` is reached; raises
-    GroupBoundExceeded when more than ``bound`` classes would be stored.
-    """
-    cartan = datum.cartan_matrix
-    start = tuple(x % den for x in nums)
-    orbit = {start: -1}
-    frontier = [start]
-    while frontier and stop not in orbit:
-        nxt = []
-        for x in frontier:
-            for i in range(datum.rank):
-                y = tuple(v % den for v in _reflect(cartan, x, i))
-                if y not in orbit:
-                    if len(orbit) >= bound:
-                        raise GroupBoundExceeded(
-                            f"orbit enumeration exceeds bound {bound}")
-                    orbit[y] = i
-                    nxt.append(y)
-        frontier = nxt
-    return orbit
-
-
-def _transversal(datum: CartanDatum, orbit: dict, den: int):
-    """t(x): an element of W moving the orbit's weight into class x, read
-    off the search tree as t(x) = s_i t(parent), memoized."""
-    cartan, simples = datum.cartan_matrix, datum.simple_reflections
-    memo = {next(iter(orbit)): datum.identity}  # the weight's own class
-
-    def t(x):
-        hit = memo.get(x)
-        if hit is None:
-            i = orbit[x]
-            parent = tuple(v % den for v in _reflect(cartan, x, i))
-            hit = memo[x] = simples[i] * t(parent)
-        return hit
-
-    return t
-
-
 def _mover(datum: CartanDatum, mu: Weight, lam: Weight,
            bound: int) -> WeylElement | None:
     """Some t in W with t(mu) - lam a lattice weight, by walking mu's class
@@ -280,7 +237,8 @@ def _mover(datum: CartanDatum, mu: Weight, lam: Weight,
     _check_rank(datum, lam)
     nums, den = _numerators([Q(x) for x in (*mu, *lam)])
     target = tuple(x % den for x in nums[datum.rank:])
-    orbit = _class_orbit(datum, nums[:datum.rank], den, bound, target)
+    orbit = _orbit(datum.cartan_matrix, nums[:datum.rank], range(datum.rank),
+                   den, bound, target)
     return _transversal(datum, orbit, den)(target) if target in orbit \
         else None
 
@@ -332,7 +290,7 @@ def _chamber_group(datum: CartanDatum, orbit: dict, den: int, system,
             if len(chamber) >= target:
                 return SubgroupHandle(datum, tuple(gens), chamber)
             st = s * t(x)
-            ty = t(tuple(v % den for v in _reflect(cartan, x, i)))
+            ty = t(_step(cartan, x, i, den))
             if st != ty:  # not an edge of the search tree
                 c = _into_chamber(ty.inverse() * st, simples)
                 if c not in chamber:
@@ -358,7 +316,7 @@ def integral_datum(datum: CartanDatum, lam: Weight,
         return datum._memo[key]
 
     nums, den = _numerators(lam)
-    orbit = _class_orbit(datum, nums, den, bound)
+    orbit = _orbit(datum.cartan_matrix, nums, range(datum.rank), den, bound)
     order = weyl_order(datum) // len(orbit)
     if order > bound:
         raise GroupBoundExceeded(

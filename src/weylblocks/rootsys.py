@@ -113,6 +113,44 @@ def _reflect(cartan, x, i: int) -> list[int]:
     return [xj - xi * row[i] for xj, row in zip(x, cartan)]
 
 
+def _step(cartan, x, i: int, den: int = 0) -> tuple[int, ...]:
+    """s_i x as a point of ``_orbit``: reduced mod den when den is not 0."""
+    y = _reflect(cartan, x, i)
+    return tuple(v % den for v in y) if den else tuple(y)
+
+
+def _orbit(cartan, start, letters, den: int = 0, bound: int | None = None,
+           stop=None) -> dict:
+    """The orbit of the integer vector ``start`` under the simple
+    reflections s_i, i in ``letters``, searched breadth first.
+
+    With ``den`` not 0 the points are classes modulo den, stored reduced:
+    the orbit of the weight start / den modulo the weight lattice.  Returns
+    {point: i} in search order, where s_i first reached the point (-1 for
+    the start), so each point's parent is s_i of it.  s_i is skipped at a
+    point whose coordinate i is 0, which is exactly where it fixes the
+    point.  Stops after the layer on which ``stop`` is reached; raises
+    GroupBoundExceeded before more than ``bound`` points are stored.
+    """
+    start = tuple(v % den for v in start) if den else tuple(start)
+    orbit = {start: -1}
+    frontier = [start]
+    while frontier and stop not in orbit:
+        nxt = []
+        for x in frontier:
+            for i in letters:
+                if x[i]:
+                    y = _step(cartan, x, i, den)
+                    if y not in orbit:
+                        if bound is not None and len(orbit) >= bound:
+                            raise GroupBoundExceeded(
+                                f"orbit enumeration exceeds bound {bound}")
+                        orbit[y] = i
+                        nxt.append(y)
+        frontier = nxt
+    return orbit
+
+
 def _to_dominant(cartan, x, word: list | None = None) -> list[int]:
     """x reflected into the closed fundamental chamber, always by the
     simple reflection of the smallest negative coordinate, whose index is

@@ -12,13 +12,13 @@ from types import SimpleNamespace
 import pytest
 
 import weylblocks
-from weylblocks import build_root_system, cli, coxeter, integral_datum, \
-    random_rewrite, soergel
+from weylblocks import build_root_system, cli, coxeter, hecke, \
+    integral_datum, random_rewrite, soergel
 from weylblocks.cli import DEFAULT_SEED, CorpusEntry, _check_semidirect, \
     _check_tau_homomorphism, _random_word, default_corpus_path, \
     load_corpus, main, run_corpus
 from weylblocks.coxeter import CoxeterSystem
-from weylblocks.hecke import LaurentPoly
+from weylblocks.hecke import ONE, HeckeElement, LaurentPoly
 from weylblocks.jsonio import (
     SchemaError,
     letters_to_json,
@@ -146,6 +146,32 @@ def test_hecke_verbs(capsys):
     assert doc["basis"] == "KL"
     assert doc["terms"] == [{"c": [2, 1, 3, 2], "x": [3],
                              "poly": {"0": 1}, "mult": 1}]
+
+
+def test_hecke_decompose_runs_once_in_block_label_order(capsys, monkeypatch):
+    real, calls = hecke._decompose, []
+    monkeypatch.setattr(hecke, "_decompose",
+                        lambda *a: calls.append(a) or real(*a))
+    d4 = build_root_system("D4")
+    idat = integral_datum(d4, (Q(1, 2), Q(0), Q(0), Q(0)))
+    code, out, _ = run_cli(capsys, "hecke", "decompose", "--type", "D4",
+                           "--lambda", "1/2,0,0,0", "--word", json.dumps(
+                               ["B:s2", "R:s1*s2*s3*s4*s2*s1", "B:s3",
+                                "B:s2", "B:s4", "B:s3"]))
+    assert code == 0 and len(calls) == 1
+    terms = json.loads(out)["terms"]
+    labels = [(idat.chamber_number[parse_element(d4, t["c"]).root_perm],
+               idat.tables.of(parse_element(d4, t["x"]))) for t in terms]
+    assert len(terms) > 1 and labels == sorted(set(labels))
+    assert all(t["mult"] == sum(t["poly"].values()) for t in terms)
+    # H_s alone is b_s - v H_e: the one multiplicity check exits 2
+    a1 = build_root_system("A1")
+    monkeypatch.setattr(hecke, "bs_character", lambda idat, word: HeckeElement(
+        idat, {(a1.identity, a1.simple_reflections[0]): ONE}))
+    code, out, err = run_cli(capsys, "hecke", "decompose", "--type", "A1",
+                             "--lambda", "0", "--word", '["B:s1"]')
+    assert code == 2 and out == ""
+    assert "negative coefficient -v in the KL-basis decomposition" in err
 
 
 def test_cato_verbs(capsys):

@@ -11,6 +11,7 @@ from weylblocks import (
     double_cosets,
     from_word,
     generate_group,
+    integral_datum,
     reduced_word,
     subgroup,
 )
@@ -235,3 +236,41 @@ def test_parabolic_chain_of_e8_lists_no_group():
         with pytest.raises(ValueError, match="out of range"):
             weyl_element_at(datum, index)
     assert coxeter_system(datum)._enumeration is None
+
+
+# reduced words of weyl_element_at at fixed indices, as numbered by the
+# breadth-first orbit search over s_1..s_k that builds each transversal
+PINNED_ELEMENTS = {
+    "F4": {0: (), 1: (1,), 2: (2,), 7: (1, 3), 100: (1, 3, 2, 4),
+           576: (4, 3, 2, 1, 3, 2, 3, 4),
+           577: (2, 4, 3, 2, 1, 3, 2, 3, 4),
+           1150: (2, 1, 3, 2, 1, 3, 2, 3, 4, 3, 2, 1, 3, 2, 3, 4, 3, 2, 1,
+                  3, 2, 3, 4)},
+    "E6": {7: (2, 3, 1), 100: (1, 2, 4, 2, 3, 4),
+           577: (3, 1, 4, 5, 4, 2, 3, 1, 4),
+           25920: (1, 4, 2, 3, 4, 5, 4, 2, 3, 4, 5, 6, 5),
+           51838: (1, 2, 3, 1, 4, 2, 3, 1, 4, 3, 5, 4, 2, 3, 1, 4, 3, 5, 4,
+                   2, 6, 5, 4, 2, 3, 1, 4, 3, 5, 4, 2, 6, 5, 4, 3)},
+}
+
+# the chamber generators, taken from the Schreier generators in the search
+# order of the class orbit
+PINNED_CHAMBERS = [
+    ("D4", w(Q(1, 2), 0, 0, 0), 2, [(1, 2, 3, 4, 2, 1)]),
+    ("D4", w(Q(1, 2), 0, Q(1, 2), Q(1, 2)), 4, [(1, 3), (1, 4)]),
+    ("A3", w(Q(1, 4), Q(1, 4), Q(1, 4)), 4, [(3, 2, 1)]),
+]
+
+
+def test_orbit_search_order_is_pinned():
+    """Two results read the order of the orbit search: the numbering of W
+    and the chamber generators.  A reordered search changes them."""
+    for label, pinned in PINNED_ELEMENTS.items():
+        datum = build_root_system(label)
+        for index, word in pinned.items():
+            assert reduced_word(datum, weyl_element_at(datum, index)) == word
+    for label, lam, order, words in PINNED_CHAMBERS:
+        datum = build_root_system(label)
+        chamber = integral_datum(datum, lam).chamber
+        assert chamber.order == order
+        assert [reduced_word(datum, g) for g in chamber.generators] == words

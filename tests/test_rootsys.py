@@ -25,6 +25,7 @@ from weylblocks import (
 )
 from weylblocks.cat_o import linear_dominant_rep, linear_orbit
 from weylblocks.coxeter import (
+    _transversal,
     from_word,
     generate_group,
     length,
@@ -37,7 +38,11 @@ from weylblocks.rootsys import (
     IDENTITY_PERM,
     MAX_ROOTS,
     POSITIVE_ROOT_COUNT,
+    GroupBoundExceeded,
     WeylElement,
+    _numerators,
+    _orbit,
+    _step,
     dominant_dot_weight,
     smith_normal_form,
     to_dominant_dot,
@@ -495,3 +500,74 @@ def test_252_roots_still_build():
     u = datum.simple_reflections[0] * datum.simple_reflections[-1]
     assert_padded_perm(datum, u)
     assert (u.inverse() * u).is_identity
+
+
+# nonintegral weights; their numerators are walked linearly and mod den
+ORBIT_WEIGHTS = [
+    ("A3", w(0, Q(1, 2), 0)),
+    ("B3", w(Q(1, 2), 0, Q(1, 2))),
+    ("G2", w(Q(1, 3), Q(-1, 2))),
+    ("D4", w(Q(1, 2), 0, 0, Q(1, 3))),
+    ("E6", w(Q(1, 3), 0, 0, 0, 0, Q(1, 2))),
+]
+
+
+def orbit_depths(cartan, orbit, den):
+    """Each point's distance from the start along its search-tree parents,
+    asserting that the parent came earlier in the search order."""
+    depth = {}
+    for x, i in orbit.items():
+        if i < 0:
+            depth[x] = 0
+        else:
+            parent = _step(cartan, x, i, den)
+            assert parent in depth
+            depth[x] = depth[parent] + 1
+    return depth
+
+
+@pytest.mark.parametrize("label, lam", ORBIT_WEIGHTS,
+                         ids=[label for label, _ in ORBIT_WEIGHTS])
+@pytest.mark.parametrize("mod", [False, True], ids=["linear", "mod_den"])
+def test_orbit_matches_brute_force(label, lam, mod):
+    """``_orbit`` is the orbit over every element of W, linear or mod den,
+    searched breadth first from its start, and ``_transversal`` moves the
+    start to each point."""
+    datum = build_root_system(label)
+    cartan = datum.cartan_matrix
+    nums, den = _numerators(lam)
+    den = den if mod else 0
+    reduce = (lambda x: tuple(v % den for v in x)) if mod else tuple
+    orbit = _orbit(cartan, nums, range(datum.rank), den)
+    brute = {reduce(mat_vec(u.weight_matrix, nums))
+             for u in generate_group(datum)}
+    assert set(orbit) == brute and len(orbit) == len(brute)
+    assert next(iter(orbit.items())) == (reduce(nums), -1)
+    depth = list(orbit_depths(cartan, orbit, den).values())
+    assert depth == sorted(depth)  # breadth first
+    t = _transversal(datum, orbit, den)
+    for x in orbit:
+        assert reduce(mat_vec(t(x).weight_matrix, nums)) == x
+
+
+def test_orbit_bound_and_stop():
+    datum = build_root_system("D4")
+    cartan = datum.cartan_matrix
+    nums, den = _numerators(w(Q(1, 2), 0, 0, Q(1, 3)))
+    letters = range(datum.rank)
+    for d in (0, den):
+        full = _orbit(cartan, nums, letters, d)
+        assert _orbit(cartan, nums, letters, d, len(full)) == full
+        with pytest.raises(GroupBoundExceeded, match="exceeds bound"):
+            _orbit(cartan, nums, letters, d, len(full) - 1)
+        depth = orbit_depths(cartan, full, d)
+        for stop in full:  # the whole layer of stop, and nothing past it
+            got = _orbit(cartan, nums, letters, d, stop=stop)
+            assert list(got.items()) == [
+                kv for kv in full.items() if depth[kv[0]] <= depth[stop]]
+        # a stop outside the orbit walks all of it
+        assert _orbit(cartan, nums, letters, d, stop=(7,) * 5) == full
+    # the regular orbit of E8 holds |W| points: the bound stops it early
+    e8 = build_root_system("E8")
+    with pytest.raises(GroupBoundExceeded, match="bound 1000"):
+        _orbit(e8.cartan_matrix, [1] * 8, range(8), 0, 1000)
