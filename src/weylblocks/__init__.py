@@ -74,6 +74,7 @@ from .hecke import (
     KLCache,
     LaurentPoly,
     bs_character,
+    bs_left,
     decompose,
     decompose_graded,
     kl_cache,

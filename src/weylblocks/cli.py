@@ -434,12 +434,12 @@ def _check_translate_verma(datum, idat, entry, rng):
 def _random_word(idat, rng, max_len=8):
     """Up to max_len letter codes: a Bs index three times in five when
     the block has simples, else a chamber number."""
-    codes = []
+    rank, order, codes = idat.rank, idat.chamber.order, []
     for _ in range(rng.randrange(max_len + 1)):
-        if idat.rank and rng.randrange(5) < 3:
-            codes.append(rng.randrange(1, idat.rank + 1))
+        if rank and rng.randrange(5) < 3:
+            codes.append(rng.randrange(1, rank + 1))
         else:
-            codes.append(~rng.randrange(idat.chamber.order))
+            codes.append(~rng.randrange(order))
     return soergel.word_of_codes(idat, codes)
 
 
@@ -474,8 +474,8 @@ def _check_hecke_block(datum, idat, entry, rng, words=6):
     else:
         draws = hecke.KL_COLUMN_CAP // 2
     vpv = hecke.V + hecke.V_INV
-    gens = [hecke.kl_generator(idat, j) for j in range(1, idat.rank + 1)]
-    for j, b in enumerate(gens, 1):
+    for j in range(1, idat.rank + 1):
+        b = hecke.kl_generator(idat, j)
         if b * b != b.scale(vpv):
             return "fail", f"quadratic relation fails at simple {j}"
     for _ in range(words):
@@ -489,9 +489,9 @@ def _check_hecke_block(datum, idat, entry, rng, words=6):
         [elements[rng.randrange(draws)] for _ in range(16)]
     for w in sample:
         b_w = cache.kl_basis_element(e, w)
-        for j, b in enumerate(gens, 1):
+        for j in range(1, idat.rank + 1):
             try:
-                hecke.decompose(idat, b * b_w, cache)
+                hecke.decompose(idat, hecke.bs_left(idat, j, b_w), cache)
             except ValueError as exc:
                 return "fail", (f"negative structure constant at "
                                 f"{idat.system.reduced_word(w)}, "

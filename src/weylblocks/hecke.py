@@ -20,7 +20,9 @@ W_int's from ``idat.tables``: an element stores its terms under (chamber
 number, W_int number), and products, characters, KL expansions and
 decompositions run on those numbers with multiplication and conjugation
 read from integer tables; WeylElement and LaurentPoly appear only at the
-API edge.
+API edge.  Multiplying by a KL generator, on either side, is one sweep over
+the terms (``bs_character`` on the right, ``bs_left`` on the left); the
+generic product ``HeckeElement.__mul__`` is the reference for both.
 """
 
 from __future__ import annotations
@@ -602,12 +604,45 @@ def kl_polynomial(cache: KLCache, x: WeylElement,
 # characters of words and decomposition into the twisted KL basis
 # ---------------------------------------------------------------------------
 
+def _kl_sweep(terms: dict, rows, length) -> dict:
+    """The terms times b_s on one side, in one pass: (c, x) goes to
+    (c, y) + v^{-1} (c, x) when y = rows[c][x] is shorter than x, else to
+    (c, y) + v (c, x).  On the right y = x s; on the left y = s' x with
+    s' = c^{-1} s c, since (e, s) (c, x) = (c, H_{s'} H_x)."""
+    out: dict = {}
+    for (c, x), p in terms.items():
+        y = rows[c][x]
+        shift = -1 if length[y] < length[x] else 1
+        for key, k in (((c, y), 0), ((c, x), shift)):
+            q = out.setdefault(key, {})
+            for e, m in p.items():
+                q[e + k] = q.get(e + k, 0) + m
+    return out
+
+
+def bs_left(idat: IntegralDatum, j: int, h: HeckeElement) -> HeckeElement:
+    """b_s h for s the j-th integral simple reflection, in one sweep over
+    the terms of h: b_s (c, x) = (c, s'x) + v^{+-1} (c, x) with
+    s' = c^{-1} s c, the exponent -1 when s'x < x.  Equal to
+    ``kl_generator(idat, j) * h``, the generic product."""
+    if h.idat is not idat:
+        raise ValueError("element of another block")
+    if not 1 <= j <= idat.rank:
+        raise ValueError(f"integral simple index {j} out of range")
+    left = idat.tables.left
+    # row.index(0) numbers c^{-1}, and c^{-1} s_j c = s_{conj[c^{-1}][j]}
+    rows = [left[idat.chamber_conj[row.index(0)][j] - 1]
+            for row in idat.chamber_mul]
+    return HeckeElement._of(idat, _kl_sweep(h._ints, rows,
+                                            idat.tables.length))
+
+
 def bs_character(idat: IntegralDatum, word: BimoduleWord) -> HeckeElement:
     """Monoidal image of a word of this block: Bs(j) -> b_{s_j},
     Rw(c) -> (c, e), letters multiplied in word order.
 
     The image is built by right multiplication, letter by letter:
-    (c, x) b_s = (c, H_x H_s + v H_x), one pass over the terms with the
+    (c, x) b_s = (c, H_x H_s + v H_x), one sweep over the terms with the
     table of x s, and (c, x) (c', e) = (c c', c'^{-1} x c'), a relabelling.
     The word's codes are read as they stand: Bs j is ``right[j - 1]`` and
     Rw ~k the chamber number k.  It is invariant under the rewrite rules
@@ -616,21 +651,11 @@ def bs_character(idat: IntegralDatum, word: BimoduleWord) -> HeckeElement:
     """
     if word.ambient is not idat:
         raise ValueError("word of another block")
-    t = idat.tables
-    length = t.length
+    t, order = idat.tables, idat.chamber.order
     terms = {(0, 0): {0: 1}}
     for code in word.codes:
         if code > 0:
-            row, out = t.right[code - 1], {}
-            for (c, x), p in terms.items():
-                xs = row[x]
-                # H_x H_s = H_{xs}, or H_{xs} + (v^{-1} - v) H_x when xs < x
-                shift = -1 if length[xs] < length[x] else 1
-                for key, k in (((c, xs), 0), ((c, x), shift)):
-                    q = out.setdefault(key, {})
-                    for e, m in p.items():
-                        q[e + k] = q.get(e + k, 0) + m
-            terms = out
+            terms = _kl_sweep(terms, [t.right[code - 1]] * order, t.length)
         else:
             conj, mul = t.conj[~code], idat.chamber_mul
             terms = {(mul[c][~code], conj[x]): p

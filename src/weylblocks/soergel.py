@@ -12,7 +12,11 @@ concatenation).  The rewrite rules
 
 push all twists into a single leading letter; the resulting normal form is
 unique, preserves the Bs letter count, the grading, and the one-sided rank
-2^(#Bs).
+2^(#Bs).  ``rewrite_step`` and ``random_rewrite`` apply the rules one site
+at a time; ``normalize`` reaches the normal form in one right-to-left fold
+over the word, since the chamber subgroup C is abelian: the twists fuse
+into one product d, and each Bs letter is conjugated by the part of d to
+its right.  ``grading`` is one residue sum.
 
 A word is stored as integer codes on its block's chamber numbering: Bs(j)
 is j, and Rw(c) is ~k for c number k in ``idat.chamber.sorted_elements``
@@ -101,8 +105,9 @@ def word_of_codes(idat: IntegralDatum, codes,
     """Validated word from its codes: j in 1..rank for Bs(j), ~k for the
     twist number k of the chamber."""
     codes = tuple(codes)
+    rank, order = idat.rank, idat.chamber.order
     for x in codes:
-        if not (1 <= x <= idat.rank or -idat.chamber.order <= x <= -1):
+        if not (1 <= x <= rank or -order <= x <= -1):
             raise ValueError(f"letter code {x} out of range")
     if shift is None:
         shift = torsion_group(idat.datum).zero
@@ -110,12 +115,17 @@ def word_of_codes(idat: IntegralDatum, codes,
 
 
 def grading(word: BimoduleWord) -> FiniteAbelianElement:
-    """Sum of tau over the twists, plus the word's shift."""
-    out, taus = word.shift, word.ambient.chamber_tau
-    for x in word.codes:
-        if x < 0:
-            out = out + taus[~x]
-    return out
+    """Sum of tau over the twists, plus the word's shift: one residue sum,
+    reduced once into a single class."""
+    shift, taus = word.shift, word.ambient.chamber_tau
+    twists = [taus[~x] for x in word.codes if x < 0]
+    if not twists:
+        return shift
+    if twists[0].moduli != shift.moduli:
+        raise ValueError("elements of different groups")
+    return FiniteAbelianElement(
+        tuple(map(sum, zip(shift.residues, *(t.residues for t in twists)))),
+        shift.moduli)
 
 
 # ---------------------------------------------------------------------------
@@ -170,42 +180,52 @@ def rewrite_step(word: BimoduleWord, site: int | None = None) -> BimoduleWord:
     return BimoduleWord(word.ambient, out, word.shift)
 
 
-def _walk(word: BimoduleWord, pick, cap: int, overrun: str) -> BimoduleWord:
-    """Rewrites at the site ``pick(sites)`` until none applies, on the
-    codes, building one word at the end; AssertionError(overrun) once cap
-    steps have not reached the normal form."""
+def normalize(word: BimoduleWord) -> BimoduleWord:
+    """Unique normal form: at most one leading twist, then Bs letters only.
+
+    C is abelian, so the normal form is one right-to-left fold over the
+    codes: d is the product of the twists read so far, each Bs(j) is
+    carried left past them as Bs(d s_j d^{-1}) (``chamber_conj[d][j]``),
+    each twist is fused into d (``chamber_mul``), and Rw(d) leads the
+    result unless d is the identity.  The leftmost rewrites reach the same
+    word, since the rules are confluent.
+    """
+    idat = word.ambient
+    mul, conj = idat.chamber_mul, idat.chamber_conj
+    d, out = 0, []
+    for x in reversed(word.codes):
+        if x > 0:
+            out.append(conj[d][x])
+        else:
+            d = mul[~x][d]
+    if d:
+        out.append(~d)
+    codes = tuple(reversed(out))
+    return word if codes == word.codes else \
+        BimoduleWord(idat, codes, word.shift)
+
+
+def random_rewrite(word: BimoduleWord, rng, cap: int = 400) -> BimoduleWord:
+    """Rewrites at random sites until none applies: each step draws
+    ``rng.randrange(len(sites))`` over the ascending sites, on the codes,
+    building one word at the end.  More than ``cap`` steps raise
+    AssertionError."""
     codes = word.codes
     for _ in range(cap):
         sites = _sites(codes)
         if not sites:
             return word if codes is word.codes else \
                 BimoduleWord(word.ambient, codes, word.shift)
-        codes = _rewrite(codes, pick(sites), word.ambient)
-    raise AssertionError(overrun)
-
-
-def normalize(word: BimoduleWord) -> BimoduleWord:
-    """Unique normal form: at most one leading twist, then Bs letters only.
-
-    Applies leftmost rewrites until none applies; the step count is bounded
-    by (len + 1)^2, which the loop asserts.
-    """
-    return _walk(word, lambda sites: sites[0], (len(word.codes) + 1) ** 2,
-                 "rewriting did not terminate within the bound")
-
-
-def random_rewrite(word: BimoduleWord, rng, cap: int = 400) -> BimoduleWord:
-    """Rewrites at random sites until none applies: each step draws
-    ``rng.randrange(len(sites))`` over the ascending sites.  More than
-    ``cap`` steps raise AssertionError."""
-    return _walk(word, lambda sites: sites[rng.randrange(len(sites))], cap,
-                 "random rewriting exceeded the step cap")
+        codes = _rewrite(codes, sites[rng.randrange(len(sites))],
+                         word.ambient)
+    raise AssertionError("random rewriting exceeded the step cap")
 
 
 def rank_left(obj) -> int:
     """Rank as a free one-sided module in the completed, ungraded setting.
 
-    Regular words: 2 per Bs letter, 1 per twist.  Singular chains: the
+    Regular words: 2 per Bs letter, 1 per twist, counted on the normal
+    form (one fold, which keeps the Bs letters).  Singular chains: the
     product of the gluing-to-factor index ratios, times the order of the
     parabolic subgroup on the left (the chain denotes the restriction of an
     ambient word with full rings at both ends).  A chain that fails

@@ -10,6 +10,7 @@ from weylblocks import (
     LaurentPoly,
     RwLetter,
     bs_character,
+    bs_left,
     build_root_system,
     decompose,
     decompose_graded,
@@ -552,3 +553,35 @@ def test_tables_match_weyl_element_products(a3_block):
     for a, g in enumerate(chamber):
         for b, h in enumerate(chamber):
             assert chamber[idat.chamber_mul[a][b]] == g * h
+
+
+@pytest.mark.parametrize("label,lam", REFERENCE_BLOCKS,
+                         ids=_ids(REFERENCE_BLOCKS))
+def test_bs_left_matches_the_generic_product(label, lam):
+    """The left sweep b_s h equals kl_generator(idat, j) * h on twisted KL
+    basis elements (c, e) b_x for every twist c, on word images and on
+    combinations whose terms can cancel."""
+    idat = integral_datum(build_root_system(label), lam)
+    cache = kl_cache(idat)
+    rng = random.Random(f"bs_left:{label}:{lam}")
+    twists, elements = idat.chamber.sorted_elements, idat.int_elements()
+    xs = elements if len(elements) <= 48 else rng.sample(elements, 16)
+    hs = [cache.kl_basis_element(c, x) for c in twists for x in xs]
+    hs += [bs_character(idat, _seeded_word(idat, rng)) for _ in range(6)]
+    hs += [HeckeElement(idat, {
+        (rng.choice(twists), rng.choice(elements)):
+            LaurentPoly({rng.randint(-2, 2): rng.choice((-1, 1, 2))})
+        for _ in range(4)}) for _ in range(6)]
+    for j in range(1, idat.rank + 1):
+        b = kl_generator(idat, j)
+        for h in hs:
+            assert bs_left(idat, j, h) == b * h, (j, h)
+
+
+def test_bs_left_checks_its_arguments(a1, a3_block):
+    h = identity_element(a3_block)
+    with pytest.raises(ValueError, match="another block"):
+        bs_left(integral_datum(a1, w(0)), 1, h)
+    for j in (0, a3_block.rank + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            bs_left(a3_block, j, h)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as Q
 
@@ -21,12 +22,19 @@ from weylblocks import (
     rank_left,
     rewrite_sites,
     rewrite_step,
+    torsion_group,
     validate_singular_word,
 )
+from weylblocks.cli import default_corpus_path, load_corpus
 
 from conftest import w
 from oracles import closure_order, reference_normalize, reference_sites, \
     reference_step
+
+
+with open(default_corpus_path(), encoding="utf-8") as _fh:
+    CORPUS_BLOCKS = [(e.type_label, e.lam)
+                     for e in load_corpus(json.load(_fh))]
 
 
 def block_a3(a3_block):
@@ -39,6 +47,11 @@ def test_grading_examples(a3_block):
     assert grading(make_word(idat, [BsLetter(1), BsLetter(2)])).is_zero
     assert str(grading(make_word(idat, [RwLetter(c)]))) == "2 mod 4"
     assert grading(make_word(idat, [RwLetter(c), RwLetter(c)])).is_zero
+    # a shift from another torsion group fails once a twist is added to it
+    other = torsion_group(build_root_system("A1")).zero
+    assert grading(make_word(idat, [BsLetter(1)], other)) is other
+    with pytest.raises(ValueError, match="different groups"):
+        grading(make_word(idat, [RwLetter(c)], other))
 
 
 def test_make_word_validation(a3_block, a3):
@@ -159,6 +172,36 @@ def test_code_rules_match_letter_rules(label, lam, order, rank):
             assert rewrite_step(word, p).letters == \
                 reference_step(idat, letters, p)
         assert normalize(word).letters == reference_normalize(idat, letters)
+
+
+@pytest.mark.parametrize(
+    "label,lam", CORPUS_BLOCKS,
+    ids=[f"{t}:{','.join(map(str, l))}" for t, l in CORPUS_BLOCKS])
+def test_fold_matches_the_leftmost_walk(label, lam):
+    """normalize's one fold equals the letter oracle and a leftmost
+    rewrite_step walk; grading equals the shift plus tau summed one twist
+    at a time."""
+    datum = build_root_system(label)
+    idat = integral_datum(datum, lam)
+    group = torsion_group(datum)
+    rng = random.Random(f"fold:{label}:{lam}")
+    for _ in range(200):
+        letters = _random_word(idat, rng).letters
+        shift = group.class_of([rng.randint(-3, 3)
+                                for _ in range(datum.rank)])
+        word = make_word(idat, letters, shift)
+        nf = normalize(word)
+        assert nf.letters == reference_normalize(idat, letters)
+        walk = word
+        while rewrite_sites(walk):
+            walk = rewrite_step(walk)
+        assert nf == walk and nf.shift == shift
+        expect = shift
+        for l in letters:
+            if isinstance(l, RwLetter):
+                expect += idat.chamber_tau[
+                    idat.chamber_number[l.twist.root_perm]]
+        assert grading(word) == grading(nf) == expect
 
 
 def test_word_calculus_leaves_the_w_int_tables_unbuilt():
