@@ -462,15 +462,15 @@ def _check_rewriter(datum, idat, entry, rng, words=40):
 
 def _check_hecke_block(datum, idat, entry, rng, words=6):
     cache = hecke.kl_cache(idat)
-    e, elements = datum.identity, idat.int_elements()
-    # a column is validated when it is built: read every column while the
+    elements = idat.int_elements()
+    # a column is validated when it is built: build every column while the
     # whole table fits under the cap; past it the sample is drawn from the
     # first cap/2 elements, whose ideals hold at most cap/2 members, so the
     # ideal of s w, at most ideal(w) u s ideal(w), fits under the cap
     draws = len(elements)
     if draws <= hecke.KL_COLUMN_CAP:
-        for w in elements:
-            hecke.kl_polynomial(cache, e, w)
+        for w in range(draws):
+            cache._col(w)
     else:
         draws = hecke.KL_COLUMN_CAP // 2
     vpv = hecke.V + hecke.V_INV
@@ -484,17 +484,20 @@ def _check_hecke_block(datum, idat, entry, rng, words=6):
                 hecke.bs_character(idat, soergel.random_rewrite(word, rng)):
             return "fail", (f"character not rewrite-invariant for "
                             f"{jsonio.letters_to_json(word)}")
-    # nonnegativity of b_s b_w in the KL basis, sampled for large blocks
-    sample = elements if len(elements) <= 48 else \
-        [elements[rng.randrange(draws)] for _ in range(16)]
+    # nonnegativity of b_s b_w in the KL basis, sampled for large blocks:
+    # decomposed on the s-upper half {x : sx < x} straight off the KL
+    # columns, which gives the full decomposition's coefficients because
+    # b_s b_w and every b_z with sz < z have h_x = v h_{sx} for x < sx
+    # (for sw < w that makes b_s b_w = (v + v^{-1}) b_w outright)
+    sample = range(len(elements)) if len(elements) <= 48 else \
+        [rng.randrange(draws) for _ in range(16)]
     for w in sample:
-        b_w = cache.kl_basis_element(e, w)
         for j in range(1, idat.rank + 1):
             try:
-                hecke.decompose(idat, hecke.bs_left(idat, j, b_w), cache)
+                hecke._bs_kl_coefficients(cache, w, j)
             except ValueError as exc:
                 return "fail", (f"negative structure constant at "
-                                f"{idat.system.reduced_word(w)}, "
+                                f"{idat.system.reduced_word(elements[w])}, "
                                 f"simple {j}: {exc}")
     return "pass", None
 

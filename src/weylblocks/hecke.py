@@ -23,6 +23,14 @@ read from integer tables; WeylElement and LaurentPoly appear only at the
 API edge.  Multiplying by a KL generator, on either side, is one sweep over
 the terms (``bs_character`` on the right, ``bs_left`` on the left); the
 generic product ``HeckeElement.__mul__`` is the reference for both.
+
+The corpus check of KL positivity decomposes b_s b_w without forming it
+(``_bs_kl_coefficients``): it reads the column of w and eliminates on the
+s-upper half {x : sx < x} only.  Every element of b_s H, and every b_z with
+sz < z, has h_x = v h_{sx} for x < sx, so the top term of the elimination
+is always in that half and the coefficients are those of the full
+``decompose(bs_left(...))``, which stays the reference.  When sw < w the
+stored column already gives b_s b_w = (v + v^{-1}) b_w.
 """
 
 from __future__ import annotations
@@ -540,13 +548,13 @@ class KLCache:
                 f"KL support misses the extremal pair "
                 f"({name(x)}, {name(w)})")
 
-    def _column(self, w: int):
-        """(x, k, p) with h_{x,w} = v^k p for every x <= w, p the stored
-        entry at the top of x's coset."""
+    def _column(self, w: int, within: int = -1):
+        """(x, k, p) with h_{x,w} = v^k p for every x <= w with bit x of
+        ``within`` set, p the stored entry at the top of x's coset."""
         col = self._col(w)
         ideal, length = self._ideals[w], self._t.length
         tops = self._tops(self._t.dmask[w])
-        for x in _members(ideal):
+        for x in _members(ideal & within):
             top = tops[x]
             p = col.get(top)
             if p is not None:
@@ -689,6 +697,56 @@ def _decompose(cache: KLCache, h: HeckeElement) -> dict:
     return out
 
 
+def _bs_kl_coefficients(cache: KLCache, w: int, j: int) -> dict:
+    """The graded coefficients of b_s b_w in the KL basis, s the j-th
+    integral simple reflection and w a W_int number, all of twist e:
+    {x: coefficient dict}, x descending.  Equal to
+    ``_decompose(cache, bs_left(idat, j, b_w))`` without forming b_s b_w;
+    raises ValueError, as ``multiplicity`` does, on a negative coefficient.
+
+    Computed on the s-upper half U = {x : sx < x} only.  Every element h of
+    b_s H has h_x = v h_{sx} for x < sx, and so has b_z for sz < z, since
+    the ideal of z is s-stable (checked when its column is built) and its
+    column is stored on the cosets of W_{D_L(z)}.  So the top term of the
+    elimination is always in U, subtracting g b_z keeps the property, and
+    eliminating on U alone gives the coefficients of the whole.  On U, with
+    a_y = h_{y,w}, the coefficient of H_x in b_s b_w is a_{sx} + v^{-1} a_x.
+    When sw < w that is (v + v^{-1}) a_x by the same storage, so
+    b_s b_w = (v + v^{-1}) b_w is returned without the elimination.
+    """
+    t = cache._t
+    if t.dmask[w] >> (j - 1) & 1:
+        return {w: {-1: 1, 1: 1}}
+    row, upper = t.left[j - 1], cache._descents[j - 1]
+    f: dict = {}
+    for y, k, p in cache._column(w):
+        if upper >> y & 1:  # v^{-1} a_y at y
+            x, k = y, k - 1
+        else:  # a_y at sy
+            x = row[y]
+        q = f.setdefault(x, {})
+        for e, c in enumerate(p, k):
+            if c:
+                q[e] = q.get(e, 0) + c
+    out = {}
+    while f:
+        z = max(f)
+        g = {e: c for e, c in f.pop(z).items() if c}
+        _check_nonnegative(g)
+        out[z] = g
+        for y, k, p in cache._column(z, upper):
+            if y == z:
+                continue
+            q = f.setdefault(y, {})
+            for e1, g1 in g.items():
+                for e2, h2 in enumerate(p, e1 + k):
+                    if h2:
+                        q[e2] = q.get(e2, 0) - g1 * h2
+            if not any(q.values()):
+                del f[y]
+    return out
+
+
 def decompose_graded(idat: IntegralDatum, h: HeckeElement,
                      cache: KLCache | None = None) -> dict:
     """Exact change of basis into {(c, e) b_x}: label -> LaurentPoly."""
@@ -702,10 +760,14 @@ def multiplicity(poly: LaurentPoly) -> int:
     """A KL-basis coefficient's value at v = 1.  Raises ValueError on a
     negative entry: the input was not a nonnegative combination of the
     twisted KL basis, which signals an upstream bug."""
-    if any(x < 0 for x in poly._c.values()):
-        raise ValueError(f"negative coefficient {poly.format()} in the "
-                         "KL-basis decomposition")
+    _check_nonnegative(poly._c)
     return poly.at_one()
+
+
+def _check_nonnegative(coeffs: dict) -> None:
+    if any(x < 0 for x in coeffs.values()):
+        raise ValueError(f"negative coefficient {LaurentPoly(coeffs).format()}"
+                         " in the KL-basis decomposition")
 
 
 def decompose(idat: IntegralDatum, h: HeckeElement,

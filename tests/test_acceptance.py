@@ -195,11 +195,19 @@ def test_criterion_7_kl_sanity(corpus):
             f"oracle {oracle_value.format('q')}")
     vpv = V + V_INV
     for entry, datum, idat in corpus:
+        # every column is read, and so validated (positivity, the degree
+        # bound, the support) as it is built
+        cache = kl_cache(idat)
+        elements = idat.int_elements()
         try:
-            kl_cache(idat)  # validates positivity and the degree bound
+            for u in elements:
+                cache.expansion(u)
         except AssertionError as exc:
             failures.append((entry.type_label, entry.lam, str(exc)))
             continue
+        if cache._built != (1 << len(elements)) - 1:
+            failures.append((entry.type_label, entry.lam,
+                             "a KL column left unbuilt"))
         for j in range(1, idat.rank + 1):
             b = kl_generator(idat, j)
             if b * b != b.scale(vpv):

@@ -585,3 +585,22 @@ def test_bs_left_checks_its_arguments(a1, a3_block):
     for j in (0, a3_block.rank + 1):
         with pytest.raises(ValueError, match="out of range"):
             bs_left(a3_block, j, h)
+
+
+@pytest.mark.parametrize("label,lam", CORPUS_BLOCKS, ids=_ids(CORPUS_BLOCKS))
+def test_upper_half_decomposition_matches_the_full_one(label, lam):
+    """The s-upper-half kernel of the hecke_block check gives, for every w
+    in W_int and every j, the graded coefficients, in their order, of the
+    full decomposition of b_s b_w = bs_left(b_w)."""
+    datum = build_root_system(label)
+    idat = integral_datum(datum, lam)
+    cache = kl_cache(idat)
+    for x, u in enumerate(idat.int_elements()):
+        b_u = cache.kl_basis_element(datum.identity, u)
+        for j in range(1, idat.rank + 1):
+            full = hecke._decompose(cache, bs_left(idat, j, b_u))
+            assert {c for c, _ in full} <= {0}
+            expect = [(z, {e: m for e, m in g.items() if m})
+                      for (_, z), g in full.items()]
+            got = hecke._bs_kl_coefficients(cache, x, j)
+            assert list(got.items()) == expect, (u, j)
