@@ -73,7 +73,7 @@ def cmd_integral(args) -> int:
         "integral_simples": [list(r.simple_coords)
                              for r in idat.integral_simples],
         "lambda_sharp": jsonio.weight_to_json(lambda_sharp(idat)),
-        "w_int_order": idat.w_int.order,
+        "w_int_order": len(idat.int_elements()),
         "w_ext_order": len(idat.w_ext),
         "chamber": [jsonio.element_to_json(datum, c)
                     for c in idat.chamber.sorted_elements],
@@ -270,7 +270,7 @@ def _check_tau_homomorphism(datum, idat, entry, rng):
     # determine it, so a product's key is one translate of rank bytes
     nums, den = _numerators(idat.lam)
     class_of, rank = torsion_group(datum).class_of, datum.rank
-    taus, elements = {}, {}
+    taus, elements, w_int = {}, {}, idat.system.enumeration().index
     for k, c in enumerate(idat.chamber.sorted_elements):  # c_0 = e
         for u in idat.int_elements():
             w = c * u if k else u
@@ -283,7 +283,7 @@ def _check_tau_homomorphism(datum, idat, entry, rng):
             if t != tau(idat, w):
                 return "fail", (f"tau table disagrees with the action at "
                                 f"{jsonio.element_to_str(datum, w)}")
-            if t.is_zero != (w in idat.w_int.elements):
+            if t.is_zero != (w.root_perm in w_int):
                 return "fail", (f"kernel mismatch at "
                                 f"{jsonio.element_to_str(datum, w)}")
             key = w.root_perm[:rank]
@@ -312,14 +312,15 @@ def _check_semidirect(datum, idat, entry, rng):
         for d in ch:
             if c * d != d * c:
                 return "fail", "chamber not abelian"
-    if ch & idat.w_int.elements != {datum.identity}:
+    w_int = idat.system.enumeration().index
+    if {c for c in ch if c.root_perm in w_int} != {datum.identity}:
         return "fail", "chamber meets W_int"
     # |W_ext| = |W| / |orbit of lam mod the weight lattice|, the orbit
     # searched again here: the datum keeps no count of W_ext
     order = weyl_order(datum)
     nums, den = _numerators(entry.lam)
     orbit = _orbit(datum.cartan_matrix, nums, range(datum.rank), den, order)
-    if idat.chamber.order * idat.w_int.order * len(orbit) != order:
+    if idat.chamber.order * len(w_int) * len(orbit) != order:
         return "fail", "|C|*|W_int| != |W| / |orbit of lam mod P|"
     simple_indices = {r.index for r in idat.integral_simples}
     for c in ch:

@@ -14,11 +14,10 @@ class orbits of ``integral`` too).
 
 Elements are canonically keyed by their root permutation.  One
 ``CoxeterSystem`` class serves both the full group and the integral Weyl
-group of a weight: its enumeration records each element's length and
-lex-minimal reduced word, and reduced words of other elements are computed
-on demand (greedy smallest left descent, which yields the lexicographically
-minimal word) and memoized per system.  The full group's system is cached
-on the datum.
+group of a weight.  An enumerated system reads lengths and lex-minimal
+reduced words off its numbering; one never enumerated counts lengths and
+walks words by the greedy smallest left descent, memoized.  The full
+group's system is cached on the datum.
 """
 
 from __future__ import annotations
@@ -47,9 +46,11 @@ class Enumeration:
     reduced word) order, so the identity is 0, with what the search met on
     the way: ``length[x]``, ``descent[x]`` the smallest left descent of x as
     a 0-based letter (-1 for the identity), and ``left[j][x]`` the number of
-    s_{j+1} x.  Following descents spells the lex-minimal reduced word."""
+    s_{j+1} x, and ``index`` maps root permutations to numbers.  Following
+    descents spells the lex-minimal reduced word."""
 
     elements: tuple[WeylElement, ...]
+    index: dict[bytes, int]
     length: list[int]
     descent: list[int]
     left: list[list[int]]
@@ -81,7 +82,7 @@ def _layered_search(datum: CartanDatum, simple_indices, reflections,
     inverses, perms = [ident], [ident]
     # an element is keyed by where its inverse sends the datum's simple
     # roots, a basis: the first rank entries of the inverse permutation
-    index = {ident[:rank]: 0}
+    seen = {ident[:rank]: 0}
     descent, length, nbrs = [-1], [0], [[0] * k]
     layer = range(1)
     while layer:
@@ -91,13 +92,13 @@ def _layered_search(datum: CartanDatum, simple_indices, reflections,
                 u = inverses[x]
                 if u[i] < n:  # s_j x > x
                     key = head.translate(u)
-                    y = index.get(key)
+                    y = seen.get(key)
                     if y is None:
                         y = len(inverses)
                         if y >= bound:
                             raise GroupBoundExceeded(
                                 f"group enumeration exceeds bound {bound}")
-                        index[key] = y
+                        seen[key] = y
                         inverses.append(s.translate(u))
                         perms.append(perms[x].translate(s))
                         descent.append(j)
@@ -106,8 +107,10 @@ def _layered_search(datum: CartanDatum, simple_indices, reflections,
                     nbrs[y][j] = x
         layer = range(start, len(inverses))
         length += [length[-1] + 1] * len(layer)
-    return Enumeration(tuple(WeylElement(p, datum) for p in perms), length,
-                       descent, [list(row) for row in zip(*nbrs)])
+    del seen, inverses  # freed before the index is built
+    return Enumeration(tuple(WeylElement(p, datum) for p in perms),
+                       {p: x for x, p in enumerate(perms)}, length, descent,
+                       [list(row) for row in zip(*nbrs)])
 
 
 class CoxeterSystem:
@@ -119,7 +122,7 @@ class CoxeterSystem:
     and ``positive_root_indices`` its positive roots, all lying in the
     datum's positive roots; the full Weyl group uses all the simple and
     positive roots.  Simple reflections are numbered 1..k in the given order,
-    and lengths, words and Bruhat relations are memoized by root permutation.
+    and Bruhat relations, lengths and words (until enumerated) are memoized.
     """
 
     def __init__(self, datum: CartanDatum, simple_root_indices,
@@ -135,23 +138,14 @@ class CoxeterSystem:
         self._enumeration: Enumeration | None = None
 
     def enumeration(self, bound: int = DEFAULT_GROUP_BOUND) -> Enumeration:
-        """The ordered enumeration of the system, memoized; it primes the
-        length and reduced-word memos of every element.  Raises
+        """The ordered enumeration of the system, memoized.  Raises
         GroupBoundExceeded when the group has more than ``bound`` elements
         and is not enumerated yet."""
-        out = self._enumeration
-        if out is None:
-            out = _layered_search(self.datum, self.simple_indices,
-                                  self.simple_reflections, bound)
-            words = [()]
-            for x in range(1, len(out.elements)):
-                j = out.descent[x]
-                words.append((j + 1,) + words[out.left[j][x]])
-            perms = [w.root_perm for w in out.elements]
-            self._lengths.update(zip(perms, out.length))
-            self._words.update(zip(perms, words))
-            self._enumeration = out
-        return out
+        if self._enumeration is None:
+            self._enumeration = _layered_search(
+                self.datum, self.simple_indices, self.simple_reflections,
+                bound)
+        return self._enumeration
 
     def elements(self, bound: int = DEFAULT_GROUP_BOUND
                  ) -> tuple[WeylElement, ...]:
@@ -161,7 +155,10 @@ class CoxeterSystem:
     def length(self, w: WeylElement) -> int:
         """Number of the subsystem's positive roots that w sends to negative
         roots: the length of any reduced word."""
-        perm = w.root_perm
+        perm, enum = w.root_perm, self._enumeration
+        x = enum and enum.index.get(perm)
+        if x is not None:
+            return enum.length[x]
         hit = self._lengths.get(perm)
         if hit is None:
             n = self.datum.num_positive
@@ -169,27 +166,34 @@ class CoxeterSystem:
                 1 for i in self.positive_indices if perm[i] >= n)
         return hit
 
-    def _descends(self, perm: bytes, j: int) -> bool:
-        # s_j w < w  iff  w^{-1}(alpha_j) < 0
-        return perm.index(self.simple_indices[j - 1]) >= \
-            self.datum.num_positive
-
     def first_left_descent(self, perm: bytes) -> int | None:
         """Smallest left descent of the element with this root permutation,
-        or None when there is none."""
-        return next((j for j in range(1, len(self.simple_indices) + 1)
-                     if self._descends(perm, j)), None)
+        or None when there is none: s_j w < w iff w^{-1}(alpha_j) < 0."""
+        n = self.datum.num_positive
+        return next((j for j, i in enumerate(self.simple_indices, 1)
+                     if perm.index(i) >= n), None)
 
     def reduced_word(self, w: WeylElement) -> tuple[int, ...]:
         """Lexicographically minimal reduced word, as 1-based simple indices.
 
-        Greedy smallest left descent; every suffix met on the way is
-        memoized too.  Raises ValueError outside the subgroup.
+        Spelled off the enumeration, else by greedy smallest left descents
+        (suffixes memoized).  Raises ValueError outside the subgroup.
+
+        >>> from weylblocks import build_root_system
+        >>> b2 = coxeter_system(build_root_system("B2"))
+        >>> [b2.reduced_word(w) for w in b2.elements()[-2:]]
+        [(2, 1, 2), (1, 2, 1, 2)]
         """
+        enum = self._enumeration
+        x = enum and enum.index.get(w.root_perm)
+        if x is not None:
+            word, descent, left = [], enum.descent, enum.left
+            while x:
+                j = descent[x]
+                word.append(j + 1)
+                x = left[j][x]
+            return tuple(word)
         words = self._words
-        hit = words.get(w.root_perm)
-        if hit is not None:
-            return hit
         perm, path = w.root_perm, []
         while perm not in words:
             j = self.first_left_descent(perm)

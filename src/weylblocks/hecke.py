@@ -637,12 +637,10 @@ def bs_left(idat: IntegralDatum, j: int, h: HeckeElement) -> HeckeElement:
         raise ValueError("element of another block")
     if not 1 <= j <= idat.rank:
         raise ValueError(f"integral simple index {j} out of range")
-    left = idat.tables.left
-    # row.index(0) numbers c^{-1}, and c^{-1} s_j c = s_{conj[c^{-1}][j]}
-    rows = [left[idat.chamber_conj[row.index(0)][j] - 1]
-            for row in idat.chamber_mul]
-    return HeckeElement._of(idat, _kl_sweep(h._ints, rows,
-                                            idat.tables.length))
+    t = idat.tables
+    # c^{-1} s_j c = s_{conj[c^{-1}][j]}
+    rows = [t.left[idat.chamber_conj[ci][j] - 1] for ci in t.chamber_inverse]
+    return HeckeElement._of(idat, _kl_sweep(h._ints, rows, t.length))
 
 
 def bs_character(idat: IntegralDatum, word: BimoduleWord) -> HeckeElement:
@@ -677,23 +675,31 @@ def _decompose(cache: KLCache, h: HeckeElement) -> dict:
     if h.idat is not cache.idat:
         raise ValueError("element of another block")
     chamber = cache.idat.chamber.sorted_elements
-    out: dict = {}
-    for c, f in sorted(_by_twist(h._ints).items(),
-                       key=lambda kv: chamber[kv[0]].root_perm):
-        f = {x: dict(p) for x, p in f.items()}
-        while f:
-            x = max(f)  # the largest element by the integral sort key
-            g = out[c, x] = f.pop(x)
-            for y, k, hp in cache._column(x):
-                if y == x:
-                    continue
-                q = f.setdefault(y, {})
-                for e1, g1 in g.items():
-                    for e2, h2 in enumerate(hp, k):
-                        if h2:
-                            q[e1 + e2] = q.get(e1 + e2, 0) - g1 * h2
-                if not any(q.values()):
-                    del f[y]
+    return {(c, x): g for c, f in sorted(
+                _by_twist(h._ints).items(),
+                key=lambda kv: chamber[kv[0]].root_perm)
+            for x, g in _eliminate(
+                cache, {y: dict(p) for y, p in f.items()}).items()}
+
+
+def _eliminate(cache: KLCache, f: dict, within: int = -1) -> dict:
+    """KL-basis coefficients {x: coefficient dict}, x descending, of the
+    standard coefficients ``f`` (consumed), zero entries dropped: pop the
+    top term x, subtract it times b_x read on ``within`` (``_column``)."""
+    out = {}
+    while f:
+        x = max(f)  # the largest element by the integral sort key
+        g = out[x] = {e: m for e, m in f.pop(x).items() if m}
+        for y, k, p in cache._column(x, within):
+            if y == x:
+                continue
+            q = f.setdefault(y, {})
+            for e1, g1 in g.items():
+                for e2, h2 in enumerate(p, e1 + k):
+                    if h2:
+                        q[e2] = q.get(e2, 0) - g1 * h2
+            if not any(q.values()):
+                del f[y]
     return out
 
 
@@ -728,22 +734,9 @@ def _bs_kl_coefficients(cache: KLCache, w: int, j: int) -> dict:
         for e, c in enumerate(p, k):
             if c:
                 q[e] = q.get(e, 0) + c
-    out = {}
-    while f:
-        z = max(f)
-        g = {e: c for e, c in f.pop(z).items() if c}
+    out = _eliminate(cache, f, upper)
+    for g in out.values():
         _check_nonnegative(g)
-        out[z] = g
-        for y, k, p in cache._column(z, upper):
-            if y == z:
-                continue
-            q = f.setdefault(y, {})
-            for e1, g1 in g.items():
-                for e2, h2 in enumerate(p, e1 + k):
-                    if h2:
-                        q[e2] = q.get(e2, 0) - g1 * h2
-            if not any(q.values()):
-                del f[y]
     return out
 
 

@@ -93,7 +93,6 @@ class IntegralDatum:
     integral_positive: tuple[Root, ...]
     integral_simples: tuple[Root, ...]     # indexed 1..k downstream
     system: CoxeterSystem                  # W_int over the integral simples
-    w_int: SubgroupHandle
     chamber: SubgroupHandle
     chamber_tau: tuple = field(repr=False)     # per chamber number
     chamber_number: dict = field(repr=False)   # root_perm -> number
@@ -115,6 +114,12 @@ class IntegralDatum:
                    for r in self.integral_simples]
         return tuple(tuple(sum(map(int.__mul__, rows[a.index], b))
                            for b in simples) for a in self.integral_simples)
+
+    @cached_property
+    def w_int(self) -> SubgroupHandle:
+        """W_int as an element set, built on first read."""
+        return SubgroupHandle(self.datum, self.system.simple_reflections,
+                              frozenset(self.int_elements()))
 
     @cached_property
     def w_ext(self) -> tuple[WeylElement, ...]:
@@ -152,8 +157,8 @@ class IntegralDatum:
 class BlockTables:
     """The block W_ext = C W_int on integers: W_int numbered 0..n-1 in
     ``int_elements()`` order, so the identity is 0 and lengths never
-    decrease along the numbering.  ``length``, ``descent`` and ``left`` are
-    the system's enumeration tables (``coxeter.Enumeration``):
+    decrease along the numbering.  ``index``, ``length``, ``descent`` and
+    ``left`` are the system's enumeration tables (``coxeter.Enumeration``):
     ``left[j][x]`` is the index of s_{j+1} x and ``descent[x]`` the smallest
     j with s_{j+1} x < x (-1 for the identity), so following descents
     spells the lex-minimal reduced word.  ``dmask[x]`` is the left descent
@@ -161,38 +166,35 @@ class BlockTables:
     the right descent set, bit j set iff x s_{j+1} < x.
 
     The chamber is numbered on the datum (``chamber_number``,
-    ``chamber_mul``, ``chamber_conj``).  ``right[j][x]`` is the index of
-    x s_{j+1} and ``conj[c][x]`` the index of c^{-1} x c; both follow
-    x = s_i u with u = left[i][x] one step shorter: x s = s_i (u s), and
-    c^{-1} x c = s_{i'} (c^{-1} u c) where c^{-1} s_i c = s_{i'}.
+    ``chamber_mul``, ``chamber_conj``); ``chamber_inverse[c]`` numbers
+    c^{-1}.  ``right[j][x]`` is the index of x s_{j+1} and ``conj[c][x]``
+    the index of c^{-1} x c; both follow x = s_i u with u = left[i][x] one
+    step shorter: x s = s_i (u s), and c^{-1} x c = s_{i'} (c^{-1} u c)
+    where c^{-1} s_i c = s_{i'}.
     """
 
     def __init__(self, idat: IntegralDatum):
         self._idat = idat
         enum = idat.system.enumeration()
         self.elements = enum.elements
-        self.index = {w.root_perm: i for i, w in enumerate(self.elements)}
+        self.index = enum.index
         self.length = enum.length
         self.left = left = enum.left
         self.descent = enum.descent
         self.dmask = self._descent_masks(left)
         # (j, u) with x = s_{j+1} u, for x = 1, 2, ... in order
         steps = [(j, left[j][x]) for x, j in enumerate(self.descent) if x]
-        self.right = []
-        for row in left:
-            r = [row[0]]
+
+        def follow(rows, start=0) -> list[int]:  # r[x] = rows[j][r[u]]
+            r = [start]
             for j, u in steps:
-                r.append(left[j][r[u]])
-            self.right.append(r)
+                r.append(rows[j][r[u]])
+            return r
+        self.right = [follow(left, row[0]) for row in left]
         self.rmask = self._descent_masks(self.right)
-        self.conj = []
-        for row in idat.chamber_mul:  # row.index(0) numbers c^{-1}
-            rename = [left[j - 1]
-                      for j in idat.chamber_conj[row.index(0)][1:]]
-            r = [0]
-            for j, u in steps:
-                r.append(rename[j][r[u]])
-            self.conj.append(r)
+        self.chamber_inverse = [row.index(0) for row in idat.chamber_mul]
+        self.conj = [follow([left[j - 1] for j in idat.chamber_conj[ci][1:]])
+                     for ci in self.chamber_inverse]
 
     def _descent_masks(self, rows) -> list[int]:
         """Per x, the bitmask of the j with rows[j][x] shorter than x."""
@@ -209,9 +211,9 @@ class BlockTables:
         if perm in idat.chamber_number:
             return idat.chamber_number[perm], 0
         chamber = idat.chamber.sorted_elements
-        for c, row in enumerate(idat.chamber_mul):
-            x = self.index.get(perm.translate(
-                chamber[row.index(0)].root_perm) if c else perm)
+        for c, ci in enumerate(self.chamber_inverse):
+            x = self.index.get(perm.translate(chamber[ci].root_perm)
+                               if c else perm)
             if x is not None:
                 return c, x
         raise ValueError("element does not move lam by a lattice weight")
@@ -336,10 +338,9 @@ def integral_datum(datum: CartanDatum, lam: Weight,
                    in pos_coords for b in int_pos if b.height < r.height))
     system = CoxeterSystem(datum, (r.index for r in simples),
                            (r.index for r in int_pos))
-    w_int = SubgroupHandle(datum, system.simple_reflections,
-                           frozenset(system.elements(bound)))
+    w_int_order = len(system.elements(bound))
     chamber = _chamber_group(datum, orbit, den, system, order, bound)
-    if chamber.order * w_int.order * len(orbit) != weyl_order(datum):
+    if chamber.order * w_int_order * len(orbit) != weyl_order(datum):
         raise AssertionError("|C| * |W_int| * |orbit of lam mod the weight "
                              "lattice| != |W|")
     elements = chamber.sorted_elements
@@ -351,7 +352,7 @@ def integral_datum(datum: CartanDatum, lam: Weight,
     idat = IntegralDatum(
         datum=datum, lam=lam, integral_roots=int_roots,
         integral_positive=int_pos, integral_simples=simples,
-        system=system, w_int=w_int, chamber=chamber,
+        system=system, chamber=chamber,
         chamber_tau=tuple(class_of(shift(map(c.root_perm.index,
                                              range(datum.rank))))
                           for c in elements),

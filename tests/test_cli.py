@@ -475,6 +475,28 @@ def test_semidirect_count_is_recomputed(a3, a3_block):
         ("fail", "|C|*|W_int| != |W| / |orbit of lam mod P|")
 
 
+def test_corpus_checks_read_w_int_through_its_numbering(monkeypatch):
+    """Every bundled entry, run cold: no check builds the W_int element
+    set, and the W_int system memoizes no length or word beyond the
+    identity's; the block's index is the enumeration's own."""
+    with open(default_corpus_path(), encoding="utf-8") as fh:
+        entries = load_corpus(json.load(fh))
+    chambers = set()
+    for entry in entries:
+        datum = build_root_system.__wrapped__(entry.type_label)
+        monkeypatch.setattr(cli, "build_root_system", lambda _: datum)
+        checks, _ = cli.run_entry(entry, DEFAULT_SEED, 10 ** 6)
+        assert all(c["status"] != "fail" for c in checks.values())
+        idat = integral_datum(datum, entry.lam)
+        system = idat.system
+        assert "w_int" not in idat.__dict__, entry
+        assert idat.tables.index is system.enumeration().index
+        assert list(system._words) == [datum.identity.root_perm]
+        assert not system._lengths
+        chambers.add(idat.chamber.order)
+    assert max(chambers) > 1
+
+
 def test_xi_count_check_fails_on_either_count(monkeypatch):
     """The check compares |Xi| with the index's labels, and the index
     asserts its labels against the double-coset count over W_ext: an

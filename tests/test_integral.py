@@ -603,6 +603,11 @@ def test_integral_enumeration_tables_match_fresh_system(label, lam):
     enum, t = idat.system.enumeration(), idat.tables
     assert (t.elements, t.length, t.descent, t.left) == \
         (enum.elements, enum.length, enum.descent, enum.left)
+    # one perm -> number index, and the lengths and words just read were
+    # read off the numbering, none memoized
+    assert t.index is enum.index
+    assert list(idat.system._words) == [idat.datum.identity.root_perm]
+    assert not idat.system._lengths
 
 
 def test_over_bound_w_ext_fails_before_any_enumeration(monkeypatch):
@@ -703,7 +708,7 @@ def test_cold_integral_datum_builds_no_w_ext(label, lam):
     here."""
     datum = build_root_system.__wrapped__(label)
     idat = integral_datum(datum, lam)
-    assert "w_ext" not in idat.__dict__
+    assert "w_ext" not in idat.__dict__ and "w_int" not in idat.__dict__
     words = coxeter_system(datum)._words
     if idat.chamber.order == 1:
         assert list(words) == [datum.identity.root_perm]
