@@ -67,19 +67,21 @@ def cmd_integral(args) -> int:
     datum = build_root_system(args.type)
     lam = jsonio.parse_weight(datum, getattr(args, "lambda"))
     idat = integral_datum(datum, lam, args.bound)
+    n = len(idat.int_elements())  # w_ext[i] lies in chamber coset i // n
     doc = {
         "type": datum.type_label,
         "lambda": jsonio.weight_to_json(lam),
         "integral_simples": [list(r.simple_coords)
                              for r in idat.integral_simples],
         "lambda_sharp": jsonio.weight_to_json(lambda_sharp(idat)),
-        "w_int_order": len(idat.int_elements()),
+        "w_int_order": n,
         "w_ext_order": len(idat.w_ext),
         "chamber": [jsonio.element_to_json(datum, c)
                     for c in idat.chamber.sorted_elements],
         "chamber_order": idat.chamber.order,
-        "tau": {jsonio.element_to_str(datum, w): str(tau(idat, w))
-                for w in idat.w_ext},
+        "tau": {jsonio.element_to_str(datum, w):
+                str(idat.chamber_tau[i // n])
+                for i, w in enumerate(idat.w_ext)},
     }
     _emit(doc)
     return 0
@@ -104,7 +106,7 @@ def cmd_cosets(args) -> int:
     left = jsonio.parse_weight(datum, args.left_stab)
     right = jsonio.parse_weight(datum, args.right_stab)
     idat = integral_datum(datum, lam, args.bound)
-    dec = double_cosets(datum, frozenset(idat.w_ext),
+    dec = double_cosets(datum, idat.w_ext,
                         dot_stabilizer(datum, left),
                         dot_stabilizer(datum, right))
     _emit({
@@ -181,8 +183,7 @@ def cmd_hecke(args) -> int:
               "mult": hecke.multiplicity(poly)}
              for (c, x), poly in sorted(
                  graded.items(), key=lambda kv: (
-                     idat.chamber_number[kv[0][0].root_perm],
-                     number(kv[0][1])))]
+                     idat.chamber_index(kv[0][0]), number(kv[0][1])))]
     _emit({"basis": "KL", "terms": terms})
     return 0
 

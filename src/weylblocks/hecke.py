@@ -140,7 +140,7 @@ class HeckeElement:
     def __init__(self, idat: IntegralDatum, terms: dict | None = None):
         t = idat.tables
         self.idat = idat
-        self._ints = {(t.twist(c), t.of(x)): dict(p._c)
+        self._ints = {(idat.chamber_index(c), t.of(x)): dict(p._c)
                       for (c, x), p in (terms or {}).items() if not p.is_zero}
 
     @classmethod
@@ -204,19 +204,6 @@ class HeckeElement:
                     for z, r in prod.items():
                         _add_product(out.setdefault((c, z), {}), p, r)
         return HeckeElement._of(self.idat, out)
-
-
-def identity_element(idat: IntegralDatum) -> HeckeElement:
-    return HeckeElement._of(idat, {(0, 0): {0: 1}})
-
-
-def standard_basis(idat: IntegralDatum, c: WeylElement,
-                   x: WeylElement) -> HeckeElement:
-    return HeckeElement(idat, {(c, x): ONE})
-
-
-def group_like(idat: IntegralDatum, c: WeylElement) -> HeckeElement:
-    return HeckeElement._of(idat, {(idat.tables.twist(c), 0): {0: 1}})
 
 
 def kl_generator(idat: IntegralDatum, j: int) -> HeckeElement:
@@ -568,7 +555,7 @@ class KLCache:
 
     def kl_basis_element(self, c: WeylElement, w: WeylElement) -> HeckeElement:
         """(c, e) b_w in the standard basis."""
-        c = self._t.twist(c)
+        c = self.idat.chamber_index(c)
         return HeckeElement._of(self.idat, {
             (c, x): dict(enumerate(p, k))
             for x, k, p in self._column(self._t.of(w))})
@@ -585,8 +572,9 @@ def kl_polynomial(cache: KLCache, x: WeylElement,
     """P_{x,w} as a polynomial in q = v^2.
 
     Zero unless x <= w; P_{w,w} = 1; read off from h_{x,w}(v) =
-    v^{l(w)-l(x)} P_{x,w}(v^{-2}).  Builds the column of w when x < w,
-    so raises GroupBoundExceeded past ``KL_COLUMN_CAP``.
+    v^{l(w)-l(x)} P_{x,w}(v^{-2}), the one entry read through
+    ``KLCache._column``.  Builds the column of w when x < w, so raises
+    GroupBoundExceeded past ``KL_COLUMN_CAP``.
     """
     t = cache._t
     ix, iw = t.of(x), t.of(w)
@@ -594,17 +582,14 @@ def kl_polynomial(cache: KLCache, x: WeylElement,
         return ONE
     if not cache._ideal(iw) >> ix & 1:
         return ZERO
-    top = cache._tops(t.dmask[iw])[ix]
-    h = cache._col(iw).get(top)
-    if h is None:
-        return ZERO
     gap = t.length[iw] - t.length[ix]
     out = {}
-    for e, coef in enumerate(h, t.length[top] - t.length[ix]):
-        if coef:
-            if (gap - e) % 2:
-                raise AssertionError("KL parity violation")
-            out[(gap - e) // 2] = coef
+    for _, k, h in cache._column(iw, 1 << ix):
+        for e, coef in enumerate(h, k):
+            if coef:
+                if (gap - e) % 2:
+                    raise AssertionError("KL parity violation")
+                out[(gap - e) // 2] = coef
     return LaurentPoly(out)
 
 

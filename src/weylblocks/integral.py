@@ -17,8 +17,8 @@ enforced there.  C is closed from the Schreier generators of that
 stabilizer, each reduced into C (Schreier's lemma; Seress, *Permutation
 Group Algorithms*, 2003, 4.1).  C is numbered once, with its product, its
 action on the integral simples and tau(c u) = tau(c) stored per number; the
-block numbers c u by (c, u) (``BlockTables``), and W_ext sorted by the full
-(length, reduced word) key is built on request.
+block numbers c u by (c, u) (``BlockTables``), and that numbering is the
+one order of W_ext, whose element tuple is built on request.
 The same orbit search, stopped at a target class, finds one t moving mu
 into lam + (weight lattice), read off its search tree by
 ``coxeter._transversal``; the shortest such element is a coset minimum.
@@ -123,10 +123,17 @@ class IntegralDatum:
 
     @cached_property
     def w_ext(self) -> tuple[WeylElement, ...]:
-        """W_ext sorted by the full (length, reduced word) key, on request."""
-        return tuple(sorted((c * u for c in self.chamber.elements
-                             for u in self.int_elements()),
-                            key=coxeter_system(self.datum).sort_key))
+        """W_ext in the block's numbering, built on request: entry
+        k |W_int| + x is c u with c chamber element k and u W_int element
+        x, so indexing inverts ``tables.label``.
+
+        >>> from weylblocks import build_root_system
+        >>> idat = integral_datum(build_root_system("A3"), (0, "1/2", 0))
+        >>> [idat.tables.label(w) for w in idat.w_ext]
+        [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3)]
+        """
+        return tuple(c * u for c in self.chamber.sorted_elements
+                     for u in self.int_elements())
 
     @cached_property
     def tables(self) -> "BlockTables":
@@ -142,12 +149,17 @@ class IntegralDatum:
         """W_int sorted by the integral (length, reduced word)."""
         return self.system.elements()
 
+    def chamber_index(self, c: WeylElement) -> int:
+        """The number of the chamber element c, else ValueError."""
+        k = self.chamber_number.get(getattr(c, "root_perm", None))
+        if k is None:
+            raise ValueError("twist is not a chamber element")
+        return k
+
     def conjugate_simple(self, c: WeylElement, j: int) -> int:
         """Index j' with c s_j c^{-1} = s_{j'}, for chamber elements c and
         1 <= j <= rank."""
-        k = self.chamber_number.get(c.root_perm)
-        if k is None:
-            raise ValueError("not a chamber element")
+        k = self.chamber_index(c)
         if not 1 <= j <= self.rank:
             raise ValueError(f"integral simple index {j} out of range "
                              f"1..{self.rank}")
@@ -222,12 +234,6 @@ class BlockTables:
         hit = self.index.get(w.root_perm)
         if hit is None:
             raise ValueError("element outside the integral Weyl group")
-        return hit
-
-    def twist(self, c: WeylElement) -> int:
-        hit = self._idat.chamber_number.get(c.root_perm)
-        if hit is None:
-            raise ValueError("twist is not a chamber element")
         return hit
 
 
@@ -308,21 +314,28 @@ def integral_datum(datum: CartanDatum, lam: Weight,
     W_ext is the stabilizer of lam's class modulo the weight lattice, so
     |W_ext| = |W| / |orbit of the class|; GroupBoundExceeded is raised from
     that count, before any group is enumerated, when |W_ext| (or the
-    orbit) exceeds ``bound``.  W_ext is then C W_int, with C from Schreier
-    generators; W itself is never enumerated.
+    orbit) exceeds ``bound``, on a cached block too.  W_ext is then
+    C W_int, with C from Schreier generators; W itself is never enumerated.
     """
     _check_rank(datum, lam)
     lam = tuple(Q(x) for x in lam)
     key = ("integral", lam)
-    if key in datum._memo:
-        return datum._memo[key]
-
-    nums, den = _numerators(lam)
-    orbit = _orbit(datum.cartan_matrix, nums, range(datum.rank), den, bound)
-    order = weyl_order(datum) // len(orbit)
+    hit = datum._memo.get(key)
+    if hit is None:
+        nums, den = _numerators(lam)
+        orbit = _orbit(datum.cartan_matrix, nums, range(datum.rank), den,
+                       bound)
+        order = weyl_order(datum) // len(orbit)
+    else:  # the same checks, on the stored |W_ext| = |C| |W_int|
+        order = hit.chamber.order * len(hit.int_elements())
+        if weyl_order(datum) // order > bound:
+            raise GroupBoundExceeded(
+                f"orbit enumeration exceeds bound {bound}")
     if order > bound:
         raise GroupBoundExceeded(
             f"W_ext enumeration exceeds bound {bound}: |W_ext| = {order}")
+    if hit is not None:
+        return hit
 
     # lam's pairing with every coroot, as numerators over den
     pairings = [sum(map(int.__mul__, row, nums)) for row in datum.coroot_rows]

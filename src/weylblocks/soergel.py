@@ -83,7 +83,6 @@ def make_word(idat: IntegralDatum, letters,
               shift: FiniteAbelianElement | None = None) -> BimoduleWord:
     """Validated word: Bs indices within the simple system, twists in the
     chamber subgroup."""
-    number = idat.chamber_number
     codes = []
     for l in letters:
         if isinstance(l, BsLetter):
@@ -91,10 +90,7 @@ def make_word(idat: IntegralDatum, letters,
                 raise ValueError(f"Bs index {l.simple_index} out of range")
             codes.append(l.simple_index)
         elif isinstance(l, RwLetter):
-            k = number.get(getattr(l.twist, "root_perm", None))
-            if k is None:
-                raise ValueError("twist is not a chamber element")
-            codes.append(~k)
+            codes.append(~idat.chamber_index(l.twist))
         else:
             raise TypeError(f"not a letter: {l!r}")
     return word_of_codes(idat, codes, shift)
@@ -224,15 +220,17 @@ def random_rewrite(word: BimoduleWord, rng, cap: int = 400) -> BimoduleWord:
 def rank_left(obj) -> int:
     """Rank as a free one-sided module in the completed, ungraded setting.
 
-    Regular words: 2 per Bs letter, 1 per twist, counted on the normal
-    form (one fold, which keeps the Bs letters).  Singular chains: the
-    product of the gluing-to-factor index ratios, times the order of the
-    parabolic subgroup on the left (the chain denotes the restriction of an
-    ambient word with full rings at both ends).  A chain that fails
-    ``validate_singular_word`` raises ValueError.
+    Regular words: 2 per Bs letter, 1 per twist.  The normal form has
+    the same Bs letters, conjugated one for one (each ``chamber_conj`` row
+    is a validated permutation fixing 0), so the word is counted as it
+    stands.  Singular chains: the product of the gluing-to-factor index
+    ratios, times the order of the parabolic subgroup on the left (the
+    chain denotes the restriction of an ambient word with full rings at
+    both ends).  A chain that fails ``validate_singular_word`` raises
+    ValueError.
     """
     if isinstance(obj, BimoduleWord):
-        return 2 ** normalize(obj).bs_count
+        return 2 ** obj.bs_count
     if isinstance(obj, SingularWord):
         if not validate_singular_word(obj):
             raise ValueError("not a valid singular word "
@@ -320,8 +318,7 @@ def p_object_spec(idat: IntegralDatum, mu: Weight, c: WeylElement,
     _check_rank(idat.datum, mu)
     mu = tuple(Q(x) for x in mu)
     indices = tuple(int(j) for j in indices)
-    if c not in idat.chamber.elements:
-        raise ValueError("twist is not a chamber element")
+    idat.chamber_index(c)  # ValueError off the chamber
     if not _is_lattice(_wsub(mu, idat.lam)):
         raise ValueError("mu is not in lam + (weight lattice)")
     if not classify_weight(idat.datum, mu).dominant:
@@ -383,7 +380,10 @@ def indecomposable_index(datum: CartanDatum, mu: Weight, lam: Weight,
                          bound: int = DEFAULT_GROUP_BOUND):
     """Labels (c, double-coset representative) for the indecomposable
     classes of the block of the dominant pair (mu, lam), sorted by the
-    (length, reduced word) keys of c, then of the representative.
+    (length, reduced word) keys of c, then of the representative: W_int
+    is sorted once by the full key, and each chamber element's labels,
+    taken in ``chamber.sorted_elements`` order, are read off it in that
+    order.
 
     For each chamber element c, one label per double coset of the stabilizer
     of c.mu against the stabilizer of lam inside the integral Weyl group.
@@ -396,7 +396,7 @@ def indecomposable_index(datum: CartanDatum, mu: Weight, lam: Weight,
     Finite Coxeter Groups and Iwahori-Hecke Algebras*, 2.1), read off
     ``tables.dmask`` and ``tables.rmask``; no subgroup is closed per c.
     The total is checked against an independent count: the generic
-    ``double_cosets`` of the two stabilizers over the sorted W_ext.
+    ``double_cosets`` of the two stabilizers over W_ext.
     """
     mu = tuple(Q(x) for x in mu)
     lam = tuple(Q(x) for x in lam)
@@ -409,7 +409,7 @@ def indecomposable_index(datum: CartanDatum, mu: Weight, lam: Weight,
     if mover is None:
         raise ValueError("mu and lam are not compatible")
     _, mu_d = dominant_dot_rep(idat, dot_action(datum, mover, mu))
-    total = double_cosets(datum, frozenset(idat.w_ext),
+    total = double_cosets(datum, idat.w_ext,
                           dot_stabilizer(datum, mu_d),
                           dot_stabilizer(datum, lam)).count
 
@@ -421,7 +421,8 @@ def indecomposable_index(datum: CartanDatum, mu: Weight, lam: Weight,
     walls_mu = walls(mu_d)
     right = sum(1 << j - 1 for j in walls(lam))
     t = idat.tables
-    masks = list(zip(t.elements, t.dmask, t.rmask))
+    masks = sorted(zip(t.elements, t.dmask, t.rmask),
+                   key=lambda m: sort_key(datum, m[0]))
     labels = []
     for c, conj in zip(idat.chamber.sorted_elements, idat.chamber_conj):
         left = sum(1 << conj[j] - 1 for j in walls_mu)
@@ -431,5 +432,4 @@ def indecomposable_index(datum: CartanDatum, mu: Weight, lam: Weight,
         raise AssertionError(
             f"stratified label count {len(labels)} disagrees with the "
             f"double-coset count {total}")
-    labels.sort(key=lambda p: (sort_key(datum, p[0]), sort_key(datum, p[1])))
     return tuple(labels)

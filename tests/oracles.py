@@ -30,7 +30,9 @@
   x <= w, with no reduction to extremal pairs.
 * The extended Hecke algebra on WeylElement-keyed LaurentPoly terms: the
   product one (x, y) pair at a time, Bott-Samelson characters as products
-  letter by letter, and the decomposition into the twisted KL basis.
+  letter by letter, and the decomposition into the twisted KL basis;
+  the identity, the twisted standard basis and the group-likes built as
+  HeckeElements from WeylElements.
 * Dominant characters by the flat-box Freudenthal recursion: every weight
   down to half depth in a mixed-radix array, stabilizer orders by group
   enumeration; simple-root coordinates in Fractions over the integer
@@ -49,7 +51,8 @@ from weylblocks.cat_o import _check_dominant_integral, \
     irrep_weight_multiset, linear_dominant_rep, weyl_dimension
 from weylblocks.coxeter import CoxeterSystem, closure, dot_stabilizer, \
     double_cosets, generate_group, reduced_word, sort_key
-from weylblocks.hecke import ONE, V, V_INV, ZERO, LaurentPoly
+from weylblocks.hecke import ONE, V, V_INV, ZERO, HeckeElement, \
+    LaurentPoly
 from weylblocks.integral import _solve_single_diophantine, \
     dominant_dot_rep, integral_datum, lattice_mover
 from weylblocks.rootsys import GroupBoundExceeded, WeightClass, \
@@ -480,6 +483,20 @@ def reference_decompose_graded(idat, cache, terms: dict) -> dict:
                     if f[y].is_zero:
                         del f[y]
     return out
+
+
+def identity_element(idat) -> HeckeElement:
+    return HeckeElement._of(idat, {(0, 0): {0: 1}})
+
+
+def standard_basis(idat, c, x) -> HeckeElement:
+    """(c, x): the standard basis element H_x twisted by c."""
+    return HeckeElement(idat, {(c, x): ONE})
+
+
+def group_like(idat, c) -> HeckeElement:
+    """(c, e)."""
+    return HeckeElement._of(idat, {(idat.chamber_index(c), 0): {0: 1}})
 
 
 def reference_sites(letters) -> tuple:

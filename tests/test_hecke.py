@@ -32,20 +32,20 @@ from weylblocks.hecke import (
     ZERO,
     HeckeElement,
     KLCache,
-    group_like,
-    identity_element,
-    standard_basis,
 )
 from weylblocks.integral import BlockTables
 from weylblocks.rootsys import GroupBoundExceeded
 
 from conftest import w
 from oracles import (
+    group_like,
+    identity_element,
     kl_polynomials_by_inversion,
     reference_bs_character,
     reference_decompose_graded,
     reference_kl_columns,
     reference_product,
+    standard_basis,
 )
 
 with open(default_corpus_path(), encoding="utf-8") as _fh:

@@ -224,8 +224,10 @@ def test_lattice_movers_match_brute_force(label, mu, lam):
              if _is_lattice(_wsub(dot_action(datum, u, mu), lam))]
     assert lattice_mover(datum, mu, lam) == (brute[0] if brute else None)
     assert are_compatible(datum, mu, lam) == bool(brute)
-    if mu == lam:
-        assert integral_datum(datum, lam).w_ext == tuple(brute)
+    if mu == lam:  # w_ext is in block order; the scan in generate_group's
+        assert tuple(sorted(integral_datum(datum, lam).w_ext,
+                            key=coxeter_system(datum).sort_key)) == \
+            tuple(brute)
 
 
 @pytest.mark.parametrize("label, lam", [
@@ -418,14 +420,29 @@ def test_int_elements_match_sorted_closure(label, lam, mu):
 
 
 @pytest.mark.parametrize("label, lam, mu", _corpus_and_block_weights())
+def test_w_ext_is_in_block_order(label, lam, mu):
+    """Entry k |W_int| + x of w_ext is c_k u_x, so indexing w_ext inverts
+    tables.label."""
+    idat = integral_datum(build_root_system(label), lam)
+    t, chamber = idat.tables, idat.chamber.sorted_elements
+    n = len(t.elements)
+    assert len(idat.w_ext) == len(chamber) * n
+    for i, w in enumerate(idat.w_ext):
+        assert w == chamber[i // n] * t.elements[i % n]
+        assert t.label(w) == divmod(i, n)
+
+
+@pytest.mark.parametrize("label, lam, mu", _corpus_and_block_weights())
 def test_blocks_match_whole_group_scans(label, lam, mu):
     """W_ext, C, tau, the movers, Xi and the double cosets against scans
     of the whole Weyl group in Fraction arithmetic."""
     datum = build_root_system(label)
     idat = integral_datum(datum, lam)
-    assert idat.w_ext == scan_lattice_movers(datum, lam, lam)
+    scan = scan_lattice_movers(datum, lam, lam)
+    assert tuple(sorted(idat.w_ext, key=coxeter_system(datum).sort_key)) \
+        == scan
     assert idat.chamber.sorted_elements == \
-        scan_chamber(datum, idat.w_ext, idat.integral_positive)
+        scan_chamber(datum, scan, idat.integral_positive)
     torsion = torsion_group(datum)
     for u in idat.w_ext:
         assert tau(idat, u) == \
@@ -632,6 +649,23 @@ def test_bound_applies_to_w_ext_not_w():
         integral_datum(a3, w(0, Q(1, 2), 0), bound=2)
 
 
+def test_a_cached_block_keeps_the_bound():
+    """A block read from the memo is checked against the bound as a cold
+    one is: A3 at (1/2, 0, 0) has |W_ext| = 6 and 4 classes mod P."""
+    a3 = build_root_system.__wrapped__("A3")
+    lam = (Q(1, 2), Q(0), Q(0))
+    refusals = [(5, r"W_ext enumeration exceeds bound 5: \|W_ext\| = 6"),
+                (3, "orbit enumeration exceeds bound 3")]
+    for bound, message in refusals:
+        with pytest.raises(GroupBoundExceeded, match=message):
+            integral_datum(a3, lam, bound=bound)
+    idat = integral_datum(a3, lam)
+    for bound, message in refusals:
+        with pytest.raises(GroupBoundExceeded, match=message):
+            integral_datum(a3, lam, bound=bound)
+    assert integral_datum(a3, lam, bound=6) is idat
+
+
 def test_orbit_stabilizer_check_catches_a_lost_chamber(monkeypatch):
     # every Schreier generator reduced to the identity: C stays trivial and
     # |W_ext| * |orbit| = 4 * 3 falls short of |W| = 24
@@ -774,6 +808,7 @@ def test_chamber_tables_match_products(label, lam, order, rank):
                                    for k, c in enumerate(chamber)}
     simples = idat.simple_reflections
     for a, g in enumerate(chamber):
+        assert idat.chamber_index(g) == a
         for b, h in enumerate(chamber):
             assert chamber[idat.chamber_mul[a][b]] == g * h
         assert len(idat.chamber_conj[a]) == rank + 1
@@ -785,6 +820,11 @@ def test_chamber_tables_match_products(label, lam, order, rank):
                     if s not in idat.chamber.elements)
     with pytest.raises(ValueError, match="not a chamber element"):
         idat.conjugate_simple(stranger, 1)
+    # chamber_index refuses the stranger, a non-element and each c u, u != e
+    n = len(idat.int_elements())
+    for g in (stranger, None, *(x for i, x in enumerate(idat.w_ext) if i % n)):
+        with pytest.raises(ValueError, match="twist is not a chamber element"):
+            idat.chamber_index(g)
 
 
 @pytest.mark.parametrize("label, lam", [
